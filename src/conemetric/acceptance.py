@@ -233,39 +233,39 @@ def criterion_7(seed=DEFAULT_SEED):
                    "; ".join(notes), t0)
 
 
+def _equilateral():
+    """Three cone points of angle 2 pi * 0.6 evenly spaced on the equator."""
+    pts = [(math.pi / 2.0, 2.0 * math.pi * i / 3.0) for i in range(3)]
+    return ConicProblem("sphere", pts, AngleVector(0, (0.6, 0.6, 0.6)), 1)
+
+
+def _gauss_bonnet_order(prob, meshes):
+    """Observed order of |area - 2 pi chi| between two meshes, and whether
+    every solve took under 60 s."""
+    target = 2.0 * math.pi * conic_euler_char(prob.beta)
+    errs, fast = [], True
+    for n in meshes:
+        s0 = time.perf_counter()
+        metric = solve_liouville(prob, {"n": n})
+        fast = fast and time.perf_counter() - s0 < 60.0
+        errs.append(abs(metric.area() - target))
+    return math.log2(errs[0] / errs[1]), fast
+
+
 def criterion_8(seed=DEFAULT_SEED):
     """Gauss-Bonnet areas converge at second order."""
     t0 = time.perf_counter()
+    runs = [(f"football beta={beta}",
+             ConicProblem("sphere", [(0.0, 0.0), (math.pi, 0.0)],
+                          AngleVector(0, (beta, beta)), 1), (200, 400))
+            for beta in (0.8, 1.5)]
+    runs.append(("(0.6,0.6,0.6)", _equilateral(), (72, 144)))
     cases = []
     ok = True
-    for beta in (0.8, 1.5):
-        av = AngleVector(0, (beta, beta))
-        prob = ConicProblem("sphere", [(0.0, 0.0), (math.pi, 0.0)], av, 1)
-        target = 2.0 * math.pi * conic_euler_char(av)
-        errs = []
-        for n in (200, 400):
-            s0 = time.perf_counter()
-            metric = solve_liouville(prob, {"n": n})
-            dt = time.perf_counter() - s0
-            ok = ok and dt < 60.0
-            errs.append(abs(metric.area() - target))
-        order = math.log2(errs[0] / errs[1])
-        ok = ok and order >= 1.8
-        cases.append(f"football beta={beta}: order {order:.2f}")
-    av = AngleVector(0, (0.6, 0.6, 0.6))
-    pts = [(math.pi / 2.0, 2.0 * math.pi * i / 3.0) for i in range(3)]
-    prob = ConicProblem("sphere", pts, av, 1)
-    target = 2.0 * math.pi * conic_euler_char(av)
-    errs = []
-    for n in (72, 144):
-        s0 = time.perf_counter()
-        metric = solve_liouville(prob, {"n": n})
-        dt = time.perf_counter() - s0
-        ok = ok and dt < 60.0
-        errs.append(abs(metric.area() - target))
-    order = math.log2(errs[0] / errs[1])
-    ok = ok and order >= 1.8
-    cases.append(f"(0.6,0.6,0.6): order {order:.2f}")
+    for label, prob, meshes in runs:
+        order, fast = _gauss_bonnet_order(prob, meshes)
+        ok = ok and fast and order >= 1.8
+        cases.append(f"{label}: order {order:.2f}")
     return _result(8, "Gauss-Bonnet convergence", ok,
                    "; ".join(cases) + " (need >= 1.8, each solve < 60s)", t0)
 
@@ -273,10 +273,7 @@ def criterion_8(seed=DEFAULT_SEED):
 def criterion_9(seed=DEFAULT_SEED):
     """Indicial remainders decay at second order at every cone point."""
     t0 = time.perf_counter()
-    av = AngleVector(0, (0.6, 0.6, 0.6))
-    pts = [(math.pi / 2.0, 2.0 * math.pi * i / 3.0) for i in range(3)]
-    prob = ConicProblem("sphere", pts, av, 1)
-    metric = solve_liouville(prob, {"n": 144})
+    metric = solve_liouville(_equilateral(), {"n": 144})
     slopes = [friedrichs_fit(metric, i).slope for i in range(3)]
     passed = all(s >= 1.9 for s in slopes)
     return _result(9, "indicial expansion regularity", passed,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -57,8 +57,9 @@ class AngleVector:
         beta = tuple(float(b) for b in self.beta)
         if not beta:
             raise ValueError("angle list must be nonempty")
-        if any(b <= 0 for b in beta):
-            raise ValueError("all angle parameters must be positive")
+        if not all(math.isfinite(b) and b > 0 for b in beta):
+            raise ValueError("all angle parameters must be positive and "
+                             "finite")
         object.__setattr__(self, "beta", beta)
 
     @property

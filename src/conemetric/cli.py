@@ -30,8 +30,10 @@ from .angles import (AdmissibilityError, AngleVector, coaxial_check,
                      conic_euler_char, mp_distance, mp_membership,
                      splitting_spec, subcritical_check, troyanov_check)
 from .factorization import (CoeffVector, ContinuationError, WeightVector,
-                            blowup_chart_J2, expansion_coeffs, inverse_map,
-                            jacobian)
+                            blowup_chart_J2, expansion_coeffs, inverse_map)
+# unused here (inverse_map records each branch's condition number), but the
+# span tracer in bench/spans.py wraps cli.jacobian by name
+from .factorization import jacobian  # noqa: F401
 from .liouville import (ConicProblem, SolverError, projected_solve,
                         solve_liouville, spectrum_near_two)
 from .pairing import (EigenCoeffs, classify_case, direction_coeffs,
@@ -87,13 +89,16 @@ def canonical_json(obj, indent=0):
     return pad + json.dumps(str(obj))
 
 
-def _emit(report, output):
-    text = canonical_json(report) + "\n"
+def _write(text, output):
     if output:
         with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report, output):
+    _write(canonical_json(report) + "\n", output)
 
 
 def _emit_csv(header, rows, output, comments=()):
@@ -103,12 +108,7 @@ def _emit_csv(header, rows, output, comments=()):
         lines.append(",".join(
             _fmt_float(v).strip('"') if isinstance(v, float) else str(v)
             for v in row))
-    text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", output)
 
 
 def _meta(**extra):
@@ -215,11 +215,10 @@ def cmd_split(args):
     for br in branches:
         if args.branch is not None and br.branch_id != args.branch:
             continue
-        _, cond = jacobian(br.z, b)
         out_branches.append({
             "branch_id": br.branch_id,
             "z": [complex(z) for z in br.z],
-            "condition": float(cond),
+            "condition": br.condition,
             "near_discriminant": br.near_discriminant,
         })
     report = {

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
@@ -127,11 +127,15 @@ class CoeffVector:
 
 @dataclass(frozen=True)
 class RootConfiguration:
-    """One inverse branch: positions of the split points."""
+    """One inverse branch: positions of the split points.
+
+    ``condition`` is the condition number of the Jacobian at z.
+    """
 
     z: tuple
     branch_id: int
     near_discriminant: bool = False
+    condition: float = math.nan
 
     @property
     def min_separation(self):
@@ -346,7 +350,7 @@ def inverse_map(A, b: WeightVector, flag_threshold: float = COND_THRESHOLD):
         _, cond = jacobian(tuple(zi), b)
         branches.append(RootConfiguration(
             z=tuple(zi), branch_id=i,
-            near_discriminant=bool(cond > flag_threshold)))
+            near_discriminant=bool(cond > flag_threshold), condition=cond))
     return branches
 
 

@@ -18,15 +18,14 @@ projected solve treats the eigenvalue-2 directions with a bordered system.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import quad
-from scipy.sparse.linalg import eigsh, factorized, spsolve
+from scipy.sparse.linalg import eigsh, spsolve
 
 from .angles import AngleVector, conic_euler_char, subcritical_check, troyanov_check
+from .spectrum import FluxForm
 
 __all__ = [
     "ConicProblem",
@@ -35,6 +34,7 @@ __all__ = [
     "SingularBackground",
     "LinearizedOperator",
     "SolverError",
+    "damped_newton",
     "singular_background",
     "solve_liouville",
     "linearized_operator",
@@ -43,7 +43,6 @@ __all__ = [
     "friedrichs_fit",
 ]
 
-DEFAULT_CUTOFF = 0.2
 NEWTON_TOL = 1e-9
 MAX_NEWTON = 60
 
@@ -52,6 +51,39 @@ class SolverError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+def damped_newton(residual, step, x0, tol, floor=0.0):
+    """Newton iteration with step halving; returns (x, sup|residual(x)|).
+
+    ``step(x, F)`` is the caller's linear solve for the Newton correction.
+    The iteration stops once sup|F| < tol_eff = max(tol, floor (1 + sup|x|));
+    ``floor`` is the rounding floor of the residual evaluation per unit of
+    x.  Each correction is halved up to 40 times until sup|F| decreases.
+    If no halving helps, x is accepted when sup|F| < 8 tol_eff, since the
+    iteration has then stagnated at the rounding floor.
+    """
+    x = x0
+    F = residual(x)
+    for _ in range(MAX_NEWTON):
+        res = np.max(np.abs(F))
+        tol_eff = max(tol, floor * (1.0 + np.max(np.abs(x))))
+        if res < tol_eff:
+            return x, res
+        dx = step(x, F)
+        t = 1.0
+        for _ls in range(40):
+            trial = x + t * dx
+            F_trial = residual(trial)
+            if np.max(np.abs(F_trial)) < res:
+                x, F = trial, F_trial
+                break
+            t *= 0.5
+        else:
+            if res < 8.0 * tol_eff:
+                return x, res
+            raise SolverError("Newton line search stalled", residual=res)
+    raise SolverError("Newton did not converge", residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -93,27 +125,7 @@ def _exp_map(p, d, theta):
 
 
 # ---------------------------------------------------------------------------
-# smooth cutoff (quintic, C^2) and the local singular correction
-
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
-
-
-def _cutoff(d, r0):
-    """eta = 1 for d <= r0/2, 0 for d >= r0, quintic ramp in between."""
-    t = (np.asarray(d) - 0.5 * r0) / (0.5 * r0)
-    return 1.0 - _smoothstep(t)
-
-
-def _cutoff_derivs(d, r0):
-    d = np.asarray(d)
-    a, w = 0.5 * r0, 0.5 * r0
-    t = np.clip((d - a) / w, 0.0, 1.0)
-    q1 = 30.0 * t * t * (1.0 - t) ** 2 / w
-    q2 = (60.0 * t - 180.0 * t * t + 120.0 * t ** 3) / w ** 2
-    return -q1, -q2
-
+# the local singular correction
 
 def _sing_corr(d, beta):
     """m^{2 beta} (m = 2 sin(d/2)) and its spherical Laplacian (div grad).
@@ -153,6 +165,8 @@ class ConicProblem:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "points", tuple(tuple(np.atleast_1d(p))
                                                  for p in self.points))
+        if not all(np.all(np.isfinite(p)) for p in self.points):
+            raise ValueError("cone point coordinates must be finite")
         if len(self.points) != len(beta.beta):
             raise ValueError("one position per cone angle required")
         if self.background == "sphere":
@@ -185,27 +199,13 @@ class ConicProblem:
 class SingularBackground:
     """The field v = sum_j (beta_j - 1) log(2 sin(d_j / 2)) on the sphere.
 
-    div grad v = -sum(beta_j - 1)/2 away from the points.  A smooth cutoff
-    radius is recorded for the cone-neighbourhood bookkeeping; if cone
-    neighbourhoods would overlap the cutoff shrinks automatically.
+    div grad v = -sum(beta_j - 1)/2 away from the points.
     """
 
-    def __init__(self, problem: ConicProblem, cutoff=DEFAULT_CUTOFF):
+    def __init__(self, problem: ConicProblem):
         self.problem = problem
         self.points = problem.unit_points()
         self.beta = problem.beta.beta
-        min_sep = math.inf
-        for i in range(len(self.points)):
-            for k in range(i + 1, len(self.points)):
-                min_sep = min(min_sep, _distance(self.points[i],
-                                                 self.points[k]))
-        if min_sep < 4.0 * cutoff:
-            new = min_sep / 4.0
-            if new < cutoff:
-                warnings.warn("cone neighbourhoods overlap; shrinking cutoff "
-                              f"from {cutoff:g} to {new:g}")
-                cutoff = new
-        self.cutoff = cutoff
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -226,10 +226,10 @@ class SingularBackground:
         return out
 
 
-def singular_background(problem, cutoff=DEFAULT_CUTOFF):
+def singular_background(problem):
     if problem.background != "sphere":
         raise ValueError("singular background implemented on the sphere")
-    return SingularBackground(problem, cutoff)
+    return SingularBackground(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,6 @@ class DiscreteConicMetric:
     n: int
     w: np.ndarray                   # bounded remainder at cell centres
     sing_coeffs: tuple              # A_j of the local corrections
-    cutoff: float
     residual: float
     mesh: dict = field(default_factory=dict)
 
@@ -257,20 +256,47 @@ class DiscreteConicMetric:
             return _sphere2d_area(self)
         raise ValueError("area defined for closed solves only")
 
-    def density(self, x=None):
-        """e^{2u} relative to the round metric at cell centres."""
+    def density(self, full=False):
+        """e^{2u} relative to the round metric at cell centres.
+
+        Footballs are solved on the half grid (0, pi/2); ``full`` mirrors w
+        across the equator and evaluates on all n cells of (0, pi).
+        """
         if self.kind == "football":
-            phi = _football_centers(self)
-            return _football_E(self, phi) * np.exp(
-                2.0 * (_football_s(self, phi) + _football_w_full(self)))
+            phi, w = _football_grid(self.n), self.w
+            if full:
+                w = np.concatenate([w, w[::-1]])
+            else:
+                phi = phi[:len(w)]
+            E, s, _ = _football_background(phi, self.beta[0],
+                                           self.sing_coeffs[0])
+            return E * np.exp(2.0 * (s + w))
         if self.kind == "sphere2d":
             g = self.mesh
             return g["E"] * np.exp(2.0 * (g["s"] + self.w))
         raise ValueError("no density for this kind")
 
     def bounded_part(self, point_index, d, theta):
-        """u - (beta_j - 1) log m_j near cone point j, by interpolation."""
-        return _bounded_part(self, point_index, d, theta)
+        """u - (beta_j - 1) log m_j at distance d, chart angle theta, by
+        interpolation."""
+        if self.kind != "sphere2d":
+            raise ValueError("bounded part extraction for 2-D solves")
+        g = self.mesh
+        p = g["points"][point_index]
+        x = _exp_map(p, np.asarray(d, dtype=float),
+                     np.asarray(theta, dtype=float))
+        out = np.zeros(x.shape[:-1])
+        betas = self.beta
+        for i, (q, b) in enumerate(zip(g["points"], betas)):
+            if i != point_index:
+                out += (b - 1.0) * np.log(_chord(_distance(x, q)))
+            a = -self.sing_coeffs[i] / (4.0 * b * b)
+            val, _ = _sing_corr(_distance(x, q), b)
+            out += a * val
+        flat = x.reshape(-1, 3)
+        w_interp = np.array([_point_interp(self.w, g["phi"], g["theta"], xx)
+                             for xx in flat]).reshape(out.shape)
+        return out + w_interp
 
 
 @dataclass
@@ -284,117 +310,83 @@ class ObstructionBundleFiber:
 # ---------------------------------------------------------------------------
 # football (axisymmetric) solver: half interval [0, pi/2], cell centred
 
-def _football_centers(metric_or_n, half=True):
-    n = metric_or_n.n if hasattr(metric_or_n, "n") else metric_or_n
-    h = math.pi / n
-    m = n // 2
-    return (np.arange(m) + 0.5) * h
+def _football_grid(n):
+    """Centres of the n cells of (0, pi); the solve keeps the first n/2.
+
+    n must be even, so that the equator is a cell face, and at least 4, so
+    that the half grid holds the two cells the pole extrapolation reads.
+    """
+    if n < 4 or n % 2:
+        raise ValueError(f"football meshes need an even n >= 4, got {n}")
+    return (np.arange(n) + 0.5) * (math.pi / n)
 
 
-def _football_E(metric, phi):
-    b = metric.beta[0]
-    return (2.0 * np.sin(phi)) ** (2.0 * b - 2.0)
+def _football_background(phi, b, A):
+    """(E, s, div grad s) at colatitudes phi for cone coefficient A.
 
-
-def _football_s(metric, phi):
-    b = metric.beta[0]
+    E = (2 sin phi)^{2b - 2} = e^{2v} for the two antipodal log terms, and
+    s = -(A / 4 b^2)(m_N^{2b} + m_S^{2b}) is the local correction, whose
+    div grad cancels the leading A m^{2b - 2} part of the density source at
+    both poles while keeping the half-grid symmetry intact (zero for b >= 1).
+    """
+    E = (2.0 * np.sin(phi)) ** (2.0 * b - 2.0)
     if b >= 1.0:
-        return np.zeros_like(phi)
-    a = -metric.sing_coeffs[0] / (4.0 * b * b)
-    valN, _ = _sing_corr(phi, b)
-    valS, _ = _sing_corr(math.pi - phi, b)
-    return a * (valN + valS)
+        return E, 0.0, 0.0
+    a = -A / (4.0 * b * b)
+    vN, lN = _sing_corr(phi, b)
+    vS, lS = _sing_corr(math.pi - phi, b)
+    return E, a * (vN + vS), a * (lN + lS)
 
 
-def _football_w_full(metric):
-    return metric.w
+def _axisym_laplacian(form):
+    """Round div grad of axisymmetric samples: -K / sin at the cell centres."""
+    return (sparse.diags(-1.0 / form.weight) @ form.matrix()).tocsc()
 
 
-def _football_half_operator(n):
-    """Flux Laplacian (div grad) on the half interval with symmetry."""
-    h = math.pi / n
-    m = n // 2
-    faces = np.sin(np.arange(m + 1) * h)
-    centers = np.sin((np.arange(m) + 0.5) * h)
-    lo = faces[:-1] / h ** 2
-    hi = faces[1:] / h ** 2
-    hi[-1] = 0.0           # zero flux across the equator (symmetric solution)
-    diag = -(lo + hi) / centers
-    upper = hi[:-1] / centers[:-1]
-    lower = lo[1:] / centers[1:]
-    L = sparse.diags([lower, diag, upper], [-1, 0, 1], format="csc")
-    return L, centers, h
-
-
-def _pole_value(w, h):
+def _pole_value(w):
     """Even quadratic extrapolation of cell-centred samples to phi = 0."""
     return (9.0 * w[0] - w[1]) / 8.0
 
 
-def _solve_football(problem, n, cutoff):
+def _solve_football(problem, n):
     b = problem.beta.beta[0]
-    L, centers, h = _football_half_operator(n)
-    phi = _football_centers(n)
-    E = (2.0 * np.sin(phi)) ** (2.0 * b - 2.0)
+    phi = _football_grid(n)[:n // 2]
+    form = FluxForm(n, 1, cells=n // 2)
+    L = _axisym_laplacian(form)
+    h = form.h
     c_v = -(b - 1.0)        # bulk div grad of the two log terms
-    use_corr = b < 1.0
-    A = (2.0 ** (2.0 * b - 2.0)) if use_corr else 0.0
+    A = (2.0 ** (2.0 * b - 2.0)) if b < 1.0 else 0.0
 
-    w = np.full_like(phi, 0.0)
     # constant initial guess balancing the mean of the equation
+    E, _, _ = _football_background(phi, b, A)
     mass = np.sum(E * np.sin(phi) * h)
-    w[:] = 0.5 * math.log(max((1.0 - c_v) * np.sum(np.sin(phi) * h) / mass,
-                              1e-6))
+    w = np.full_like(phi, 0.5 * math.log(
+        max((1.0 - c_v) * np.sum(np.sin(phi) * h) / mass, 1e-6)))
 
-    resid = math.inf
     for _outer in range(8):
-        if use_corr:
-            # s = -(A / 4 beta^2)(m_N^{2b} + m_S^{2b}): div grad s cancels
-            # the leading A m^{2 beta - 2} part of the density source at
-            # both poles, keeping the half-grid symmetry intact
-            a = -A / (4.0 * b * b)
-            vN, lN = _sing_corr(phi, b)
-            vS, lS = _sing_corr(math.pi - phi, b)
-            s, lap_s = a * (vN + vS), a * (lN + lS)
-        else:
-            s = lap_s = 0.0
-        for _it in range(MAX_NEWTON):
-            rho = E * np.exp(2.0 * (s + w))
-            F = L @ w + lap_s + c_v + rho - 1.0
-            resid = np.max(np.abs(F))
-            if resid < NEWTON_TOL:
-                break
-            J = L + sparse.diags(2.0 * rho)
-            dw = spsolve(J.tocsc(), -F)
-            step = 1.0
-            for _ls in range(40):
-                trial = w + step * dw
-                rho_t = E * np.exp(2.0 * (s + trial))
-                Ft = L @ trial + lap_s + c_v + rho_t - 1.0
-                if np.max(np.abs(Ft)) < resid:
-                    w = trial
-                    break
-                step *= 0.5
-            else:
-                raise SolverError("Newton line search stalled",
-                                  residual=resid)
-        if not use_corr:
+        E, s, lap_s = _football_background(phi, b, A)
+
+        def rho(w):
+            return E * np.exp(2.0 * (s + w))
+
+        w, resid = damped_newton(
+            lambda w: L @ w + lap_s + c_v + rho(w) - 1.0,
+            lambda w, F: spsolve((L + sparse.diags(2.0 * rho(w))).tocsc(), -F),
+            w, NEWTON_TOL)
+        if b >= 1.0:
             break
         # density/m^{2b-2} at the pole; the opposite correction contributes
         # s_S(0) = -(A / 4 b^2) 4^b there
-        s_far = (-A / (4.0 * b * b)) * 4.0 ** b if use_corr else 0.0
+        s_far = (-A / (4.0 * b * b)) * 4.0 ** b
         A_new = (2.0 ** (2.0 * b - 2.0)) * math.exp(
-            2.0 * (s_far + _pole_value(w, h)))
-        if abs(A_new - A) < 1e-13:
-            A = A_new
-            break
+            2.0 * (s_far + _pole_value(w)))
+        converged = abs(A_new - A) < 1e-13
         A = A_new
-    if resid >= NEWTON_TOL:
-        raise SolverError("Newton did not converge", residual=resid)
+        if converged:
+            break
     return DiscreteConicMetric(problem=problem, kind="football", n=n, w=w,
-                               sing_coeffs=(A, A), cutoff=cutoff,
-                               residual=float(resid),
-                               mesh={"phi": phi, "h": h, "E": E})
+                               sing_coeffs=(A, A), residual=float(resid),
+                               mesh={"phi": phi, "h": h})
 
 
 def _football_area(metric):
@@ -417,7 +409,8 @@ def _football_area(metric):
 
 # ---------------------------------------------------------------------------
 # full 2-D lat-lon solver (genus 0, all angles < 2 pi with the local
-# correction; cone points must sit at grid corners)
+# correction; cone points may sit anywhere: rotated, off-grid points
+# converge at the same order 2 as grid-aligned ones)
 
 def _grid2d(n_lat):
     n_lon = 2 * n_lat
@@ -480,11 +473,10 @@ def _point_interp(w2, phi, theta, p):
             + ti * (1 - tk) * w2[i0 + 1, k0] + ti * tk * w2[i0 + 1, k1])
 
 
-def _solve_sphere2d(problem, n_lat, cutoff):
+def _solve_sphere2d(problem, n_lat):
     betas = problem.beta.beta
     pts = problem.unit_points()
-    sb = SingularBackground(problem, cutoff)
-    cutoff = sb.cutoff
+    sb = SingularBackground(problem)
     phi, theta, h = _grid2d(n_lat)
     xyz = _grid_xyz(phi, theta)
     n_lon = 2 * n_lat
@@ -512,8 +504,8 @@ def _solve_sphere2d(problem, n_lat, cutoff):
     # weights at the grid poles amplify eps |w| by the row sum over the
     # cell measure (~ h^-4 there)
     amp = float(np.max(np.asarray(np.abs(A).sum(axis=1)).ravel() / M))
+    floor = 4.0 * np.finfo(float).eps * amp
 
-    resid = math.inf
     for _outer in range(12):
         s = np.zeros_like(w)
         lap_s = np.zeros_like(w)
@@ -522,32 +514,19 @@ def _solve_sphere2d(problem, n_lat, cutoff):
             val, lap = _sing_corr(d, b)
             s += a * val
             lap_s += a * lap
-        for _it in range(MAX_NEWTON):
-            rho = E * np.exp(2.0 * (s + w))
-            F = (-(A @ w.ravel()) / M).reshape(w.shape) + lap_s + c_v \
-                + rho - 1.0
-            resid = np.max(np.abs(F))
-            tol_eff = max(NEWTON_TOL, 4.0 * np.finfo(float).eps * amp
-                          * (1.0 + np.max(np.abs(w))))
-            if resid < tol_eff:
-                break
-            J = A - sparse.diags(2.0 * (M * rho.ravel()))
-            dw = spsolve(J, (M * F.ravel())).reshape(w.shape)
-            step, done = 1.0, False
-            for _ls in range(40):
-                trial = w + step * dw
-                rho_t = E * np.exp(2.0 * (s + trial))
-                Ft = (-(A @ trial.ravel()) / M).reshape(w.shape) + lap_s \
-                    + c_v + rho_t - 1.0
-                if np.max(np.abs(Ft)) < resid:
-                    w, done = trial, True
-                    break
-                step *= 0.5
-            if not done:
-                if resid < 8.0 * tol_eff:
-                    break      # stagnated at the rounding floor
-                raise SolverError("Newton line search stalled",
-                                  residual=resid)
+
+        def rho(w):
+            return E * np.exp(2.0 * (s + w))
+
+        def residual(w):
+            return (-(A @ w.ravel()) / M).reshape(w.shape) + lap_s + c_v \
+                + rho(w) - 1.0
+
+        def step(w, F):
+            J = A - sparse.diags(2.0 * (M * rho(w).ravel()))
+            return spsolve(J, (M * F.ravel())).reshape(w.shape)
+
+        w, resid = damped_newton(residual, step, w, NEWTON_TOL, floor)
         new = [e_reg(j) * math.exp(
             2.0 * (_point_interp(w, phi, theta, pts[j])
                    + sum(-Avals[i] / (4 * betas[i] ** 2)
@@ -559,12 +538,9 @@ def _solve_sphere2d(problem, n_lat, cutoff):
             Avals = new
             break
         Avals = new
-    if resid >= max(NEWTON_TOL, 8.0 * 4.0 * np.finfo(float).eps * amp
-                    * (1.0 + np.max(np.abs(w)))):
-        raise SolverError("Newton did not converge", residual=resid)
     return DiscreteConicMetric(
         problem=problem, kind="sphere2d", n=n_lat, w=w,
-        sing_coeffs=tuple(Avals), cutoff=cutoff, residual=float(resid),
+        sing_coeffs=tuple(Avals), residual=float(resid),
         mesh={"phi": phi, "theta": theta, "h": h, "E": E, "s": s,
               "A": A, "M": M, "xyz": xyz, "dists": dists, "points": pts})
 
@@ -587,43 +563,29 @@ def _sphere2d_area(metric):
 # ---------------------------------------------------------------------------
 # flat disk solver (radial, one cone point at the origin)
 
-def _solve_disk(problem, n, boundary=None):
+def _solve_disk(problem, n):
     b = problem.beta.beta[0]
     K = problem.curvature
     h = 1.0 / n
     r = (np.arange(n) + 0.5) * h
     faces = np.arange(n + 1) * h
-    if boundary is None:
-        boundary = lambda: (b - 1.0) * math.log(1.0)   # exact flat cone data
-    wb = float(boundary()) if callable(boundary) else float(boundary)
-
     lo = faces[:-1] / h ** 2
     hi = faces[1:] / h ** 2
     diag = -(lo + hi) / r
-    upper = hi[:-1] / r[:-1]
-    lower = lo[1:] / r[1:]
-    L = sparse.diags([lower, diag, upper], [-1, 0, 1]).tolil()
-    rhs_bc = np.zeros(n)
-    # Dirichlet ghost at r = 1: w_ghost = 2 wb - w_{n-1}
-    L[n - 1, n - 1] -= hi[-1] / r[-1]
-    rhs_bc[-1] = 2.0 * wb * hi[-1] / r[-1]
-    L = L.tocsc()
-
-    w = np.full(n, wb)
+    # w = 0 at r = 1, the exact flat-cone data, by the ghost value -w_{n-1}
+    diag[-1] -= hi[-1] / r[-1]
+    L = sparse.diags([lo[1:] / r[1:], diag, hi[:-1] / r[:-1]], [-1, 0, 1],
+                     format="csc")
     E = r ** (2.0 * b - 2.0)
-    for _it in range(MAX_NEWTON):
-        # div grad u = -K e^{2u} on a flat background
-        F = L @ w + rhs_bc + K * E * np.exp(2.0 * w)
-        resid = np.max(np.abs(F))
-        if resid < NEWTON_TOL:
-            break
-        J = L + sparse.diags(2.0 * K * E * np.exp(2.0 * w))
-        w = w + spsolve(J, -F)
-    else:
-        raise SolverError("disk Newton did not converge", residual=resid)
+
+    # div grad u = -K e^{2u} on a flat background
+    w, resid = damped_newton(
+        lambda w: L @ w + K * E * np.exp(2.0 * w),
+        lambda w, F: spsolve(L + sparse.diags(2.0 * K * E * np.exp(2.0 * w)),
+                             -F),
+        np.zeros(n), NEWTON_TOL)
     return DiscreteConicMetric(problem=problem, kind="disk", n=n, w=w,
-                               sing_coeffs=(0.0,), cutoff=0.0,
-                               residual=float(resid),
+                               sing_coeffs=(0.0,), residual=float(resid),
                                mesh={"r": r, "h": h})
 
 
@@ -643,26 +605,23 @@ def _is_football(problem):
 def solve_liouville(problem, mesh_params=None):
     """Solve for the bounded conformal remainder; see the module docstring.
 
-    mesh_params: {"n": resolution, "cutoff": cone-neighbourhood radius,
-    "boundary": Dirichlet data (disk only)}.
+    mesh_params: {"n": resolution}.
     """
-    mesh_params = dict(mesh_params or {})
-    n = int(mesh_params.get("n", 256))
-    cutoff = float(mesh_params.get("cutoff", DEFAULT_CUTOFF))
+    n = int((mesh_params or {}).get("n", 256))
     if problem.background == "disk":
         if problem.curvature > 0:
             raise SolverError("disk solver covers K <= 0")
-        return _solve_disk(problem, n, mesh_params.get("boundary"))
+        return _solve_disk(problem, n)
     if problem.curvature != 1:
         raise SolverError("closed-sphere solves require K = 1")
     if _is_football(problem):
-        return _solve_football(problem, n, cutoff)
+        return _solve_football(problem, n)
     if any(b >= 1.0 for b in problem.beta.beta):
         raise SolverError("general 2-D solves require all angles < 2 pi "
                           "(subcritical regime)")
     if not subcritical_check(problem.beta):
         raise SolverError("angle vector outside the subcritical regime")
-    return _solve_sphere2d(problem, n, cutoff)
+    return _solve_sphere2d(problem, n)
 
 
 # ---------------------------------------------------------------------------
@@ -683,17 +642,9 @@ class LinearizedOperator:
         """
         if self.kind != "football":
             raise ValueError("mode decomposition applies to footballs")
-        m = self.metric
-        n = m.n
-        h = math.pi / n
-        phi = (np.arange(n) + 0.5) * h
-        faces = np.sin(np.arange(n + 1) * h) ** (2 * j + 1)
-        p_c = np.sin(phi) ** (2 * j + 1)
-        diag = (faces[:-1] + faces[1:]) / h ** 2 + j * (j + 1.0) * p_c
-        off = -faces[1:-1] / h ** 2
-        A = sparse.diags([off, diag, off], [-1, 0, 1], format="csc")
-        rho = _football_density_full(m)
-        B = sparse.diags(p_c * rho)
+        form = FluxForm(self.metric.n, 2 * j + 1)
+        A = form.matrix(potential=j * (j + 1.0) * form.weight)
+        B = sparse.diags(form.weight * self.metric.density(full=True))
         return A, B
 
     def matrices(self):
@@ -707,49 +658,16 @@ class LinearizedOperator:
 
     def apply_axisym(self, values):
         """(Delta_g - 2) f for axisymmetric cell-centred samples (football)."""
-        m = self.metric
-        n = m.n
-        h = math.pi / n
-        phi = (np.arange(n) + 0.5) * h
-        faces = np.sin(np.arange(n + 1) * h)
-        lo = faces[:-1] / h ** 2
-        hi = faces[1:] / h ** 2
-        centers = np.sin(phi)
+        form = FluxForm(self.metric.n, 1)
         f = np.asarray(values, dtype=float)
-        lap = np.empty_like(f)
-        lap[1:-1] = (hi[1:-1] * (f[2:] - f[1:-1])
-                     - lo[1:-1] * (f[1:-1] - f[:-2])) / centers[1:-1]
-        lap[0] = hi[0] * (f[1] - f[0]) / centers[0]
-        lap[-1] = -lo[-1] * (f[-1] - f[-2]) / centers[-1]
-        rho = _football_density_full(m)
-        return -lap / rho - 2.0 * f
-
-
-def _football_density_full(metric):
-    """e^{2u} on the full interval (0, pi) at cell centres."""
-    n = metric.n
-    h = math.pi / n
-    phi = (np.arange(n) + 0.5) * h
-    b = metric.beta[0]
-    E = (2.0 * np.sin(phi)) ** (2.0 * b - 2.0)
-    w_half = metric.w
-    w = np.concatenate([w_half, w_half[::-1]])
-    if b < 1.0:
-        a = -metric.sing_coeffs[0] / (4.0 * b * b)
-        sN, _ = _sing_corr(phi, b)
-        sS, _ = _sing_corr(math.pi - phi, b)
-        s = a * (sN + sS)
-    else:
-        s = 0.0
-    return E * np.exp(2.0 * (s + w))
+        return form(f) / form.weight / self.metric.density(full=True) \
+            - 2.0 * f
 
 
 def linearized_operator(metric):
-    if metric.kind == "football":
-        return LinearizedOperator(metric=metric, kind="football")
-    if metric.kind == "sphere2d":
-        return LinearizedOperator(metric=metric, kind="sphere2d")
-    raise ValueError("linearized operator for closed solves only")
+    if metric.kind not in ("football", "sphere2d"):
+        raise ValueError("linearized operator for closed solves only")
+    return LinearizedOperator(metric=metric, kind=metric.kind)
 
 
 def spectrum_near_two(metric, window=0.5):
@@ -819,19 +737,13 @@ def projected_solve(metric, fiber, density_perturbation=None, tol=1e-11):
         raise NotImplementedError("projected solve in the axisymmetric "
                                   "reduction only")
     n = metric.n
-    h = math.pi / n
-    phi = (np.arange(n) + 0.5) * h
-    rho2 = _football_density_full(metric)
+    form = FluxForm(n, 1)
+    h, centers = form.h, form.weight
+    L = _axisym_laplacian(form)
+    rho0 = metric.density(full=True)
+    rho2 = rho0
     if density_perturbation is not None:
-        rho2 = rho2 * np.exp(2.0 * np.asarray(density_perturbation))
-
-    faces = np.sin(np.arange(n + 1) * h)
-    centers = np.sin(phi)
-    lo = faces[:-1] / h ** 2
-    hi = faces[1:] / h ** 2
-    diag = -(lo + hi) / centers
-    L = sparse.diags([lo[1:] / centers[1:], diag, hi[:-1] / centers[:-1]],
-                     [-1, 0, 1], format="csc")
+        rho2 = rho0 * np.exp(2.0 * np.asarray(density_perturbation))
 
     # axisymmetric fiber directions, normalized in L^2(g2)
     modes = []
@@ -846,68 +758,37 @@ def projected_solve(metric, fiber, density_perturbation=None, tol=1e-11):
     # equals rho2_0 by its own discrete equation; a conformal perturbation
     # delta_p adds -L delta_p.  This makes u = 0 an exact discrete solution
     # when the input metric is the converged solve itself.
-    rho0 = _football_density_full(metric)
     if density_perturbation is not None:
         curv_term = rho0 - L @ np.asarray(density_perturbation, dtype=float)
     else:
         curv_term = rho0
 
-    def residual(u):
-        # div grad u + rho2 e^{2u} - rho2 K_{g2} in the round frame
-        return L @ u + rho2 * np.exp(2.0 * u) - curv_term
-
-    u = np.zeros(n)
-    lam_c = np.zeros(ell)
+    # unknowns x = (u, Lambda); the last ell residuals are the constraints
     B = rho2 * centers * h * 2.0 * math.pi
-    for _it in range(MAX_NEWTON):
-        F = residual(u)
-        if ell:
-            F = F - sum(lam_c[i] * modes[i] * rho2 for i in range(ell))
-        cons = np.array([np.sum(u * modes[i] * B) for i in range(ell)])
-        res = max(np.max(np.abs(F)), np.max(np.abs(cons)) if ell else 0.0)
-        if res < tol:
-            break
-        J = L + sparse.diags(2.0 * rho2 * np.exp(2.0 * u))
+
+    def residual(x):
+        u, lam_c = x[:n], x[n:]
+        # div grad u + rho2 e^{2u} - rho2 K_{g2} in the round frame
+        F = L @ u + rho2 * np.exp(2.0 * u) - curv_term \
+            - sum(lam_c[i] * modes[i] * rho2 for i in range(ell))
+        cons = [np.sum(u * modes[i] * B) for i in range(ell)]
+        return np.concatenate([F, cons])
+
+    def step(x, F):
+        J = L + sparse.diags(2.0 * rho2 * np.exp(2.0 * x[:n]))
         if ell:
             cols = np.stack([-modes[i] * rho2 for i in range(ell)], axis=1)
             rows = np.stack([modes[i] * B for i in range(ell)], axis=0)
-            K = sparse.bmat([[J, sparse.csc_matrix(cols)],
+            J = sparse.bmat([[J, sparse.csc_matrix(cols)],
                              [sparse.csc_matrix(rows), None]], format="csc")
-            rhs = np.concatenate([-F, -cons])
-            delta = spsolve(K, rhs)
-            u = u + delta[:n]
-            lam_c = lam_c + delta[n:]
-        else:
-            u = u + spsolve(J, -F)
-    else:
-        raise SolverError("projected Newton did not converge", residual=res)
-    return u, lam_c
+        return spsolve(J, -F)
+
+    x, _ = damped_newton(residual, step, np.zeros(n + ell), tol)
+    return x[:n], x[n:]
 
 
 # ---------------------------------------------------------------------------
 # Friedrichs expansion fit near a cone point of a 2-D solve
-
-def _bounded_part(metric, point_index, d, theta):
-    """u - (beta_j - 1) log m_j at distance d, chart angle theta."""
-    if metric.kind != "sphere2d":
-        raise ValueError("bounded part extraction for 2-D solves")
-    g = metric.mesh
-    p = g["points"][point_index]
-    x = _exp_map(p, np.asarray(d, dtype=float), np.asarray(theta,
-                                                           dtype=float))
-    out = np.zeros(x.shape[:-1])
-    betas = metric.beta
-    for i, (q, b) in enumerate(zip(g["points"], betas)):
-        if i != point_index:
-            out += (b - 1.0) * np.log(_chord(_distance(x, q)))
-        a = -metric.sing_coeffs[i] / (4.0 * b * b)
-        val, _ = _sing_corr(_distance(x, q), b)
-        out += a * val
-    flat = x.reshape(-1, 3)
-    w_interp = np.array([_point_interp(metric.w, g["phi"], g["theta"], xx)
-                         for xx in flat]).reshape(out.shape)
-    return out + w_interp
-
 
 @dataclass
 class FriedrichsFit:
@@ -929,8 +810,7 @@ def friedrichs_fit(metric, point_index, radii=None, n_theta=64):
     if radii is None:
         radii = np.geomspace(0.45, 1.0, 8)
     radii = np.asarray(radii, dtype=float)
-    J = int(math.ceil(2.0 * b) - 1) if 2.0 * b != math.floor(2.0 * b) \
-        else int(2.0 * b) - 1
+    J = math.ceil(2.0 * b) - 1
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     cols, samples = [], []
     for r in radii:

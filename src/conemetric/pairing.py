@@ -148,18 +148,9 @@ def direction_coeffs(A, beta0):
     return DirectionCoeffs(beta=float(beta0), modes=tuple(modes))
 
 
-def _row_term(eig, direction):
-    if len(eig.modes) != len(direction.modes):
-        raise ValueError("eigenfunction and direction mode counts differ")
-    total = 0.0
-    for (m, ac, asn), (md, ec, es) in zip(eig.modes, direction.modes):
-        if m != md:
-            raise ValueError("mode indices do not match")
-        # the m weight applies at weighted points (beta > 1) only; the
-        # beta < 1 terms enter unweighted
-        w = float(m) if eig.beta > 1.0 else 1.0
-        total += w * (ac * ec + asn * es)
-    return total
+def _as_rows(eig):
+    rows = list(eig)
+    return [rows] if rows and isinstance(rows[0], EigenCoeffs) else rows
 
 
 def pairing_B(eig, direction):
@@ -167,18 +158,21 @@ def pairing_B(eig, direction):
 
     ``eig`` is one row (a sequence of EigenCoeffs, one per cone point) or a
     sequence of such rows, one per basis eigenfunction; ``direction`` is the
-    matching sequence of DirectionCoeffs.  Returns the vector (B_i).
+    matching sequence of DirectionCoeffs.  Returns the vector (B_i), the
+    pairing matrix applied to the assembled direction vector.
     """
-    rows = list(eig)
-    if rows and isinstance(rows[0], EigenCoeffs):
-        rows = [rows]
+    rows = _as_rows(eig)
     dirs = list(direction)
-    out = []
     for row in rows:
         if len(row) != len(dirs):
             raise ValueError("row and direction cone-point counts differ")
-        out.append(sum(_row_term(e, d) for e, d in zip(row, dirs)))
-    return np.array(out)
+        for e, d in zip(row, dirs):
+            if [m for m, _, _ in e.modes] != [m for m, _, _ in d.modes]:
+                raise ValueError("eigenfunction and direction mode counts "
+                                 "or indices differ")
+    if not rows:
+        return np.array([])
+    return pairing_matrix(rows) @ np.concatenate([d.vector for d in dirs])
 
 
 def pairing_matrix(rows):
@@ -188,14 +182,13 @@ def pairing_matrix(rows):
     direction vector (e'_{11}, e''_{11}, e'_{12}, ...) concatenated over cone
     points; the kernel of this matrix is the solution space.
     """
-    rows = list(rows)
-    if rows and isinstance(rows[0], EigenCoeffs):
-        rows = [rows]
     out = []
-    for row in rows:
+    for row in _as_rows(rows):
         entries = []
         for eig in row:
             for (m, ac, asn) in eig.modes:
+                # the m weight applies at weighted points (beta > 1) only;
+                # the beta < 1 terms enter unweighted
                 w = float(m) if eig.beta > 1.0 else 1.0
                 entries.extend((w * ac, w * asn))
         out.append(entries)

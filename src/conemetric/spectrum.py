@@ -27,9 +27,9 @@ from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import eigsh
 
 __all__ = [
-    "FootballSpec",
     "EigenMode",
     "FlowCrossing",
+    "FluxForm",
     "football_eigenvalues",
     "eigenvalue_count",
     "football_eigenfunction",
@@ -40,15 +40,6 @@ __all__ = [
 
 #: tolerance for deciding whether beta sits exactly at an integer
 CROSSING_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FootballSpec:
-    beta: float
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
 
 
 @dataclass(frozen=True)
@@ -76,10 +67,18 @@ def _mode_lambda(beta, j, ell):
     return x * (x + 1.0)
 
 
+def _check_ladder(beta, lambda_max):
+    # a nonfinite beta makes j/beta = 0 for every j, so the mode ladders
+    # below would never leave the window
+    if not (math.isfinite(beta) and math.isfinite(lambda_max)) \
+            or beta <= 0 or lambda_max < 0:
+        raise ValueError("beta must be positive and lambda_max nonnegative, "
+                         "both finite")
+
+
 def football_eigenvalues(beta, lambda_max, tol: float = 1e-12):
     """All football modes with lambda <= lambda_max, sorted by eigenvalue."""
-    if beta <= 0 or lambda_max < 0:
-        raise ValueError("beta and lambda_max must be positive")
+    _check_ladder(beta, lambda_max)
     modes = []
     j = 0
     while _mode_lambda(beta, j, 0) <= lambda_max + tol:
@@ -195,26 +194,52 @@ def football_eigenfunction(beta, j, ell, **kwargs):
     return _RadialProfile(beta, j, ell, **kwargs)
 
 
+class FluxForm:
+    """Cell-centred flux form of the stiffness -(sin^p f')' on (0, pi).
+
+    Uses the first ``cells`` of the n cells of width h = pi/n (all of them
+    by default).  The two end faces carry no flux: at r = 0 and r = pi that
+    is the natural (Friedrichs) condition, at the equator of a half grid
+    (cells = n/2) the mirror symmetry.  ``weight`` holds sin^p at the cell
+    centres.  Every football operator -- the solver's axisymmetric
+    Laplacian, the mode pencils and the radial oracle -- is built here.
+    """
+
+    def __init__(self, n, p, cells=None):
+        cells = n if cells is None else cells
+        self.h = h = math.pi / n
+        self.weight = np.sin((np.arange(cells) + 0.5) * h) ** p
+        self.face = np.zeros(cells + 1)
+        self.face[1:-1] = np.sin(np.arange(1, cells) * h) ** p / h ** 2
+
+    def matrix(self, potential=0.0):
+        """The stiffness plus diag(potential) as a symmetric tridiagonal
+        (csc) matrix."""
+        f = self.face
+        return sparse.diags([-f[1:-1], f[:-1] + f[1:] + potential, -f[1:-1]],
+                            [-1, 0, 1], format="csc")
+
+    def __call__(self, u):
+        """The stiffness applied as gradient then divergence, so constants
+        map to exactly zero (the assembled diagonal rounds)."""
+        flux = self.face * np.diff(u, prepend=u[:1], append=u[-1:])
+        return flux[:-1] - flux[1:]
+
+
 def _sl_eigs(alpha, n, k=5):
     """Lowest k eigenvalues of the substituted radial problem at n cells.
 
     With R = (sin r)^alpha S the radial operator becomes the degenerate
     Sturm-Liouville problem -(w S')' = (lambda - alpha(alpha+1)) w S with
-    weight w = (sin r)^{2 alpha + 1}; the natural (zero-flux) conditions of
-    the flux discretization implement the Friedrichs choice at both poles.
+    weight w = (sin r)^{2 alpha + 1}; the zero-flux end faces of the flux
+    form implement the Friedrichs choice at both poles.
     """
-    h = math.pi / n
-    faces = np.sin(np.arange(n + 1) * h) ** (2 * alpha + 1)
-    centers = np.sin((np.arange(n) + 0.5) * h) ** (2 * alpha + 1)
-    diag = (faces[:-1] + faces[1:]) / h ** 2
-    off = -faces[1:-1] / h ** 2
+    form = FluxForm(n, 2 * alpha + 1)
     # Generalized shift-invert: symmetrizing by B^{-1/2} instead loses
     # ~eps * 2^{2 alpha + 1} / h^2 to roundoff near the poles, where the
     # weight varies by orders of magnitude across a single cell.
-    A = sparse.diags([off, diag, off], [-1, 0, 1], format="csc")
-    B = sparse.diags(centers)
-    vals = eigsh(A, k=k, M=B, sigma=-1.0, which="LM",
-                 return_eigenvectors=False)
+    vals = eigsh(form.matrix(), k=k, M=sparse.diags(form.weight), sigma=-1.0,
+                 which="LM", return_eigenvectors=False)
     return np.sort(vals) + alpha * (alpha + 1.0)
 
 
@@ -240,8 +265,7 @@ def triangle_dirichlet_eigenvalues(beta, lambda_max, tol: float = 1e-12):
     Enumerates (j/beta + 2l)(j/beta + 2l + 1) for j >= 1, l >= 0 up to
     lambda_max, sorted, as (j, l, lambda) triples.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _check_ladder(beta, lambda_max)
     out = []
     j = 1
     while _mode_lambda(beta, j, 0) <= lambda_max + tol:

@@ -121,6 +121,9 @@ class TestSpectrum:
     def test_bad_flow_spec(self, capsys):
         assert run(capsys, ["spectrum", "--flow", "1.5:3.5"])[0] == 2
 
+    def test_nan_beta_rejected(self, capsys):
+        assert run(capsys, ["spectrum", "--beta", "nan"])[0] == 2
+
     def test_beta_required_without_flow(self, capsys):
         assert run(capsys, ["spectrum"])[0] == 2
 
@@ -165,9 +168,17 @@ class TestSolve:
         assert code == 3
         assert "solver failure" in err
 
-    def test_point_count_mismatch(self, capsys):
-        assert run(capsys, ["solve", "--points", "0,0",
-                            "--beta", "1.7,1.7"])[0] == 2
+    @pytest.mark.parametrize("argv,message", [
+        (["--points", "0,0"], "one point per angle"),
+        (["--mesh", "257"], "even n >= 4"),     # equator inside a cell
+        (["--mesh", "2"], "even n >= 4"),       # one half-grid cell
+        (["--beta", "nan,nan"], "finite"),
+        (["--points", "nan,0;3.141592653589793,0"], "finite"),
+    ], ids=["point-count", "odd-mesh", "tiny-mesh", "nan-beta", "nan-point"])
+    def test_invalid_input_is_config_error(self, capsys, argv, message):
+        code, _, err = run(capsys, self.FOOTBALL + argv)
+        assert code == 2
+        assert message in err
 
     def test_axisym_flag_requires_football(self, capsys):
         code, _, _ = run(capsys, ["solve", "--points",

@@ -1,12 +1,10 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
 
 from conemetric.liouville import (ConicProblem, SolverError,
-                                  _football_centers, _football_density_full,
                                   friedrichs_fit, linearized_operator,
                                   projected_solve, singular_background,
                                   solve_liouville, spectrum_near_two,
@@ -67,13 +65,6 @@ class TestSingularBackground:
         want = mN ** (2 * (0.8 - 1.0)) * mS ** (2 * (1.4 - 1.0))
         assert float(v.density(x)) == pytest.approx(want, rel=1e-12)
 
-    def test_overlapping_neighbourhoods_shrink_cutoff(self):
-        prob = ConicProblem("sphere", points=((1.0, 0.0), (1.0, 0.1)),
-                            beta=(0.8, 0.8))
-        with pytest.warns(UserWarning, match="shrinking cutoff"):
-            v = singular_background(prob)
-        assert v.cutoff < 0.05
-
     def test_sphere_only(self):
         prob = ConicProblem("disk", points=((0.0,),), beta=(0.7,),
                             curvature=0)
@@ -86,6 +77,21 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             ConicProblem("sphere", points=((0.5, 0.1), (0.5, 0.1)),
                          beta=(0.8, 0.8))
+
+    @pytest.mark.parametrize("points,beta", [
+        (ANTIPODAL, (math.nan, math.nan)),
+        (ANTIPODAL, (math.inf, math.inf)),
+        (((math.nan, 0.0), (math.pi, 0.0)), (0.8, 0.8)),
+    ])
+    def test_nonfinite_input_rejected(self, points, beta):
+        with pytest.raises(ValueError):
+            ConicProblem("sphere", points=points, beta=beta)
+
+    @pytest.mark.parametrize("n", [2, 3, 257])
+    def test_football_mesh_rule(self, n):
+        # the equator must be a cell face of a grid with >= 2 half cells
+        with pytest.raises(ValueError, match="even n >= 4"):
+            solve_liouville(football_problem(1.7), {"n": n})
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -104,15 +110,20 @@ class TestFootballSolve:
         assert football17.residual < 1e-9
 
     def test_matches_stereographic_oracle(self, football17):
-        phi = _football_centers(football17)
+        phi = football17.mesh["phi"]
         exact = stereographic_density(1.7, phi)
         assert np.max(np.abs(football17.density() / exact - 1.0)) < 5e-4
 
     def test_small_angle_oracle(self):
         m = solve_liouville(football_problem(0.8), {"n": 256})
-        phi = _football_centers(m)
+        phi = m.mesh["phi"]
         exact = stereographic_density(0.8, phi)
         assert np.max(np.abs(m.density() / exact - 1.0)) < 1e-5
+
+    def test_fine_mesh_small_angle_converges(self):
+        # at n = 4096 the residual stagnates near 1e-9, the rounding floor
+        m = solve_liouville(football_problem(0.8), {"n": 4096})
+        assert m.residual < 8e-9
 
     def test_gauss_bonnet_convergence(self):
         prob = football_problem(1.7)
@@ -219,7 +230,7 @@ class TestLinearizedOperator:
         m = football17
         n, h = m.n, math.pi / m.n
         phi = (np.arange(n) + 0.5) * h
-        rho0 = _football_density_full(m)
+        rho0 = m.density(full=True)
         faces = np.sin(np.arange(n + 1) * h)
         centers = np.sin(phi)
         lo, hi = faces[:-1] / h ** 2, faces[1:] / h ** 2

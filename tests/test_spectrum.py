@@ -25,6 +25,17 @@ class TestClosedForm:
         for m in football_eigenvalues(2.3, 5.0):
             assert m.multiplicity == (1 if m.j == 0 else 2)
 
+    @pytest.mark.parametrize("beta,lambda_max", [(math.inf, 2.0),
+                                                 (math.nan, 2.0),
+                                                 (1.5, math.inf),
+                                                 (-1.0, 2.0)])
+    def test_invalid_input_rejected(self, beta, lambda_max):
+        # beta = inf gives j/beta = 0 for every mode: the ladder never ends
+        with pytest.raises(ValueError):
+            football_eigenvalues(beta, lambda_max)
+        with pytest.raises(ValueError):
+            triangle_dirichlet_eigenvalues(beta, lambda_max)
+
     def test_sorted_by_eigenvalue(self):
         lams = [m.lam for m in football_eigenvalues(1.7, 10.0)]
         assert lams == sorted(lams)
