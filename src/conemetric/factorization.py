@@ -241,23 +241,28 @@ def power_sums(A) -> tuple:
     return tuple(R)
 
 
+def _power_jacobian(z, bvec):
+    """[l * b_j * z_j^{l-1}], batched over leading axes of z."""
+    ells = np.arange(1, z.shape[-1] + 1).reshape(-1, 1)
+    return ells * bvec * z[..., np.newaxis, :] ** (ells - 1)
+
+
 def jacobian(Z, b: WeightVector):
     """Jacobian [l * b_j * z_j^{l-1}] of the weighted power-sum map.
 
     Factors as diag(1..J) . Vandermonde(z)^T . diag(b); singular exactly
-    when two points coincide.  Returns (matrix, condition number).
+    when two points coincide.  Returns (matrix, condition number); Z may
+    stack configurations along leading axes, and both results then carry
+    the same leading axes.
     """
     if isinstance(Z, RootConfiguration):
         Z = Z.z
-    zs = np.asarray(Z, dtype=complex)
-    J = b.J
-    ells = np.arange(1, J + 1).reshape(-1, 1)
-    M = ells * np.asarray(b.b) * zs[np.newaxis, :] ** (ells - 1)
+    M = _power_jacobian(np.asarray(Z, dtype=complex), np.asarray(b.b))
     try:
-        cond = float(np.linalg.cond(M))
+        cond = np.linalg.cond(M)
     except np.linalg.LinAlgError:
-        cond = math.inf
-    return M, cond
+        cond = np.full(M.shape[:-2], math.inf)
+    return M, float(cond) if cond.ndim == 0 else cond
 
 
 def _residual(z, bvec, R):
@@ -270,16 +275,14 @@ def _residual(z, bvec, R):
 
 def _newton_correct(z, bvec, R, tol, max_iter=25):
     """Batched Newton iterations on the weighted power-sum system."""
-    J = len(R)
-    ells = np.arange(1, J + 1).reshape(-1, 1)
     for _ in range(max_iter):
         G = _residual(z, bvec, R)
         err = np.max(np.abs(G))
         if err < tol:
             return z, True
-        Jac = ells * bvec * z[..., np.newaxis, :] ** (ells - 1)
         try:
-            dz = np.linalg.solve(Jac, G[..., np.newaxis])[..., 0]
+            dz = np.linalg.solve(_power_jacobian(z, bvec),
+                                 G[..., np.newaxis])[..., 0]
         except np.linalg.LinAlgError:
             return z, False
         z = z - dz
@@ -317,9 +320,7 @@ def inverse_map(A, b: WeightVector, flag_threshold: float = COND_THRESHOLD):
             s_new = s + step
             bvec = (1.0 - s_new) * bones + s_new * btarget
             # Euler prediction: dG/ds = sum (b_target - 1)_j z_j^l
-            ells = np.arange(1, J + 1).reshape(-1, 1)
-            bcur = (1.0 - s) * bones + s * btarget
-            Jac = ells * bcur * z[..., np.newaxis, :] ** (ells - 1)
+            Jac = _power_jacobian(z, (1.0 - s) * bones + s * btarget)
             dGds = _residual(z, btarget - bones, np.zeros(J, dtype=complex))
             try:
                 dzds = -np.linalg.solve(Jac, dGds[..., np.newaxis])[..., 0]
@@ -345,13 +346,11 @@ def inverse_map(A, b: WeightVector, flag_threshold: float = COND_THRESHOLD):
     bvec = np.asarray(b.b)
     z, ok = _newton_correct(z, bvec, R, 1e-13 * scale, max_iter=50)
 
-    branches = []
-    for i, zi in enumerate(z):
-        _, cond = jacobian(tuple(zi), b)
-        branches.append(RootConfiguration(
-            z=tuple(zi), branch_id=i,
-            near_discriminant=bool(cond > flag_threshold), condition=cond))
-    return branches
+    _, conds = jacobian(z, b)
+    return [RootConfiguration(z=tuple(zi), branch_id=i,
+                              near_discriminant=bool(c > flag_threshold),
+                              condition=float(c))
+            for i, (zi, c) in enumerate(zip(z, conds))]
 
 
 def multiplicative_error(A, Z, b: WeightVector, samples,
@@ -443,8 +442,7 @@ def expansion_coeffs(theta, Atilde, b: WeightVector, branch: int = 0,
 
     C = np.zeros((J, J), dtype=complex)
     C[:, 0] = c1
-    ells = np.arange(1, J + 1).reshape(-1, 1)
-    T = ells * np.asarray(b.b) * c1[np.newaxis, :] ** (ells - 1)
+    T = _power_jacobian(c1, np.asarray(b.b))
     for k in range(2, J + 1):
         y = np.zeros(J, dtype=complex)
         for ell in range(1, J + 1):

@@ -145,6 +145,66 @@ def _sing_corr(d, beta):
 
 
 # ---------------------------------------------------------------------------
+# the cone-point rules shared by the football and the 2-D solver; each takes
+# the distances d_j to the cone points, so the football can pass its exact
+# phi and pi - phi
+
+def _background_density(dists, betas):
+    """e^{2v} = prod_j m_j^{2(beta_j - 1)} for the log terms v."""
+    out = 1.0
+    for d, b in zip(dists, betas):
+        out = out * _chord(d) ** (2.0 * (b - 1.0))
+    return out
+
+
+def _correction(dists, betas, coeffs):
+    """(s, div grad s) for s = sum_j -A_j / (4 beta_j^2) m_j^{2 beta_j}.
+
+    Only the points with beta_j < 1 carry a correction; its div grad
+    cancels the leading A_j m_j^{2 beta_j - 2} part of the density source.
+    """
+    s, lap_s = 0.0, 0.0
+    for d, b, A in zip(dists, betas, coeffs):
+        if b < 1.0:
+            a = -A / (4.0 * b * b)
+            val, lap = _sing_corr(d, b)
+            s, lap_s = s + a * val, lap_s + a * lap
+    return s, lap_s
+
+
+def _cone_coeffs(pair_dists, betas, coeffs, w_at_points):
+    """A_j = e_reg,j exp(2 (w(p_j) + sum_{i != j} s_i(p_j))) for beta_j < 1.
+
+    A_j is the limit of the density over m_j^{2 beta_j - 2} at p_j, where
+    e_reg,j is the background density of the other points; ``pair_dists``
+    holds the distances between the cone points.  Zero for beta_j >= 1.
+    """
+    out = []
+    for j, w_j in enumerate(w_at_points):
+        others = [i for i in range(len(betas)) if i != j]
+        d = [pair_dists[j][i] for i in others]
+        b = [betas[i] for i in others]
+        s, _ = _correction(d, b, [coeffs[i] for i in others])
+        A_j = _background_density(d, b) * math.exp(2.0 * (w_j + s))
+        out.append(float(A_j) if betas[j] < 1.0 else 0.0)
+    return out
+
+
+def _area(rho, measure, dists, betas, coeffs):
+    """Gauss-Bonnet area sum(rho * measure) of the density rho.
+
+    The leading A_j m_j^{2 beta_j - 2} part of rho is integrated exactly:
+    int_{S^2} m^{2 beta - 2} dA = 2 pi 4^beta / (2 beta) (m dm substitution).
+    """
+    extra = 0.0
+    for d, b, A in zip(dists, betas, coeffs):
+        if b < 1.0:
+            rho = rho - A * _chord(d) ** (2.0 * b - 2.0)
+            extra += A * 2.0 * math.pi * 4.0 ** b / (2.0 * b)
+    return float(np.sum(rho * measure) + extra)
+
+
+# ---------------------------------------------------------------------------
 # problem description
 
 @dataclass(frozen=True)
@@ -219,11 +279,8 @@ class SingularBackground:
 
     def density(self, x):
         """e^{2v} = prod (2 sin(d_j/2))^{2(beta_j - 1)}."""
-        x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape[:-1])
-        for p, b in zip(self.points, self.beta):
-            out = out * _chord(_distance(x, p)) ** (2.0 * (b - 1.0))
-        return out
+        return _background_density([_distance(x, p) for p in self.points],
+                                   self.beta)
 
 
 def singular_background(problem):
@@ -250,10 +307,15 @@ class DiscreteConicMetric:
         return self.problem.beta.beta
 
     def area(self):
+        """Gauss-Bonnet area; the football sums its half grid twice."""
+        g = self.mesh
         if self.kind == "football":
-            return _football_area(self)
+            phi = g["phi"]
+            return _area(self.density(), 4.0 * math.pi * np.sin(phi) * g["h"],
+                         (phi, math.pi - phi), self.beta, self.sing_coeffs)
         if self.kind == "sphere2d":
-            return _sphere2d_area(self)
+            return _area(self.density(), g["M"].reshape(self.w.shape),
+                         g["dists"], self.beta, self.sing_coeffs)
         raise ValueError("area defined for closed solves only")
 
     def density(self, full=False):
@@ -268,9 +330,10 @@ class DiscreteConicMetric:
                 w = np.concatenate([w, w[::-1]])
             else:
                 phi = phi[:len(w)]
-            E, s, _ = _football_background(phi, self.beta[0],
-                                           self.sing_coeffs[0])
-            return E * np.exp(2.0 * (s + w))
+            dists = (phi, math.pi - phi)
+            s, _ = _correction(dists, self.beta, self.sing_coeffs)
+            return _background_density(dists, self.beta) \
+                * np.exp(2.0 * (s + w))
         if self.kind == "sphere2d":
             g = self.mesh
             return g["E"] * np.exp(2.0 * (g["s"] + self.w))
@@ -285,18 +348,15 @@ class DiscreteConicMetric:
         p = g["points"][point_index]
         x = _exp_map(p, np.asarray(d, dtype=float),
                      np.asarray(theta, dtype=float))
-        out = np.zeros(x.shape[:-1])
-        betas = self.beta
-        for i, (q, b) in enumerate(zip(g["points"], betas)):
-            if i != point_index:
-                out += (b - 1.0) * np.log(_chord(_distance(x, q)))
-            a = -self.sing_coeffs[i] / (4.0 * b * b)
-            val, _ = _sing_corr(_distance(x, q), b)
-            out += a * val
+        dists = [_distance(x, q) for q in g["points"]]
+        logs = sum((b - 1.0) * np.log(_chord(d))
+                   for i, (d, b) in enumerate(zip(dists, self.beta))
+                   if i != point_index)
+        s, _ = _correction(dists, self.beta, self.sing_coeffs)
         flat = x.reshape(-1, 3)
         w_interp = np.array([_point_interp(self.w, g["phi"], g["theta"], xx)
-                             for xx in flat]).reshape(out.shape)
-        return out + w_interp
+                             for xx in flat]).reshape(x.shape[:-1])
+        return logs + s + w_interp
 
 
 @dataclass
@@ -321,23 +381,6 @@ def _football_grid(n):
     return (np.arange(n) + 0.5) * (math.pi / n)
 
 
-def _football_background(phi, b, A):
-    """(E, s, div grad s) at colatitudes phi for cone coefficient A.
-
-    E = (2 sin phi)^{2b - 2} = e^{2v} for the two antipodal log terms, and
-    s = -(A / 4 b^2)(m_N^{2b} + m_S^{2b}) is the local correction, whose
-    div grad cancels the leading A m^{2b - 2} part of the density source at
-    both poles while keeping the half-grid symmetry intact (zero for b >= 1).
-    """
-    E = (2.0 * np.sin(phi)) ** (2.0 * b - 2.0)
-    if b >= 1.0:
-        return E, 0.0, 0.0
-    a = -A / (4.0 * b * b)
-    vN, lN = _sing_corr(phi, b)
-    vS, lS = _sing_corr(math.pi - phi, b)
-    return E, a * (vN + vS), a * (lN + lS)
-
-
 def _axisym_laplacian(form):
     """Round div grad of axisymmetric samples: -K / sin at the cell centres."""
     return (sparse.diags(-1.0 / form.weight) @ form.matrix()).tocsc()
@@ -349,22 +392,23 @@ def _pole_value(w):
 
 
 def _solve_football(problem, n):
-    b = problem.beta.beta[0]
+    betas = problem.beta.beta
     phi = _football_grid(n)[:n // 2]
+    dists, pair_dists = (phi, math.pi - phi), ((0.0, math.pi), (math.pi, 0.0))
     form = FluxForm(n, 1, cells=n // 2)
     L = _axisym_laplacian(form)
     h = form.h
-    c_v = -(b - 1.0)        # bulk div grad of the two log terms
-    A = (2.0 ** (2.0 * b - 2.0)) if b < 1.0 else 0.0
+    c_v = SingularBackground(problem).bulk_laplacian()
+    E = _background_density(dists, betas)
+    A = _cone_coeffs(pair_dists, betas, (0.0, 0.0), (0.0, 0.0))
 
     # constant initial guess balancing the mean of the equation
-    E, _, _ = _football_background(phi, b, A)
     mass = np.sum(E * np.sin(phi) * h)
     w = np.full_like(phi, 0.5 * math.log(
         max((1.0 - c_v) * np.sum(np.sin(phi) * h) / mass, 1e-6)))
 
     for _outer in range(8):
-        E, s, lap_s = _football_background(phi, b, A)
+        s, lap_s = _correction(dists, betas, A)
 
         def rho(w):
             return E * np.exp(2.0 * (s + w))
@@ -373,38 +417,15 @@ def _solve_football(problem, n):
             lambda w: L @ w + lap_s + c_v + rho(w) - 1.0,
             lambda w, F: spsolve((L + sparse.diags(2.0 * rho(w))).tocsc(), -F),
             w, NEWTON_TOL)
-        if b >= 1.0:
-            break
-        # density/m^{2b-2} at the pole; the opposite correction contributes
-        # s_S(0) = -(A / 4 b^2) 4^b there
-        s_far = (-A / (4.0 * b * b)) * 4.0 ** b
-        A_new = (2.0 ** (2.0 * b - 2.0)) * math.exp(
-            2.0 * (s_far + _pole_value(w)))
-        converged = abs(A_new - A) < 1e-13
-        A = A_new
+        # both poles see the same w by the equatorial symmetry
+        new = _cone_coeffs(pair_dists, betas, A, [_pole_value(w)] * 2)
+        converged = max(abs(a - b) for a, b in zip(new, A)) < 1e-13
+        A = new
         if converged:
             break
     return DiscreteConicMetric(problem=problem, kind="football", n=n, w=w,
-                               sing_coeffs=(A, A), residual=float(resid),
+                               sing_coeffs=tuple(A), residual=float(resid),
                                mesh={"phi": phi, "h": h})
-
-
-def _football_area(metric):
-    b = metric.beta[0]
-    phi, h = metric.mesh["phi"], metric.mesh["h"]
-    rho = metric.density()
-    integrand = rho * np.sin(phi)
-    extra = 0.0
-    if b < 1.0:
-        A = metric.sing_coeffs[0]
-        mN, mS = _chord(phi), _chord(math.pi - phi)
-        integrand = integrand - A * (mN ** (2.0 * b - 2.0)
-                                     + mS ** (2.0 * b - 2.0)) * np.sin(phi)
-        # exact: each pole correction integrates to 2 pi 4^beta / (2 beta)
-        # over the whole sphere (m dm substitution); halved for the half grid
-        extra = A * 2.0 * math.pi * 4.0 ** b / (2.0 * b)
-    # half interval -> double; full angular factor 2 pi
-    return 2.0 * (2.0 * math.pi * np.sum(integrand) * h + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -427,35 +448,26 @@ def _grid_xyz(phi, theta):
 
 
 def _assemble_laplacian(n_lat):
-    """Symmetric flux form A (so that div grad w = -A w / M) and measure M."""
+    """Symmetric flux form A (so that div grad w = -A w / M) and measure M.
+
+    On the lat-lon grid (row-major, longitude fastest) A is the Kronecker
+    sum
+
+        A = h^2 K (x) I_{2n} + diag(1 / sin phi) (x) C,
+
+    where K = FluxForm(n, 1).matrix() is the latitude stiffness
+    -(sin phi w')' and C the periodic second difference in longitude, so A
+    is circulant in longitude; M = sin phi h^2 is the cell area.
+    """
     n_lon = 2 * n_lat
-    h = math.pi / n_lat
-    phi, theta, _ = _grid2d(n_lat)
-    N = n_lat * n_lon
-
-    def idx(i, k):
-        return i * n_lon + (k % n_lon)
-
-    rows, cols, vals = [], [], []
-
-    def add(i1, k1, i2, k2, wgt):
-        a, b = idx(i1, k1), idx(i2, k2)
-        rows.extend([a, b, a, b])
-        cols.extend([a, b, b, a])
-        vals.extend([wgt, wgt, -wgt, -wgt])
-
-    sin_face = np.sin(np.arange(1, n_lat) * h)
-    for i in range(n_lat - 1):
-        wgt = sin_face[i] * h / h          # (h_theta / h_phi) = 1
-        for k in range(n_lon):
-            add(i, k, i + 1, k, wgt)
-    for i in range(n_lat):
-        wgt = h / (np.sin(phi[i]) * h)     # h_phi / (sin phi * h_theta)
-        for k in range(n_lon):
-            add(i, k, i, k + 1, wgt)
-    A = sparse.csc_matrix((vals, (rows, cols)), shape=(N, N))
-    M = (np.sin(phi)[:, None] * np.ones(n_lon)[None, :] * h * h).ravel()
-    return A, M
+    form = FluxForm(n_lat, 1)
+    h = form.h
+    shift = sparse.eye(n_lon, k=1) + sparse.eye(n_lon, k=1 - n_lon)
+    C = 2.0 * sparse.eye(n_lon) - shift - shift.T
+    A = sparse.kron(h * h * form.matrix(), sparse.eye(n_lon)) \
+        + sparse.kron(sparse.diags(1.0 / form.weight), C)
+    M = np.repeat(form.weight, n_lon) * h * h
+    return A.tocsc(), M
 
 
 def _point_interp(w2, phi, theta, p):
@@ -476,29 +488,20 @@ def _point_interp(w2, phi, theta, p):
 def _solve_sphere2d(problem, n_lat):
     betas = problem.beta.beta
     pts = problem.unit_points()
-    sb = SingularBackground(problem)
     phi, theta, h = _grid2d(n_lat)
     xyz = _grid_xyz(phi, theta)
-    n_lon = 2 * n_lat
 
     A, M = _assemble_laplacian(n_lat)
-    E = sb.density(xyz)
-    c_v = sb.bulk_laplacian()
+    c_v = SingularBackground(problem).bulk_laplacian()
     dists = [_distance(xyz, p) for p in pts]
+    pair_dists = [[_distance(p, q) for q in pts] for p in pts]
+    E = _background_density(dists, betas)
+    zeros = [0.0] * len(pts)
+    Avals = _cone_coeffs(pair_dists, betas, zeros, zeros)
 
-    # regular parts of the density at each cone point, for the fixed point
-    def e_reg(j):
-        out = 1.0
-        for i, (p, b) in enumerate(zip(pts, betas)):
-            if i != j:
-                out *= _chord(_distance(pts[j], p)) ** (2.0 * (b - 1.0))
-        return out
-
-    Avals = [e_reg(j) for j in range(len(pts))]
-
-    w = np.zeros((n_lat, n_lon))
     mass0 = np.sum(E * np.sin(phi)[:, None]) * h * h
-    w[:] = 0.5 * math.log(max((1.0 - c_v) * 4.0 * math.pi / mass0, 1e-6))
+    w = np.full(xyz.shape[:-1], 0.5 * math.log(
+        max((1.0 - c_v) * 4.0 * math.pi / mass0, 1e-6)))
 
     # rounding floor of the residual evaluation: the 1/sin^2(phi) angular
     # weights at the grid poles amplify eps |w| by the row sum over the
@@ -507,13 +510,7 @@ def _solve_sphere2d(problem, n_lat):
     floor = 4.0 * np.finfo(float).eps * amp
 
     for _outer in range(12):
-        s = np.zeros_like(w)
-        lap_s = np.zeros_like(w)
-        for j, (b, d) in enumerate(zip(betas, dists)):
-            a = -Avals[j] / (4.0 * b * b)
-            val, lap = _sing_corr(d, b)
-            s += a * val
-            lap_s += a * lap
+        s, lap_s = _correction(dists, betas, Avals)
 
         def rho(w):
             return E * np.exp(2.0 * (s + w))
@@ -527,37 +524,17 @@ def _solve_sphere2d(problem, n_lat):
             return spsolve(J, (M * F.ravel())).reshape(w.shape)
 
         w, resid = damped_newton(residual, step, w, NEWTON_TOL, floor)
-        new = [e_reg(j) * math.exp(
-            2.0 * (_point_interp(w, phi, theta, pts[j])
-                   + sum(-Avals[i] / (4 * betas[i] ** 2)
-                         * _sing_corr(_distance(pts[j], pts[i]),
-                                      betas[i])[0]
-                         for i in range(len(pts)) if i != j)))
-            for j in range(len(pts))]
-        if max(abs(a - b) for a, b in zip(new, Avals)) < 1e-13:
-            Avals = new
-            break
+        new = _cone_coeffs(pair_dists, betas, Avals,
+                           [_point_interp(w, phi, theta, p) for p in pts])
+        converged = max(abs(a - b) for a, b in zip(new, Avals)) < 1e-13
         Avals = new
+        if converged:
+            break
     return DiscreteConicMetric(
         problem=problem, kind="sphere2d", n=n_lat, w=w,
         sing_coeffs=tuple(Avals), residual=float(resid),
         mesh={"phi": phi, "theta": theta, "h": h, "E": E, "s": s,
               "A": A, "M": M, "xyz": xyz, "dists": dists, "points": pts})
-
-
-def _sphere2d_area(metric):
-    g = metric.mesh
-    betas = metric.beta
-    rho = metric.density()
-    integrand = rho * np.sin(g["phi"])[:, None]
-    extra = 0.0
-    for j, (b, d) in enumerate(zip(betas, g["dists"])):
-        Aj = metric.sing_coeffs[j]
-        integrand = integrand - Aj * _chord(d) ** (2.0 * b - 2.0) \
-            * np.sin(g["phi"])[:, None]
-        # int_{S^2} m^{2 beta - 2} dA = 2 pi 4^beta / (2 beta) exactly
-        extra += Aj * 2.0 * math.pi * 4.0 ** b / (2.0 * b)
-    return float(np.sum(integrand) * g["h"] ** 2 + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +673,12 @@ def spectrum_near_two(metric, window=0.5):
                                                    "multiplicity": mult}))
         else:
             A, B = op.matrices()
-            vals, vecs = eigsh(A, k=12, M=B, sigma=2.0, which="LM")
+            k = min(12, A.shape[0] - 2)
+            vals, vecs = eigsh(A, k=k, M=B, sigma=2.0, which="LM")
+            # more may lie in the window when all k returned ones do
+            while np.all(np.abs(vals - 2.0) < win) and k < A.shape[0] - 2:
+                k = min(2 * k, A.shape[0] - 2)
+                vals, vecs = eigsh(A, k=k, M=B, sigma=2.0, which="LM")
             all_vals = list(vals)
             for lam, vec in zip(vals, vecs.T):
                 if abs(lam - 2.0) < win:

@@ -40,6 +40,9 @@ __all__ = [
 
 #: tolerance for deciding whether beta sits exactly at an integer
 CROSSING_TOL = 1e-9
+#: most modes a closed-form ladder may hold, so that every request ends in
+#: bounded time and memory
+MAX_MODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -67,32 +70,42 @@ def _mode_lambda(beta, j, ell):
     return x * (x + 1.0)
 
 
-def _check_ladder(beta, lambda_max):
-    # a nonfinite beta makes j/beta = 0 for every j, so the mode ladders
-    # below would never leave the window
+def _ladder(beta, lambda_max, tol, j0, ell_step):
+    """(j, ell, lambda) with lambda = x(x + 1) <= lambda_max + tol for
+    x = j/beta + ell_step * ell, j >= j0 and ell >= 0, sorted by lambda."""
+    # a nonfinite beta makes j/beta = 0 for every j, so the ladder would
+    # never leave the window
     if not (math.isfinite(beta) and math.isfinite(lambda_max)) \
             or beta <= 0 or lambda_max < 0:
         raise ValueError("beta must be positive and lambda_max nonnegative, "
                          "both finite")
+    # x <= x_max bounds j by beta x_max and ell by x_max / ell_step, so the
+    # ladder holds at most `size` modes
+    x_max = math.sqrt(lambda_max + tol + 0.25) - 0.5
+    size = (beta * x_max + 1.0 - j0) * (x_max / ell_step + 1.0)
+    if size > MAX_MODES:
+        raise ValueError(f"beta={beta:g} and lambda_max={lambda_max:g} ask "
+                         f"for up to {size:.3g} modes; the limit is "
+                         f"{MAX_MODES}")
+    out = []
+    j = j0
+    while _mode_lambda(beta, j, 0) <= lambda_max + tol:
+        ell = 0
+        while True:
+            lam = _mode_lambda(beta, j, ell_step * ell)
+            if lam > lambda_max + tol:
+                break
+            out.append((j, ell, lam))
+            ell += 1
+        j += 1
+    out.sort(key=lambda t: (t[2], t[0]))
+    return out
 
 
 def football_eigenvalues(beta, lambda_max, tol: float = 1e-12):
     """All football modes with lambda <= lambda_max, sorted by eigenvalue."""
-    _check_ladder(beta, lambda_max)
-    modes = []
-    j = 0
-    while _mode_lambda(beta, j, 0) <= lambda_max + tol:
-        ell = 0
-        while True:
-            lam = _mode_lambda(beta, j, ell)
-            if lam > lambda_max + tol:
-                break
-            modes.append(EigenMode(j=j, ell=ell, lam=lam,
-                                   multiplicity=1 if j == 0 else 2))
-            ell += 1
-        j += 1
-    modes.sort(key=lambda m: (m.lam, m.j))
-    return modes
+    return [EigenMode(j=j, ell=ell, lam=lam, multiplicity=1 if j == 0 else 2)
+            for j, ell, lam in _ladder(beta, lambda_max, tol, 0, 1)]
 
 
 def eigenvalue_count(beta, threshold=2.0, strict=False, tol: float = 1e-9):
@@ -202,7 +215,8 @@ class FluxForm:
     is the natural (Friedrichs) condition, at the equator of a half grid
     (cells = n/2) the mirror symmetry.  ``weight`` holds sin^p at the cell
     centres.  Every football operator -- the solver's axisymmetric
-    Laplacian, the mode pencils and the radial oracle -- is built here.
+    Laplacian, the mode pencils and the radial oracle -- is built here, and
+    so is the latitude part of the 2-D lat-lon Laplacian.
     """
 
     def __init__(self, n, p, cells=None):
@@ -265,21 +279,7 @@ def triangle_dirichlet_eigenvalues(beta, lambda_max, tol: float = 1e-12):
     Enumerates (j/beta + 2l)(j/beta + 2l + 1) for j >= 1, l >= 0 up to
     lambda_max, sorted, as (j, l, lambda) triples.
     """
-    _check_ladder(beta, lambda_max)
-    out = []
-    j = 1
-    while _mode_lambda(beta, j, 0) <= lambda_max + tol:
-        ell = 0
-        while True:
-            x = j / beta + 2 * ell
-            lam = x * (x + 1.0)
-            if lam > lambda_max + tol:
-                break
-            out.append((j, ell, lam))
-            ell += 1
-        j += 1
-    out.sort(key=lambda t: t[2])
-    return out
+    return _ladder(beta, lambda_max, tol, 1, 2)
 
 
 def strict_count_below_two(beta):

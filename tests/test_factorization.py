@@ -111,6 +111,15 @@ class TestForwardInverse:
         _, cond = jacobian((0.3 + 0.1j, 0.3 + 0.1j), b)
         assert cond > 1e12
 
+    def test_stacked_jacobian_matches_single(self):
+        b = WeightVector((0.8, 1.2, 1.0))
+        branches = inverse_map(random_coeffs(np.random.default_rng(5), 3), b)
+        Ms, conds = jacobian(np.array([br.z for br in branches]), b)
+        assert conds.shape == (6,)
+        for br, M, cond in zip(branches, Ms, conds):
+            assert np.array_equal(M, jacobian(br, b)[0])
+            assert cond == jacobian(br, b)[1] == br.condition
+
 
 class TestTwoPointRadicals:
     @given(st.integers(0, 10 ** 6))

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from conemetric.liouville import (ConicProblem, SolverError,
                                   friedrichs_fit, linearized_operator,
                                   projected_solve, singular_background,
                                   solve_liouville, spectrum_near_two,
-                                  sphere_point, _exp_map)
+                                  sphere_point, _assemble_laplacian,
+                                  _axisym_laplacian, _exp_map)
+from conemetric.spectrum import FluxForm
 
 ANTIPODAL = ((0.0, 0.0), (math.pi, 0.0))
 EQUATOR3 = ((math.pi / 2, 0.0), (math.pi / 2, 2 * math.pi / 3),
@@ -224,6 +227,19 @@ class TestLinearizedOperator:
         A, B = linearized_operator(sphere2d).matrices()
         assert abs(A - A.T).max() < 1e-12
 
+    def test_2d_laplacian_matches_football_on_axisymmetric_samples(self):
+        n = 24
+        A, M = _assemble_laplacian(n)
+        phi = (np.arange(n) + 0.5) * (math.pi / n)
+        f = np.cos(phi) + phi ** 3
+        want = _axisym_laplacian(FluxForm(n, 1)) @ f
+        got = (-(A @ np.repeat(f, 2 * n)) / M).reshape(n, 2 * n)
+        assert np.max(np.abs(got - want[:, None])) \
+            <= 1e-12 * np.max(np.abs(want))
+        assert (A != A.T).nnz == 0
+        assert np.max(np.abs(A @ np.ones(2 * n * n))) \
+            <= 1e-14 * abs(A).max()
+
     def test_fd_consistency_of_linearization(self, football17):
         # directional derivative of the residual map vs central differences
         from scipy import sparse
@@ -263,6 +279,15 @@ class TestSpectrumNearTwo:
         m = solve_liouville(football_problem(2.0), {"n": 128})
         fib = spectrum_near_two(m)
         assert fib.ell == 3
+
+    def test_2d_ell_counts_the_whole_window(self):
+        # the window holds more eigenvalues than the first eigsh call returns
+        prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6))
+        m = solve_liouville(prob, {"n": 24})
+        fib = spectrum_near_two(m, window=36.0)
+        A, B = linearized_operator(m).matrices()
+        vals = eigh(A.toarray(), B.toarray(), eigvals_only=True)
+        assert fib.ell == np.sum(np.abs(vals - 2.0) < fib.window) > 12
 
     def test_subcritical_has_empty_fiber(self, sphere2d):
         fib = spectrum_near_two(sphere2d)

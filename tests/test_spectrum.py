@@ -28,9 +28,12 @@ class TestClosedForm:
     @pytest.mark.parametrize("beta,lambda_max", [(math.inf, 2.0),
                                                  (math.nan, 2.0),
                                                  (1.5, math.inf),
-                                                 (-1.0, 2.0)])
+                                                 (-1.0, 2.0),
+                                                 (2e5, 2.0),
+                                                 (1.5, 3e5)])
     def test_invalid_input_rejected(self, beta, lambda_max):
-        # beta = inf gives j/beta = 0 for every mode: the ladder never ends
+        # beta = inf gives j/beta = 0 for every mode: the ladder never ends;
+        # beta = 2e5 and lambda_max = 3e5 ask for more than MAX_MODES modes
         with pytest.raises(ValueError):
             football_eigenvalues(beta, lambda_max)
         with pytest.raises(ValueError):
