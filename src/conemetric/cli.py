@@ -29,13 +29,13 @@ from .acceptance import DEFAULT_SEED, run_acceptance
 from .angles import (AdmissibilityError, AngleVector, coaxial_check,
                      conic_euler_char, mp_distance, mp_membership,
                      splitting_spec, subcritical_check, troyanov_check)
-from .factorization import (CoeffVector, ContinuationError, WeightVector,
-                            blowup_chart_J2, expansion_coeffs, inverse_map)
+from .factorization import (CoeffVector, WeightVector, blowup_chart_J2,
+                            expansion_coeffs, inverse_map)
 # unused here (inverse_map records each branch's condition number), but the
 # span tracer in bench/spans.py wraps cli.jacobian by name
 from .factorization import jacobian  # noqa: F401
-from .liouville import (ConicProblem, SolverError, projected_solve,
-                        solve_liouville, spectrum_near_two)
+from .liouville import (ConicProblem, projected_solve, solve_liouville,
+                        spectrum_near_two)
 from .pairing import (EigenCoeffs, classify_case, direction_coeffs,
                       direction_counts, extract_eigf_coeffs, pairing_B,
                       pairing_matrix, solution_space)
@@ -564,7 +564,9 @@ def main(argv=None):
     except (AdmissibilityError, ValueError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, ContinuationError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # SolverError, ContinuationError, ARPACK's ArpackError and a failed
+        # radial integration in spectrum are all RuntimeErrors
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

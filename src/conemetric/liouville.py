@@ -1,18 +1,20 @@
 """Liouville solvers for constant-curvature conic metrics on the sphere.
 
 Conformal factors are split as u = v + s + w: v carries the exact log
-singularities (``singular_background``), s is an explicit local correction
-that removes the leading m^{2 beta - 2} source at angles < 2*pi, and w is a
-bounded remainder solved for by damped Newton.  With div/grad taken in the
+singularities (``singular_background``), s = sum_j A_j sigma_j is an explicit
+local correction that removes the leading A_j m_j^{2 beta_j - 2} source at
+angles < 2*pi, and w is a bounded remainder.  With div/grad taken in the
 round background metric the equation reads
 
     div grad u + K e^{2u} - 1 = 0      (K = +1, closed sphere),
 
-equivalently K_{e^{2u} g_0} = K away from the cone points.  The Jacobian of
-the w-equation is singular exactly when 2 lies in the spectrum of the
-current conic Laplacian; footballs are solved on a half interval with the
-equatorial symmetry, which removes the translation mode, and the general
-projected solve treats the eigenvalue-2 directions with a bordered system.
+equivalently K_{e^{2u} g_0} = K away from the cone points.  On the closed
+sphere one damped Newton solves for w and the A_j together, the A_j as a
+border of the w system.  The Jacobian of the w-equation is singular
+exactly when 2 lies in the spectrum of the current conic Laplacian;
+footballs are solved on a half interval with the equatorial symmetry,
+which removes the translation mode, and the general projected solve treats
+the eigenvalue-2 directions with a bordered system.
 """
 
 from __future__ import annotations
@@ -57,33 +59,52 @@ def damped_newton(residual, step, x0, tol, floor=0.0):
     """Newton iteration with step halving; returns (x, sup|residual(x)|).
 
     ``step(x, F)`` is the caller's linear solve for the Newton correction.
-    The iteration stops once sup|F| < tol_eff = max(tol, floor (1 + sup|x|));
     ``floor`` is the rounding floor of the residual evaluation per unit of
-    x.  Each correction is halved up to 40 times until sup|F| decreases.
-    If no halving helps, x is accepted when sup|F| < 8 tol_eff, since the
-    iteration has then stagnated at the rounding floor.
+    x, one value for all rows or one per row.  Row i is converged once
+    |F_i| < tol_i = max(tol, floor_i (1 + sup|x|)), and the iteration stops
+    when the merit max_i |F_i| / tol_i falls below 1.  Each correction is
+    halved up to 40 times until the merit decreases; trials that overflow
+    count as no decrease.  If no halving helps, x is accepted when the
+    merit is below 8, since the iteration has then stagnated at the
+    rounding floor.
     """
-    x = x0
-    F = residual(x)
+    def merit(x, F):
+        return np.max(np.abs(F) / np.maximum(
+            tol, floor * (1.0 + np.max(np.abs(x)))))
+
+    x, F = x0, residual(x0)
     for _ in range(MAX_NEWTON):
-        res = np.max(np.abs(F))
-        tol_eff = max(tol, floor * (1.0 + np.max(np.abs(x))))
-        if res < tol_eff:
-            return x, res
+        res = merit(x, F)
+        if res < 1.0:
+            return x, np.max(np.abs(F))
         dx = step(x, F)
         t = 1.0
         for _ls in range(40):
             trial = x + t * dx
-            F_trial = residual(trial)
-            if np.max(np.abs(F_trial)) < res:
+            with np.errstate(over="ignore", invalid="ignore"):
+                F_trial = residual(trial)
+                decreased = merit(trial, F_trial) < res
+            if decreased:
                 x, F = trial, F_trial
                 break
             t *= 0.5
         else:
-            if res < 8.0 * tol_eff:
-                return x, res
-            raise SolverError("Newton line search stalled", residual=res)
-    raise SolverError("Newton did not converge", residual=res)
+            if res < 8.0:
+                return x, np.max(np.abs(F))
+            raise SolverError("Newton line search stalled",
+                              residual=np.max(np.abs(F)))
+    raise SolverError("Newton did not converge", residual=np.max(np.abs(F)))
+
+
+def _bordered_solve(J, cols, rows, corner, rhs):
+    """Solve [[J, cols], [rows, corner]] x = rhs for sparse J and k border
+    unknowns: one factorization of J serves k + 1 right-hand sides, and the
+    border comes from the k x k Schur complement."""
+    n = J.shape[0]
+    X = spsolve(J, np.column_stack([rhs[:n], cols])).reshape(n, -1)
+    x0, Z = X[:, 0], X[:, 1:]
+    y = np.linalg.solve(corner - rows @ Z, rhs[n:] - rows @ x0)
+    return np.concatenate([x0 - Z @ y, y])
 
 
 # ---------------------------------------------------------------------------
@@ -125,26 +146,6 @@ def _exp_map(p, d, theta):
 
 
 # ---------------------------------------------------------------------------
-# the local singular correction
-
-def _sing_corr(d, beta):
-    """m^{2 beta} (m = 2 sin(d/2)) and its spherical Laplacian (div grad).
-
-    m^2 = 2 - 2 cos d is smooth on the whole sphere, so no cutoff is
-    needed: the correction is singular only at the cone point itself and
-    div grad m^{2 beta} = 4 beta^2 m^{2 beta - 2} - beta(beta+1) m^{2 beta}
-    holds globally.
-    """
-    d = np.asarray(d, dtype=float)
-    m = _chord(d)
-    f = m ** (2.0 * beta)
-    with np.errstate(divide="ignore"):
-        lap = (4.0 * beta ** 2 * m ** (2.0 * beta - 2.0)
-               - beta * (beta + 1.0) * f)
-    return f, lap
-
-
-# ---------------------------------------------------------------------------
 # the cone-point rules shared by the football and the 2-D solver; each takes
 # the distances d_j to the cone points, so the football can pass its exact
 # phi and pi - phi
@@ -157,36 +158,23 @@ def _background_density(dists, betas):
     return out
 
 
-def _correction(dists, betas, coeffs):
-    """(s, div grad s) for s = sum_j -A_j / (4 beta_j^2) m_j^{2 beta_j}.
+def _correction(dists, betas):
+    """(sigma_j, div grad sigma_j) for each point with beta_j < 1.
 
-    Only the points with beta_j < 1 carry a correction; its div grad
-    cancels the leading A_j m_j^{2 beta_j - 2} part of the density source.
-    """
-    s, lap_s = 0.0, 0.0
-    for d, b, A in zip(dists, betas, coeffs):
-        if b < 1.0:
-            a = -A / (4.0 * b * b)
-            val, lap = _sing_corr(d, b)
-            s, lap_s = s + a * val, lap_s + a * lap
-    return s, lap_s
-
-
-def _cone_coeffs(pair_dists, betas, coeffs, w_at_points):
-    """A_j = e_reg,j exp(2 (w(p_j) + sum_{i != j} s_i(p_j))) for beta_j < 1.
-
-    A_j is the limit of the density over m_j^{2 beta_j - 2} at p_j, where
-    e_reg,j is the background density of the other points; ``pair_dists``
-    holds the distances between the cone points.  Zero for beta_j >= 1.
+    The local correction is s = sum_j A_j sigma_j, sigma_j = -m_j^{2 beta_j}
+    / (4 beta_j^2); its div grad cancels the leading A_j m_j^{2 beta_j - 2}
+    part of the density source.  m^2 = 2 - 2 cos d is smooth on the whole
+    sphere, so no cutoff is needed: div grad m^{2 beta} = 4 beta^2
+    m^{2 beta - 2} - beta(beta+1) m^{2 beta} holds globally.
     """
     out = []
-    for j, w_j in enumerate(w_at_points):
-        others = [i for i in range(len(betas)) if i != j]
-        d = [pair_dists[j][i] for i in others]
-        b = [betas[i] for i in others]
-        s, _ = _correction(d, b, [coeffs[i] for i in others])
-        A_j = _background_density(d, b) * math.exp(2.0 * (w_j + s))
-        out.append(float(A_j) if betas[j] < 1.0 else 0.0)
+    for d, b in zip(dists, betas):
+        if b < 1.0:
+            m = _chord(d)
+            f = m ** (2.0 * b)
+            with np.errstate(divide="ignore"):
+                lap = 4.0 * b * b * m ** (2.0 * b - 2.0) - b * (b + 1.0) * f
+            out.append((-f / (4.0 * b * b), -lap / (4.0 * b * b)))
     return out
 
 
@@ -307,16 +295,11 @@ class DiscreteConicMetric:
         return self.problem.beta.beta
 
     def area(self):
-        """Gauss-Bonnet area; the football sums its half grid twice."""
+        """Gauss-Bonnet area; the football measure counts its half grid
+        twice."""
         g = self.mesh
-        if self.kind == "football":
-            phi = g["phi"]
-            return _area(self.density(), 4.0 * math.pi * np.sin(phi) * g["h"],
-                         (phi, math.pi - phi), self.beta, self.sing_coeffs)
-        if self.kind == "sphere2d":
-            return _area(self.density(), g["M"].reshape(self.w.shape),
-                         g["dists"], self.beta, self.sing_coeffs)
-        raise ValueError("area defined for closed solves only")
+        return _area(self.density(), g["measure"], g["dists"], self.beta,
+                     self.sing_coeffs)
 
     def density(self, full=False):
         """e^{2u} relative to the round metric at cell centres.
@@ -324,20 +307,21 @@ class DiscreteConicMetric:
         Footballs are solved on the half grid (0, pi/2); ``full`` mirrors w
         across the equator and evaluates on all n cells of (0, pi).
         """
-        if self.kind == "football":
-            phi, w = _football_grid(self.n), self.w
-            if full:
-                w = np.concatenate([w, w[::-1]])
-            else:
-                phi = phi[:len(w)]
-            dists = (phi, math.pi - phi)
-            s, _ = _correction(dists, self.beta, self.sing_coeffs)
-            return _background_density(dists, self.beta) \
-                * np.exp(2.0 * (s + w))
-        if self.kind == "sphere2d":
-            g = self.mesh
-            return g["E"] * np.exp(2.0 * (g["s"] + self.w))
-        raise ValueError("no density for this kind")
+        if self.kind == "disk":
+            raise ValueError("density and area defined for closed solves "
+                             "only")
+        w, dists = self.w, self.mesh["dists"]
+        if full and self.kind == "football":
+            phi = _football_grid(self.n)
+            w, dists = np.concatenate([w, w[::-1]]), (phi, math.pi - phi)
+        return _background_density(dists, self.beta) \
+            * np.exp(2.0 * (self._correction_at(dists) + w))
+
+    def _correction_at(self, dists):
+        """The local correction s at the given distances to the points."""
+        coeffs = [A for A, b in zip(self.sing_coeffs, self.beta) if b < 1.0]
+        return sum(A * sig for A, (sig, _) in
+                   zip(coeffs, _correction(dists, self.beta)))
 
     def bounded_part(self, point_index, d, theta):
         """u - (beta_j - 1) log m_j at distance d, chart angle theta, by
@@ -352,11 +336,9 @@ class DiscreteConicMetric:
         logs = sum((b - 1.0) * np.log(_chord(d))
                    for i, (d, b) in enumerate(zip(dists, self.beta))
                    if i != point_index)
-        s, _ = _correction(dists, self.beta, self.sing_coeffs)
-        flat = x.reshape(-1, 3)
-        w_interp = np.array([_point_interp(self.w, g["phi"], g["theta"], xx)
-                             for xx in flat]).reshape(x.shape[:-1])
-        return logs + s + w_interp
+        w_interp = _interp_matrix(g["phi"], g["theta"], x) @ self.w.ravel()
+        return logs + self._correction_at(dists) \
+            + w_interp.reshape(x.shape[:-1])
 
 
 @dataclass
@@ -365,6 +347,72 @@ class ObstructionBundleFiber:
     eigenvectors: list          # discrete representations (kind-specific)
     ell: int
     window: float
+
+
+# ---------------------------------------------------------------------------
+# closed-sphere solve: one Newton on w and the cone coefficients
+
+def _solve_closed(problem, K, W, dists, pair_dists, P):
+    """One damped Newton for x = (w, A_j for beta_j < 1); returns (w shaped
+    like the distance fields, all A_j with 0 for beta_j >= 1, sup|F|).
+
+    div grad w = -K w / W for the stiffness K and cell measure W; the rows
+    of P map w to its value at each cone point.  The residual rows are
+
+        -(K w) / W + div grad s + c_v + E e^{2(s + w)} - 1      (cells)
+        A_j - e_reg,j exp(2 (P_j w + sum_{i != j} s_i(p_j)))    (points)
+
+    A_j is the limit of the density over m_j^{2 beta_j - 2} at p_j, and
+    e_reg,j the other points' background density there.  s is linear in
+    A, so a step factors K - 2 W rho once for a Schur complement in A.
+    """
+    betas = problem.beta.beta
+    idx = [j for j, b in enumerate(betas) if b < 1.0]
+    shape, N, k = np.shape(dists[0]), len(W), len(idx)
+    E = _background_density(dists, betas).ravel()
+    corr = _correction(dists, betas)
+    sig = np.reshape([f.ravel() for f, _ in corr], (k, N))
+    lap = np.reshape([f.ravel() for _, f in corr], (k, N))
+    c_v = SingularBackground(problem).bulk_laplacian()
+    e_reg = np.array([_background_density(np.delete(pair_dists[j], j),
+                                          np.delete(betas, j)) for j in idx])
+    at_pts = np.array([[f for f, _ in _correction(pair_dists[j], betas)]
+                       for j in idx]).reshape(k, k)
+    P = P[idx]
+    # rounding floor of each cell row: the stiffness amplifies eps |w| by
+    # its row sum over the cell measure (~ h^-2 for the football and at the
+    # equator, ~ h^-4 at the grid poles of the 2-D solve)
+    floor = np.finfo(float).eps * np.concatenate(
+        [np.asarray(abs(K).sum(axis=1)).ravel() / W, np.zeros(k)])
+
+    def fields(x):
+        """The density rho and the A_j rule g at x."""
+        w, A = x[:N], x[N:]
+        return (E * np.exp(2.0 * (A @ sig + w)),
+                e_reg * np.exp(2.0 * (P @ w + at_pts @ A)))
+
+    def residual(x):
+        rho, g = fields(x)
+        return np.concatenate([-(K @ x[:N]) / W + x[N:] @ lap + c_v + rho
+                               - 1.0, x[N:] - g])
+
+    def step(x, F):
+        rho, g = fields(x)
+        return _bordered_solve(K - sparse.diags(2.0 * W * rho),
+                               -(W * (lap + 2.0 * rho * sig)).T,
+                               sparse.diags(-2.0 * g) @ P,
+                               np.eye(k) - 2.0 * g[:, None] * at_pts,
+                               np.concatenate([W * F[:N], -F[N:]]))
+
+    # constant w balancing the mean of the equation, and the A_j rule at it
+    w0 = 0.5 * math.log(max((1.0 - c_v) * np.sum(W) / np.sum(E * W), 1e-6))
+    x, resid = damped_newton(
+        residual, step, np.concatenate([np.full(N, w0),
+                                        e_reg * math.exp(2.0 * w0)]),
+        NEWTON_TOL, floor)
+    A = np.zeros(len(betas))
+    A[idx] = x[N:]
+    return x[:N].reshape(shape), tuple(float(a) for a in A), float(resid)
 
 
 # ---------------------------------------------------------------------------
@@ -386,46 +434,20 @@ def _axisym_laplacian(form):
     return (sparse.diags(-1.0 / form.weight) @ form.matrix()).tocsc()
 
 
-def _pole_value(w):
-    """Even quadratic extrapolation of cell-centred samples to phi = 0."""
-    return (9.0 * w[0] - w[1]) / 8.0
-
-
 def _solve_football(problem, n):
-    betas = problem.beta.beta
     phi = _football_grid(n)[:n // 2]
-    dists, pair_dists = (phi, math.pi - phi), ((0.0, math.pi), (math.pi, 0.0))
     form = FluxForm(n, 1, cells=n // 2)
-    L = _axisym_laplacian(form)
-    h = form.h
-    c_v = SingularBackground(problem).bulk_laplacian()
-    E = _background_density(dists, betas)
-    A = _cone_coeffs(pair_dists, betas, (0.0, 0.0), (0.0, 0.0))
-
-    # constant initial guess balancing the mean of the equation
-    mass = np.sum(E * np.sin(phi) * h)
-    w = np.full_like(phi, 0.5 * math.log(
-        max((1.0 - c_v) * np.sum(np.sin(phi) * h) / mass, 1e-6)))
-
-    for _outer in range(8):
-        s, lap_s = _correction(dists, betas, A)
-
-        def rho(w):
-            return E * np.exp(2.0 * (s + w))
-
-        w, resid = damped_newton(
-            lambda w: L @ w + lap_s + c_v + rho(w) - 1.0,
-            lambda w, F: spsolve((L + sparse.diags(2.0 * rho(w))).tocsc(), -F),
-            w, NEWTON_TOL)
-        # both poles see the same w by the equatorial symmetry
-        new = _cone_coeffs(pair_dists, betas, A, [_pole_value(w)] * 2)
-        converged = max(abs(a - b) for a, b in zip(new, A)) < 1e-13
-        A = new
-        if converged:
-            break
-    return DiscreteConicMetric(problem=problem, kind="football", n=n, w=w,
-                               sing_coeffs=tuple(A), residual=float(resid),
-                               mesh={"phi": phi, "h": h})
+    dists = (phi, math.pi - phi)
+    # both poles see the even quadratic extrapolation (9 w_0 - w_1) / 8 of
+    # the half grid, by the equatorial symmetry
+    P = np.zeros((2, n // 2))
+    P[:, :2] = (9.0 / 8.0, -1.0 / 8.0)
+    w, A, resid = _solve_closed(problem, form.matrix(), form.weight, dists,
+                                ((0.0, math.pi), (math.pi, 0.0)), P)
+    return DiscreteConicMetric(
+        problem=problem, kind="football", n=n, w=w, sing_coeffs=A,
+        residual=resid, mesh={"phi": phi, "dists": dists,
+                              "measure": 4.0 * math.pi * form.weight * form.h})
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +456,12 @@ def _solve_football(problem, n):
 # converge at the same order 2 as grid-aligned ones)
 
 def _grid2d(n_lat):
-    n_lon = 2 * n_lat
-    h = math.pi / n_lat
-    phi = (np.arange(n_lat) + 0.5) * h
-    theta = (np.arange(n_lon) + 0.5) * h
-    return phi, theta, h
-
-
-def _grid_xyz(phi, theta):
+    """Cell centres (phi, theta) of the n x 2n grid and their unit vectors."""
+    phi = (np.arange(n_lat) + 0.5) * (math.pi / n_lat)
+    theta = (np.arange(2 * n_lat) + 0.5) * (math.pi / n_lat)
     P, T = np.meshgrid(phi, theta, indexing="ij")
-    return np.stack([np.sin(P) * np.cos(T), np.sin(P) * np.sin(T),
-                     np.cos(P)], axis=-1)
+    return phi, theta, np.stack([np.sin(P) * np.cos(T),
+                                 np.sin(P) * np.sin(T), np.cos(P)], axis=-1)
 
 
 def _assemble_laplacian(n_lat):
@@ -470,71 +487,49 @@ def _assemble_laplacian(n_lat):
     return A.tocsc(), M
 
 
-def _point_interp(w2, phi, theta, p):
-    """Bilinear interpolation of cell-centred samples at the point p."""
-    colat = math.acos(np.clip(p[2], -1, 1))
-    lon = math.atan2(p[1], p[0]) % (2.0 * math.pi)
-    h = phi[1] - phi[0]
-    fi = colat / h - 0.5
-    fk = lon / h - 0.5
-    i0 = int(np.clip(math.floor(fi), 0, len(phi) - 2))
-    k0 = int(math.floor(fk)) % len(theta)
-    ti, tk = fi - i0, fk - math.floor(fk)
-    k1 = (k0 + 1) % len(theta)
-    return ((1 - ti) * (1 - tk) * w2[i0, k0] + (1 - ti) * tk * w2[i0, k1]
-            + ti * (1 - tk) * w2[i0 + 1, k0] + ti * tk * w2[i0 + 1, k1])
+def _interp_matrix(phi, theta, x):
+    """Bilinear interpolation of cell-centred samples at the points x
+    (shape (..., 3)), as a sparse matrix acting on the flattened grid."""
+    x = np.asarray(x, dtype=float).reshape(-1, 3)
+    h, n_lat, n_lon = math.pi / len(phi), len(phi), len(theta)
+    fi = np.arccos(np.clip(x[:, 2], -1.0, 1.0)) / h - 0.5
+    fk = np.arctan2(x[:, 1], x[:, 0]) % (2.0 * math.pi) / h - 0.5
+    i0 = np.clip(np.floor(fi), 0, n_lat - 2).astype(int)
+    ti, tk = fi - i0, fk - np.floor(fk)
+    k0 = np.floor(fk).astype(int) % n_lon
+    k1 = (k0 + 1) % n_lon
+    cols = np.stack([i0 * n_lon + k0, i0 * n_lon + k1,
+                     (i0 + 1) * n_lon + k0, (i0 + 1) * n_lon + k1], axis=1)
+    vals = np.stack([(1 - ti) * (1 - tk), (1 - ti) * tk,
+                     ti * (1 - tk), ti * tk], axis=1)
+    rows = np.repeat(np.arange(len(x)), 4)
+    return sparse.csr_matrix((vals.ravel(), (rows, cols.ravel())),
+                             shape=(len(x), n_lat * n_lon))
 
 
 def _solve_sphere2d(problem, n_lat):
-    betas = problem.beta.beta
     pts = problem.unit_points()
-    phi, theta, h = _grid2d(n_lat)
-    xyz = _grid_xyz(phi, theta)
-
+    pair_dists = np.array([[_distance(p, q) for q in pts] for p in pts])
+    # the arccos of a rounded p . p reads 1.5e-8, not 0, on the diagonal
+    np.fill_diagonal(pair_dists, 0.0)
+    # the correction and the bilinear A_j rows need cells between the points
+    close = np.argwhere(np.triu(pair_dists < 2.0 * math.pi / n_lat, 1))
+    if len(close):
+        i, k = close[0]
+        raise ValueError(
+            f"cone points {i} and {k} lie {pair_dists[i, k]:.3g} apart, "
+            f"closer than 2h = 2 pi / n = {2.0 * math.pi / n_lat:.3g}; "
+            "refine the mesh")
+    phi, theta, xyz = _grid2d(n_lat)
     A, M = _assemble_laplacian(n_lat)
-    c_v = SingularBackground(problem).bulk_laplacian()
     dists = [_distance(xyz, p) for p in pts]
-    pair_dists = [[_distance(p, q) for q in pts] for p in pts]
-    E = _background_density(dists, betas)
-    zeros = [0.0] * len(pts)
-    Avals = _cone_coeffs(pair_dists, betas, zeros, zeros)
-
-    mass0 = np.sum(E * np.sin(phi)[:, None]) * h * h
-    w = np.full(xyz.shape[:-1], 0.5 * math.log(
-        max((1.0 - c_v) * 4.0 * math.pi / mass0, 1e-6)))
-
-    # rounding floor of the residual evaluation: the 1/sin^2(phi) angular
-    # weights at the grid poles amplify eps |w| by the row sum over the
-    # cell measure (~ h^-4 there)
-    amp = float(np.max(np.asarray(np.abs(A).sum(axis=1)).ravel() / M))
-    floor = 4.0 * np.finfo(float).eps * amp
-
-    for _outer in range(12):
-        s, lap_s = _correction(dists, betas, Avals)
-
-        def rho(w):
-            return E * np.exp(2.0 * (s + w))
-
-        def residual(w):
-            return (-(A @ w.ravel()) / M).reshape(w.shape) + lap_s + c_v \
-                + rho(w) - 1.0
-
-        def step(w, F):
-            J = A - sparse.diags(2.0 * (M * rho(w).ravel()))
-            return spsolve(J, (M * F.ravel())).reshape(w.shape)
-
-        w, resid = damped_newton(residual, step, w, NEWTON_TOL, floor)
-        new = _cone_coeffs(pair_dists, betas, Avals,
-                           [_point_interp(w, phi, theta, p) for p in pts])
-        converged = max(abs(a - b) for a, b in zip(new, Avals)) < 1e-13
-        Avals = new
-        if converged:
-            break
+    w, coeffs, resid = _solve_closed(problem, A, M, dists, pair_dists,
+                                     _interp_matrix(phi, theta, pts))
     return DiscreteConicMetric(
-        problem=problem, kind="sphere2d", n=n_lat, w=w,
-        sing_coeffs=tuple(Avals), residual=float(resid),
-        mesh={"phi": phi, "theta": theta, "h": h, "E": E, "s": s,
-              "A": A, "M": M, "xyz": xyz, "dists": dists, "points": pts})
+        problem=problem, kind="sphere2d", n=n_lat, w=w, sing_coeffs=coeffs,
+        residual=resid, mesh={"phi": phi, "theta": theta, "A": A, "M": M,
+                              "measure": M.reshape(w.shape), "dists": dists,
+                              "points": pts})
 
 
 # ---------------------------------------------------------------------------
@@ -747,23 +742,18 @@ def projected_solve(metric, fiber, density_perturbation=None, tol=1e-11):
 
     # unknowns x = (u, Lambda); the last ell residuals are the constraints
     B = rho2 * centers * h * 2.0 * math.pi
+    V = np.reshape(modes, (ell, n))
 
     def residual(x):
         u, lam_c = x[:n], x[n:]
         # div grad u + rho2 e^{2u} - rho2 K_{g2} in the round frame
-        F = L @ u + rho2 * np.exp(2.0 * u) - curv_term \
-            - sum(lam_c[i] * modes[i] * rho2 for i in range(ell))
-        cons = [np.sum(u * modes[i] * B) for i in range(ell)]
-        return np.concatenate([F, cons])
+        F = L @ u + rho2 * np.exp(2.0 * u) - curv_term - rho2 * (lam_c @ V)
+        return np.concatenate([F, V @ (u * B)])
 
     def step(x, F):
-        J = L + sparse.diags(2.0 * rho2 * np.exp(2.0 * x[:n]))
-        if ell:
-            cols = np.stack([-modes[i] * rho2 for i in range(ell)], axis=1)
-            rows = np.stack([modes[i] * B for i in range(ell)], axis=0)
-            J = sparse.bmat([[J, sparse.csc_matrix(cols)],
-                             [sparse.csc_matrix(rows), None]], format="csc")
-        return spsolve(J, -F)
+        return _bordered_solve(
+            L + sparse.diags(2.0 * rho2 * np.exp(2.0 * x[:n])),
+            -(V * rho2).T, V * B, np.zeros((ell, ell)), -F)
 
     x, _ = damped_newton(residual, step, np.zeros(n + ell), tol)
     return x[:n], x[n:]

@@ -1,8 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from conemetric import liouville, spectrum
 from conemetric.cli import canonical_json, main
 
 
@@ -174,11 +177,36 @@ class TestSolve:
         (["--mesh", "2"], "even n >= 4"),       # one half-grid cell
         (["--beta", "nan,nan"], "finite"),
         (["--points", "nan,0;3.141592653589793,0"], "finite"),
-    ], ids=["point-count", "odd-mesh", "tiny-mesh", "nan-beta", "nan-point"])
+        # 0.016 apart at n = 48, where 2h = 0.131
+        (["--points", "1.5707963267948966,0;1.5837963267948966,0.01;1.0,3.5",
+          "--beta", "0.6,0.6,0.6", "--mesh", "48"], "closer than 2h"),
+    ], ids=["point-count", "odd-mesh", "tiny-mesh", "nan-beta", "nan-point",
+            "near-coincident"])
     def test_invalid_input_is_config_error(self, capsys, argv, message):
         code, _, err = run(capsys, self.FOOTBALL + argv)
         assert code == 2
         assert message in err
+
+    def test_eigensolver_failure_is_solver_error(self, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("forced", [], [])
+        monkeypatch.setattr(liouville, "eigsh", no_convergence)
+        code, _, err = run(capsys, self.FOOTBALL)
+        assert code == 3
+        assert "solver failure" in err and "forced" in err
+        assert "Traceback" not in err
+
+    def test_radial_integration_failure_is_solver_error(self, capsys,
+                                                        monkeypatch):
+        # integer beta evaluates the (j = beta, ell = 0) radial profile
+        monkeypatch.setattr(spectrum, "solve_ivp", lambda *args, **kwargs:
+                            SimpleNamespace(success=False, message="forced"))
+        code, _, err = run(capsys, ["solve", "--points",
+                                    "0,0;3.141592653589793,0",
+                                    "--beta", "2,2", "--mesh", "64"])
+        assert code == 3
+        assert "radial integration failed: forced" in err
+        assert "Traceback" not in err
 
     def test_axisym_flag_requires_football(self, capsys):
         code, _, _ = run(capsys, ["solve", "--points",

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
+from conemetric import liouville
 from conemetric.liouville import (ConicProblem, SolverError,
                                   friedrichs_fit, linearized_operator,
                                   projected_solve, singular_background,
                                   solve_liouville, spectrum_near_two,
                                   sphere_point, _assemble_laplacian,
-                                  _axisym_laplacian, _exp_map)
+                                  _axisym_laplacian, _bordered_solve,
+                                  _exp_map)
 from conemetric.spectrum import FluxForm
 
 ANTIPODAL = ((0.0, 0.0), (math.pi, 0.0))
@@ -150,6 +153,60 @@ class TestSphere2dSolve:
         errs = [abs(solve_liouville(prob, {"n": n}).area()
                     - 2 * math.pi * prob.chi) for n in (48, 96)]
         assert math.log2(errs[0] / errs[1]) >= 1.8
+
+    def test_cone_point_next_to_a_grid_sample(self):
+        # the third point sits 0.005 cells from a cell centre at n = 96
+        prob = ConicProblem("sphere", points=(
+            (1.718030815583588, 6.135759968549558),
+            (0.5563455250063225, 3.763055441353943),
+            (2.3496830622891625, 2.4520539537246813)), beta=(0.6, 0.6, 0.6))
+        m = solve_liouville(prob, {"n": 96})
+        assert m.sing_coeffs == pytest.approx([0.27745] * 3, abs=1e-5)
+        assert abs(m.area() - 2 * math.pi * prob.chi) < 1e-3
+
+    def test_unequal_angles(self):
+        prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
+        errs = [abs(solve_liouville(prob, {"n": n}).area()
+                    - 2 * math.pi * prob.chi) for n in (48, 96)]
+        assert errs[0] < 3e-3
+        assert math.log2(errs[0] / errs[1]) >= 1.8
+
+    @pytest.mark.parametrize("n", [48, 144])
+    def test_converged_is_a_newton_fixed_point(self, n, monkeypatch):
+        # two more full Newton steps move the returned solve by round-off
+        newton = liouville.damped_newton
+
+        def continued(residual, step, x0, tol, floor=0.0):
+            x, res = newton(residual, step, x0, tol, floor)
+            for _ in range(2):
+                x = x + step(x, residual(x))
+            return x, res
+
+        prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6))
+        m = solve_liouville(prob, {"n": n})
+        monkeypatch.setattr(liouville, "damped_newton", continued)
+        ref = solve_liouville(prob, {"n": n})
+        assert np.max(np.abs(m.w - ref.w)) < 1e-9
+        assert np.max(np.abs(np.subtract(m.sing_coeffs, ref.sing_coeffs))) \
+            < 1e-9
+
+
+class TestBorderedSolve:
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_matches_dense_solve(self, k):
+        rng = np.random.default_rng(k)
+        n = 40
+        J = sparse.random(n, n, density=0.1, random_state=k, format="csc") \
+            + sparse.diags(rng.uniform(2.0, 3.0, n), format="csc")
+        cols = rng.standard_normal((n, k))
+        rows = rng.standard_normal((k, n))
+        corner = rng.standard_normal((k, k)) + 3.0 * np.eye(k)
+        rhs = rng.standard_normal(n + k)
+        want = np.linalg.solve(np.block([[J.toarray(), cols],
+                                         [rows, corner]]), rhs)
+        got = _bordered_solve(J, cols, rows, corner, rhs)
+        assert got.shape == (n + k,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestDiskSolve:
