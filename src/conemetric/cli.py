@@ -47,6 +47,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
+#: most radii `split --ray-samples` may ask for
+MAX_RAY_SAMPLES = 10_000
+
 
 class ConfigError(ValueError):
     pass
@@ -203,6 +206,8 @@ def cmd_split(args):
     coeffs = _parse_complexes(args.coeffs)
     if len(weights) != len(coeffs):
         raise ConfigError("weights and coeffs must have equal length")
+    if not 0 <= args.ray_samples <= MAX_RAY_SAMPLES:
+        raise ConfigError(f"--ray-samples must lie in [0, {MAX_RAY_SAMPLES}]")
     try:
         b = WeightVector(tuple(weights))
         A = CoeffVector(tuple(coeffs))
@@ -565,8 +570,8 @@ def main(argv=None):
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, np.linalg.LinAlgError) as exc:
-        # SolverError, ContinuationError, ARPACK's ArpackError and a failed
-        # radial integration in spectrum are all RuntimeErrors
+        # SolverError, ContinuationError and ARPACK's ArpackError are all
+        # RuntimeErrors
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

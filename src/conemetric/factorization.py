@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import pdist
 
 __all__ = [
     "WeightVector",
@@ -49,6 +47,9 @@ COND_THRESHOLD = 1e8
 MIN_STEP = 1e-8
 #: Newton correction tolerance during continuation
 NEWTON_TOL = 1e-12
+#: most split points: inverse_map tracks J! branches, and J = 8 already
+#: takes over a minute and overflows inside the homotopy
+MAX_J = 7
 
 
 class ContinuationError(RuntimeError):
@@ -73,6 +74,9 @@ class WeightVector:
         J = len(b)
         if J == 0:
             raise ValueError("empty weight vector")
+        if J > MAX_J:
+            raise ValueError(f"J={J} split points ask for {J}! branches; "
+                             f"the limit is J = {MAX_J}")
         if abs(sum(b) - J) > 1e-9:
             raise ValueError(f"weights must sum to J={J}, got {sum(b)}")
         for r in range(1, J + 1):
@@ -529,6 +533,10 @@ def cluster_tree(points, K: int | None = None):
         raise ValueError(f"expected {K} points, got {n}")
     if n == 1:
         return ClusterNode(members=(0,), radius=0.0, merge_height=0.0)
+    # imported here: scipy.cluster and scipy.spatial cost import time on
+    # every command, and no command builds a cluster tree
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import pdist
     xy = np.array([[p.real, p.imag] for p in pts])
     Z = linkage(pdist(xy), method="single")
     nodes = [ClusterNode(members=(i,), radius=0.0, merge_height=0.0)

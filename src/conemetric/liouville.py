@@ -586,6 +586,10 @@ def solve_liouville(problem, mesh_params=None):
         return _solve_disk(problem, n)
     if problem.curvature != 1:
         raise SolverError("closed-sphere solves require K = 1")
+    if problem.chi <= 0:
+        # Gauss-Bonnet: a K = 1 metric would have area 2 pi chi
+        raise ValueError(f"no spherical metric exists for chi = "
+                         f"{problem.chi:.6g} <= 0")
     if _is_football(problem):
         return _solve_football(problem, n)
     if any(b >= 1.0 for b in problem.beta.beta):

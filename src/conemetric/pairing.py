@@ -93,8 +93,11 @@ def extract_eigf_coeffs(phi, beta, annuli=DEFAULT_ANNULI, n_r=8, n_theta=64):
     phi is a callable on the cone chart (r = geodesic distance, theta with
     period 2*pi).  The fit basis is {1} plus the indicial pairs
     r^{m/beta} cos(m theta), r^{m/beta} sin(m theta) for m = 1..[beta], plus
-    an r^2 nuisance column absorbing the smooth tail; the nuisance keeps the
-    constant and the indicial coefficients from soaking up the r^2 trend.
+    nuisance columns absorbing the next terms of the expansion: r^2 and
+    r^{m/beta + 2} cos(m theta), r^{m/beta + 2} sin(m theta).  The nuisance
+    keeps the constant and the indicial coefficients from soaking up those
+    trends; at integer beta the r^{m/beta + 2} terms of the j = beta
+    eigenfunctions would otherwise exceed FIT_TOL.
     The fit is run on each annulus separately and the coefficient
     disagreement between annuli is folded into the reported residual.
     """
@@ -110,18 +113,17 @@ def extract_eigf_coeffs(phi, beta, annuli=DEFAULT_ANNULI, n_r=8, n_theta=64):
         radii = np.geomspace(lo, hi, n_r)
         rr, tt = np.meshgrid(radii, theta, indexing="ij")
         rr, tt = rr.ravel(), tt.ravel()
-        cols = [np.ones_like(rr)]
+        cols, nuisance = [np.ones_like(rr)], [rr ** 2]
         for m in range(1, mmax + 1):
-            rad = rr ** (m / beta)
-            cols.append(rad * np.cos(m * tt))
-            cols.append(rad * np.sin(m * tt))
-        cols.append(rr ** 2)
-        design = np.column_stack(cols)
+            for harmonic in (np.cos(m * tt), np.sin(m * tt)):
+                cols.append(rr ** (m / beta) * harmonic)
+                nuisance.append(rr ** (m / beta + 2.0) * harmonic)
+        design = np.column_stack(cols + nuisance)
         rhs = np.asarray(phi(rr, tt), dtype=float)
         coef, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
         misfit = design @ coef - rhs
         residuals.append(math.sqrt(float(np.mean(misfit ** 2))))
-        results.append(coef[:-1])  # drop the nuisance column
+        results.append(coef[:len(cols)])  # drop the nuisance columns
     results = np.array(results)
     disagreement = float(np.max(np.abs(results[0] - results[1]))) \
         if len(results) > 1 else 0.0

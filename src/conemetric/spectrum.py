@@ -7,11 +7,12 @@ problem per angular mode j, with eigenvalues
 
     lambda = (j/beta + l)(j/beta + l + 1),    j, l >= 0,
 
-simple for j = 0 (the log branch is excluded) and doubled for j > 0.
-This module provides the closed-form enumeration, a radial eigenfunction
-evaluator for non-integer order (by ODE integration from a series start,
-so the Friedrichs boundary behaviour r^{j/beta} holds by construction), an
-independent Sturm-Liouville finite-difference oracle, the Dirichlet
+simple for j = 0 (the log branch is excluded) and doubled for j > 0,
+and radial eigenfunctions sin^{j/beta}(r) C_l^{(j/beta + 1/2)}(cos r)
+(Gegenbauer), which carry the Friedrichs behaviour r^{j/beta} at both
+poles.  This module provides the closed-form enumeration, the closed-form
+unit-norm radial eigenfunctions, an independent Sturm-Liouville
+finite-difference oracle, the Dirichlet
 eigenvalues of the (pi/2, pi/2, pi*beta) spherical triangle, and the
 spectral-flow crossing report at eigenvalue 2 along paths of footballs.
 """
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import eigsh
+from scipy.special import eval_gegenbauer, gammaln
 
 __all__ = [
     "EigenMode",
@@ -123,88 +124,35 @@ def eigenvalue_count(beta, threshold=2.0, strict=False, tol: float = 1e-9):
     return total
 
 
-class _RadialProfile:
-    """Radial eigenfunction evaluator R(r) with R ~ r^{j/beta} at the pole."""
+def football_eigenfunction(beta, j, ell):
+    """Unit-L^2 radial profile of the (j, ell) football eigenfunction.
 
-    def __init__(self, beta, j, ell, series_radius=1e-3, rtol=1e-11):
-        self.beta = float(beta)
-        self.j = int(j)
-        self.ell = int(ell)
-        alpha = j / beta
-        lam = _mode_lambda(beta, j, ell)
-        self.alpha = alpha
-        self.lam = lam
-        # series R = r^alpha (1 + a2 r^2 + a4 r^4) from the indicial analysis
-        a2 = ((alpha + alpha ** 2) / 3.0 - lam) / (4.0 * (alpha + 1.0))
-        a4 = -(a2 * (lam - (alpha + 2.0 + alpha ** 2) / 3.0)
-               - alpha / 45.0 - alpha ** 2 / 15.0) / (8.0 * alpha + 16.0)
-        self._a2, self._a4 = a2, a4
-        self._eps = series_radius
+    R(r) = c sin^a(r) C_ell^(a + 1/2)(cos r) with a = j/beta, so R ~ r^a at
+    both poles.  The full eigenfunctions are R(r)cos(j theta) and
+    R(r)sin(j theta); c normalizes with the area element
+    beta sin(r) dr dtheta through the Gegenbauer norm
+    int_{-1}^{1} (1 - x^2)^(lam - 1/2) C_ell^lam(x)^2 dx
+        = pi 2^(1 - 2 lam) Gamma(ell + 2 lam) / (ell! (ell + lam) Gamma(lam)^2).
+    """
+    if beta <= 0 or j < 0 or ell < 0:
+        raise ValueError("invalid mode")
+    a = j / beta
+    lam = a + 0.5
+    log_norm = (math.log(math.pi) + (1.0 - 2.0 * lam) * math.log(2.0)
+                + gammaln(ell + 2.0 * lam) - gammaln(ell + 1.0)
+                - math.log(ell + lam) - 2.0 * gammaln(lam))
+    angular = 2.0 * math.pi if j == 0 else math.pi
+    c = math.exp(-0.5 * log_norm) / math.sqrt(beta * angular)
 
-        def rhs(r, y):
-            R, dR = y
-            cot = math.cos(r) / math.sin(r)
-            mu2 = alpha * alpha
-            return [dR, -cot * dR - (lam - mu2 / math.sin(r) ** 2) * R]
-
-        eps = series_radius
-        R0 = self._series(eps)
-        dR0 = self._series_deriv(eps)
-        sol = solve_ivp(rhs, (eps, math.pi / 2), [R0, dR0],
-                        method="DOP853", rtol=rtol, atol=1e-13,
-                        dense_output=True)
-        if not sol.success:
-            raise RuntimeError("radial integration failed: " + sol.message)
-        self._sol = sol
-        self._norm = 1.0
-        self._norm = self._l2_norm()
-
-    def _series(self, r):
-        return r ** self.alpha * (1.0 + self._a2 * r * r
-                                  + self._a4 * r ** 4)
-
-    def _series_deriv(self, r):
-        a = self.alpha
-        return (a * r ** (a - 1.0) * (1.0 + self._a2 * r * r + self._a4 * r ** 4)
-                + r ** a * (2.0 * self._a2 * r + 4.0 * self._a4 * r ** 3))
-
-    def _raw(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        # reflect across the equator: the Gegenbauer factor has parity (-1)^ell
-        sign = np.where(r > math.pi / 2, (-1.0) ** self.ell, 1.0)
-        rr = np.where(r > math.pi / 2, math.pi - r, r)
-        small = rr < self._eps
-        if np.any(small):
-            out[small] = self._series(rr[small])
-        if np.any(~small):
-            out[~small] = self._sol.sol(rr[~small])[0]
-        return sign * out
-
-    def _l2_norm(self):
-        grid = np.linspace(1e-6, math.pi - 1e-6, 20001)
-        vals = self._raw(grid) ** 2 * self.beta * np.sin(grid)
-        ang = 2.0 * math.pi if self.j == 0 else math.pi
-        return math.sqrt(np.trapezoid(vals, grid) * ang)
-
-    def __call__(self, r):
+    def profile(r):
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0) or np.any(r >= math.pi):
             raise ValueError("radial profile defined on the open interval "
                              "(0, pi); use the r^{j/beta} asymptotics at the "
                              "poles")
-        return self._raw(r) / self._norm
+        return c * np.sin(r) ** a * eval_gegenbauer(ell, lam, np.cos(r))
 
-
-def football_eigenfunction(beta, j, ell, **kwargs):
-    """Unit-L^2 radial profile of the (j, ell) football eigenfunction.
-
-    The full eigenfunctions are R(r)cos(j theta) and R(r)sin(j theta);
-    normalization uses the area element beta sin(r) dr dtheta.
-    """
-    if beta <= 0 or j < 0 or ell < 0:
-        raise ValueError("invalid mode")
-    return _RadialProfile(beta, j, ell, **kwargs)
+    return profile
 
 
 class FluxForm:

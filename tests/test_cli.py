@@ -1,12 +1,15 @@
 import json
 import math
-from types import SimpleNamespace
+import os
+import subprocess
+import sys
 
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from conemetric import liouville, spectrum
-from conemetric.cli import canonical_json, main
+from conemetric import liouville
+from conemetric.cli import MAX_RAY_SAMPLES, canonical_json, main
+from conemetric.factorization import MAX_J
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -101,6 +104,21 @@ class TestSplit:
         assert run(capsys, ["split", "--weights", "1.0,1.0",
                             "--coeffs", "0.1"])[0] == 2
 
+    @pytest.mark.parametrize("samples", ["-1", str(MAX_RAY_SAMPLES + 1)])
+    def test_ray_samples_capped(self, capsys, samples):
+        code, _, err = run(capsys, ["split", "--weights", "1.0,1.0",
+                                    "--coeffs", "0.1,0.04",
+                                    "--ray-samples=" + samples])
+        assert code == 2
+        assert f"--ray-samples must lie in [0, {MAX_RAY_SAMPLES}]" in err
+
+    def test_split_point_count_capped(self, capsys):
+        J = MAX_J + 1
+        code, _, err = run(capsys, ["split", "--weights", ",".join(["1"] * J),
+                                    "--coeffs", ",".join(["0.1"] * J)])
+        assert code == 2
+        assert f"the limit is J = {MAX_J}" in err
+
 
 class TestSpectrum:
     def test_one_row_per_eigenvalue(self, capsys):
@@ -180,8 +198,15 @@ class TestSolve:
         # 0.016 apart at n = 48, where 2h = 0.131
         (["--points", "1.5707963267948966,0;1.5837963267948966,0.01;1.0,3.5",
           "--beta", "0.6,0.6,0.6", "--mesh", "48"], "closer than 2h"),
+        # chi = -0.015: a K = 1 metric would have negative area
+        (["--points", "1.5896384486863002,3.352453193757162;"
+          "1.872657565830276,4.786305656401352;"
+          "0.8746866850321443,3.8323399521081507;"
+          "0.7404081448024228,3.181843729740195",
+          "--beta", "0.698,0.329,0.323,0.635", "--mesh", "48"],
+         "chi = -0.015"),
     ], ids=["point-count", "odd-mesh", "tiny-mesh", "nan-beta", "nan-point",
-            "near-coincident"])
+            "near-coincident", "nonpositive-chi"])
     def test_invalid_input_is_config_error(self, capsys, argv, message):
         code, _, err = run(capsys, self.FOOTBALL + argv)
         assert code == 2
@@ -194,18 +219,6 @@ class TestSolve:
         code, _, err = run(capsys, self.FOOTBALL)
         assert code == 3
         assert "solver failure" in err and "forced" in err
-        assert "Traceback" not in err
-
-    def test_radial_integration_failure_is_solver_error(self, capsys,
-                                                        monkeypatch):
-        # integer beta evaluates the (j = beta, ell = 0) radial profile
-        monkeypatch.setattr(spectrum, "solve_ivp", lambda *args, **kwargs:
-                            SimpleNamespace(success=False, message="forced"))
-        code, _, err = run(capsys, ["solve", "--points",
-                                    "0,0;3.141592653589793,0",
-                                    "--beta", "2,2", "--mesh", "64"])
-        assert code == 3
-        assert "radial integration failed: forced" in err
         assert "Traceback" not in err
 
     def test_axisym_flag_requires_football(self, capsys):
@@ -240,6 +253,24 @@ class TestPairRoundtrip:
         assert report["classification"]["dim"] == 4
         assert report["unreliable_rows"] == []
 
+    @pytest.mark.parametrize("beta,direction", [
+        ("2", "0.1,0.2j;-0.05,0.1"),
+        ("3", "0.1,0.2j,0.05;-0.05,0.1,0.02j")])
+    def test_integer_beta_rows_reliable(self, tmp_path, capsys, beta,
+                                        direction):
+        # the j = beta eigenfunctions carry r^{m/beta + 2} terms that the
+        # fit must absorb
+        diag = str(tmp_path / "diag.json")
+        assert main(["solve", "--points", "0,0;3.141592653589793,0",
+                     "--beta", f"{beta},{beta}", "--mesh", "64",
+                     "--output", diag]) == 0
+        code, out, _ = run(capsys, ["pair", "--diagnostics", diag,
+                                    "--direction", direction])
+        assert code == 0
+        report = json.loads(out)
+        assert report["ell"] == 3
+        assert report["unreliable_rows"] == []
+
     def test_direction_group_count_mismatch(self, diag_path, capsys):
         assert run(capsys, ["pair", "--diagnostics", diag_path,
                             "--direction", "0.1"])[0] == 2
@@ -247,6 +278,17 @@ class TestPairRoundtrip:
     def test_missing_diagnostics(self, capsys):
         assert run(capsys, ["pair", "--diagnostics", "/nonexistent.json",
                             "--direction", "0.1;0.1"])[0] == 2
+
+
+class TestImports:
+    def test_cli_import_skips_unused_scipy_subpackages(self):
+        code = ("import sys, conemetric.cli; print(sorted(m for m in "
+                "('scipy.integrate', 'scipy.optimize', 'scipy.cluster', "
+                "'scipy.spatial') if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestVerify:

@@ -51,6 +51,13 @@ class TestExtraction:
         assert out.constant == pytest.approx(1.0, abs=1e-10)
         assert np.allclose([m[1:] for m in out.modes], 0.0, atol=1e-12)
 
+    def test_integer_beta_next_order_absorbed(self):
+        # sin(r) cos(2 theta) = (r - r^3/6 + ...) cos(2 theta) at beta = 2:
+        # the r^3 term is r^{m/beta + 2} with m = 2
+        out = extract_eigf_coeffs(lambda r, t: np.sin(r) * np.cos(2 * t), 2.0)
+        assert out.residual < FIT_TOL
+        assert out.modes[1][1:] == pytest.approx((1.0, 0.0), abs=1e-4)
+
     def test_unmodelled_component_flags_unreliable(self):
         beta = 1.6
 

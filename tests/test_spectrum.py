@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_gegenbauer
 
 from conemetric.spectrum import (eigenvalue_count, eigenvalue_flow,
                                  football_eigenfunction,
@@ -92,10 +91,14 @@ class TestEigenfunctions:
                                             (0.7, 1, 2), (3.3, 2, 0)])
     def test_gegenbauer_closed_form(self, beta, j, ell):
         alpha = j / beta
+        lam = alpha + 0.5
         R = football_eigenfunction(beta, j, ell)
         r = np.linspace(0.3, 2.8, 9)
-        closed = np.sin(r) ** alpha * eval_gegenbauer(ell, alpha + 0.5,
-                                                      np.cos(r))
+        x = np.cos(r)
+        # C_0, C_1 and C_2 of parameter lam, written out
+        gegenbauer = (np.ones_like(x), 2.0 * lam * x,
+                      2.0 * lam * (lam + 1.0) * x ** 2 - lam)[ell]
+        closed = np.sin(r) ** alpha * gegenbauer
         ratio = R(r) / closed
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
 
@@ -108,34 +111,44 @@ class TestEigenfunctions:
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
 
     def test_ode_residual(self):
-        beta, j, ell = 2.2, 2, 1
-        alpha = j / beta
-        lam = (alpha + ell) * (alpha + ell + 1.0)
-        R = football_eigenfunction(beta, j, ell)
-        r = np.linspace(0.4, 2.6, 31)
-        h = 1e-5
-        d2 = (R(r + h) - 2.0 * R(r) + R(r - h)) / h ** 2
-        d1 = (R(r + h) - R(r - h)) / (2.0 * h)
-        resid = d2 + d1 / np.tan(r) \
-            + (lam - alpha ** 2 / np.sin(r) ** 2) * R(r)
-        assert np.max(np.abs(resid)) < 1e-5
+        # the radial equation, by finite differences of the profile
+        for beta, j, ell in [(2.2, 2, 1), (2.0, 2, 0), (3.0, 3, 1),
+                             (2.5, 1, 2), (0.6, 4, 3)]:
+            alpha = j / beta
+            lam = (alpha + ell) * (alpha + ell + 1.0)
+            R = football_eigenfunction(beta, j, ell)
+            r = np.linspace(0.4, 2.6, 31)
+            h = 1e-5
+            d2 = (R(r + h) - 2.0 * R(r) + R(r - h)) / h ** 2
+            d1 = (R(r + h) - R(r - h)) / (2.0 * h)
+            resid = d2 + d1 / np.tan(r) \
+                + (lam - alpha ** 2 / np.sin(r) ** 2) * R(r)
+            scale = np.max(np.abs(R(r))) * max(1.0, lam)
+            assert np.max(np.abs(resid)) < 1e-5 * scale, (beta, j, ell)
 
     def test_unit_norm(self):
-        beta, j, ell = 1.9, 1, 1
-        R = football_eigenfunction(beta, j, ell)
+        # trapezoid quadrature with the area element beta sin(r) dr dtheta;
+        # (2.5, 1, 2) has j/beta < 1, so R' is unbounded at the poles
         r = np.linspace(1e-6, math.pi - 1e-6, 40001)
-        w = R(r) ** 2 * beta * np.sin(r)
-        # angular factor: integral of cos^2(j theta) over the circle
-        total = np.trapezoid(w, r) * math.pi
-        assert total == pytest.approx(1.0, abs=1e-6)
+        for beta, j, ell in [(1.9, 1, 1), (2.0, 2, 0), (3.0, 3, 0),
+                             (2.5, 1, 2), (1.6, 0, 2), (0.6, 4, 1)]:
+            R = football_eigenfunction(beta, j, ell)
+            w = R(r) ** 2 * beta * np.sin(r)
+            # angular factor: integral of cos^2(j theta) over the circle
+            angular = 2.0 * math.pi if j == 0 else math.pi
+            total = np.trapezoid(w, r) * angular
+            assert total == pytest.approx(1.0, abs=1e-6), (beta, j, ell)
 
     def test_orthogonality_same_mode(self):
-        beta, j = 2.4, 1
-        Ra = football_eigenfunction(beta, j, 0)
-        Rb = football_eigenfunction(beta, j, 2)
         r = np.linspace(1e-6, math.pi - 1e-6, 40001)
-        inner = np.trapezoid(Ra(r) * Rb(r) * beta * np.sin(r), r) * math.pi
-        assert abs(inner) < 1e-6
+        for beta, j, ell_a, ell_b in [(2.4, 1, 0, 2), (2.0, 2, 0, 2),
+                                      (3.0, 3, 0, 2), (2.5, 1, 1, 3),
+                                      (0.6, 4, 0, 2)]:
+            Ra = football_eigenfunction(beta, j, ell_a)
+            Rb = football_eigenfunction(beta, j, ell_b)
+            inner = np.trapezoid(Ra(r) * Rb(r) * beta * np.sin(r), r) \
+                * math.pi
+            assert abs(inner) < 1e-6, (beta, j, ell_a, ell_b)
 
     def test_domain_validation(self):
         R = football_eigenfunction(1.5, 1, 0)
