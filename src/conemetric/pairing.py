@@ -49,6 +49,9 @@ FIT_TOL = 1e-4
 #: singular values below RANK_TOL * sigma_max count as zero
 RANK_TOL = 1e-8
 
+#: kernel-basis pivots whose norms agree to this relative level count as tied
+_PIVOT_TIE = 1e-6
+
 #: default extraction annuli in the cone chart, [inner, outer] radii
 DEFAULT_ANNULI = ((0.05, 0.1), (0.1, 0.2))
 
@@ -260,6 +263,13 @@ def solution_space(B_matrix, atol=0.0):
     the absolute floor ``atol``, count as zero), the kernel dimension and
     the singular values.  Pass the coefficient-extraction accuracy as
     ``atol`` when the matrix entries are only known to that level.
+
+    V is canonical rather than the SVD's own kernel vectors, which may turn
+    by any rotation within the kernel when the entries move by rounding: it
+    is the Gram-Schmidt basis of the kernel projector's columns, taken
+    greedily by largest remaining norm (the lowest index among near-ties),
+    so each column has a positive entry at its pivot.  At rank 0 V is the
+    identity.
     """
     B = np.atleast_2d(np.asarray(B_matrix, dtype=float))
     u, s, vt = np.linalg.svd(B)
@@ -267,9 +277,15 @@ def solution_space(B_matrix, atol=0.0):
         rank = int(np.sum(s > max(RANK_TOL * s[0], atol)))
     else:
         rank = 0
-    kernel = vt[rank:].T
-    report = {"rank": rank, "dim": B.shape[1] - rank,
-              "singular_values": s}
+    dim = B.shape[1] - rank
+    rest = np.eye(B.shape[1]) - vt[:rank].T @ vt[:rank]
+    kernel = np.zeros((B.shape[1], dim))
+    for k in range(dim):
+        norms = np.linalg.norm(rest, axis=0)
+        pivot = int(np.argmax(norms >= (1.0 - _PIVOT_TIE) * norms.max()))
+        kernel[:, k] = rest[:, pivot] / norms[pivot]
+        rest -= np.outer(kernel[:, k], kernel[:, k])
+    report = {"rank": rank, "dim": dim, "singular_values": s}
     return kernel, report
 
 

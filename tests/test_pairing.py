@@ -191,6 +191,31 @@ class TestSolutionSpace:
         # kernel basis is orthonormal
         assert np.allclose(V.T @ V, np.eye(5), atol=1e-12)
 
+    def test_rank_zero_kernel_is_identity(self):
+        B = np.full((1, 4), 1e-16)
+        V, rep = solution_space(B, atol=1e-8)
+        assert rep["rank"] == 0
+        assert np.array_equal(V, np.eye(4))
+
+    def test_kernel_basis_ignores_rounding(self):
+        # the SVD's kernel vectors of a rank-2 matrix with a 6-dimensional
+        # kernel turn with the rounding; the reported basis must not
+        rng = np.random.default_rng(3)
+        B = np.zeros((3, 8))
+        B[1, [2, 6]] = 0.69
+        B[2, [3, 7]] = 0.69
+        V, rep = solution_space(B)
+        assert rep["rank"] == 2
+        for _ in range(3):
+            W, _ = solution_space(B + 1e-15 * rng.standard_normal(B.shape))
+            assert np.max(np.abs(W - V)) < 1e-12
+        expected = np.zeros((8, 6))
+        for k, i in enumerate((0, 1, 4, 5)):
+            expected[i, k] = 1.0
+        expected[[2, 6], 4] = (math.sqrt(0.5), -math.sqrt(0.5))
+        expected[[3, 7], 5] = (math.sqrt(0.5), -math.sqrt(0.5))
+        assert np.max(np.abs(V - expected)) < 1e-12
+
     def test_rank_plus_dim_is_column_count(self):
         rng = np.random.default_rng(2)
         for rows, cols in [(1, 4), (5, 4), (2, 2)]:

@@ -111,9 +111,13 @@ class TestEigenfunctions:
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
 
     def test_ode_residual(self):
-        # the radial equation, by finite differences of the profile
-        for beta, j, ell in [(2.2, 2, 1), (2.0, 2, 0), (3.0, 3, 1),
-                             (2.5, 1, 2), (0.6, 4, 3)]:
+        # the radial equation, by finite differences of the profile; at
+        # (0.6, 4, 3) the eigenvalue is about 103, and the rounding of the
+        # second difference (eps |R| / h^2, times the terms' cancellation)
+        # reaches 2e-5
+        for beta, j, ell, tol in [(2.2, 2, 1, 1e-5), (2.0, 2, 0, 1e-5),
+                                  (3.0, 3, 1, 1e-5), (2.5, 1, 2, 1e-5),
+                                  (0.6, 4, 3, 5e-5)]:
             alpha = j / beta
             lam = (alpha + ell) * (alpha + ell + 1.0)
             R = football_eigenfunction(beta, j, ell)
@@ -123,8 +127,7 @@ class TestEigenfunctions:
             d1 = (R(r + h) - R(r - h)) / (2.0 * h)
             resid = d2 + d1 / np.tan(r) \
                 + (lam - alpha ** 2 / np.sin(r) ** 2) * R(r)
-            scale = np.max(np.abs(R(r))) * max(1.0, lam)
-            assert np.max(np.abs(resid)) < 1e-5 * scale, (beta, j, ell)
+            assert np.max(np.abs(resid)) < tol, (beta, j, ell)
 
     def test_unit_norm(self):
         # trapezoid quadrature with the area element beta sin(r) dr dtheta;
