@@ -11,7 +11,7 @@ Modules:
 - ``spectrum``: closed-form and numeric spectra of conic Laplacians on
   footballs and doubled triangles, and the spectral-flow crossing report.
 - ``liouville``: constant-curvature Liouville solvers on the disk, the
-  football, and the sphere, the linearized operator, the eigenvalue-2
+  football, and the sphere, the spectrum of Delta_g near 2, the eigenvalue-2
   obstruction fiber, projected solves, and indicial-expansion fits.
 - ``pairing``: the obstruction pairing between eigenfunctions at 2 and
   splitting directions, its kernel, case classification, and the

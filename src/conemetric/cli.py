@@ -525,7 +525,7 @@ def build_parser():
     p = sub.add_parser("solve", help="constant-curvature solve")
     p.add_argument("--points", required=True,
                    help="semicolon-separated points, e.g. '0,0;3.14159,0' "
-                        "(colatitude,longitude) or 'x' on the disk")
+                        "(colatitude,longitude) or '0' on the disk")
     p.add_argument("--beta", required=True,
                    help="comma-separated angle parameters")
     p.add_argument("--curvature", type=int, default=1, choices=(-1, 0, 1))

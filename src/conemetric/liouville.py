@@ -1,10 +1,11 @@
 """Liouville solvers for constant-curvature conic metrics on the sphere.
 
-Conformal factors are split as u = v + s + w: v carries the exact log
-singularities (``singular_background``), s = sum_j A_j sigma_j is an explicit
-local correction that removes the leading A_j m_j^{2 beta_j - 2} source at
-angles < 2*pi, and w is a bounded remainder.  With div/grad taken in the
-round background metric the equation reads
+Conformal factors are split as u = v + s + w: v = sum_j (beta_j - 1) log m_j
+carries the exact log singularities (m_j the chordal distance to point j),
+s = sum_j A_j sigma_j is an explicit local correction that removes the
+leading A_j m_j^{2 beta_j - 2} source at angles < 2*pi, and w is a bounded
+remainder.  With div/grad taken in the round background metric the
+equation reads
 
     div grad u + K e^{2u} - 1 = 0      (K = +1, closed sphere),
 
@@ -33,13 +34,9 @@ __all__ = [
     "ConicProblem",
     "DiscreteConicMetric",
     "ObstructionBundleFiber",
-    "SingularBackground",
-    "LinearizedOperator",
     "SolverError",
     "damped_newton",
-    "singular_background",
     "solve_liouville",
-    "linearized_operator",
     "spectrum_near_two",
     "projected_solve",
     "friedrichs_fit",
@@ -47,6 +44,9 @@ __all__ = [
 
 NEWTON_TOL = 1e-9
 MAX_NEWTON = 60
+#: most grid cells a solve may ask for (n for footballs and disks, 2 n^2
+#: for 2-D solves), so that every request ends in bounded time and memory
+MAX_CELLS = 200_000
 
 
 class SolverError(RuntimeError):
@@ -244,39 +244,6 @@ class ConicProblem:
         return [sphere_point(*p) for p in self.points]
 
 
-class SingularBackground:
-    """The field v = sum_j (beta_j - 1) log(2 sin(d_j / 2)) on the sphere.
-
-    div grad v = -sum(beta_j - 1)/2 away from the points.
-    """
-
-    def __init__(self, problem: ConicProblem):
-        self.problem = problem
-        self.points = problem.unit_points()
-        self.beta = problem.beta.beta
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1])
-        for p, b in zip(self.points, self.beta):
-            out = out + (b - 1.0) * np.log(_chord(_distance(x, p)))
-        return out
-
-    def bulk_laplacian(self):
-        return -0.5 * sum(b - 1.0 for b in self.beta)
-
-    def density(self, x):
-        """e^{2v} = prod (2 sin(d_j/2))^{2(beta_j - 1)}."""
-        return _background_density([_distance(x, p) for p in self.points],
-                                   self.beta)
-
-
-def singular_background(problem):
-    if problem.background != "sphere":
-        raise ValueError("singular background implemented on the sphere")
-    return SingularBackground(problem)
-
-
 # ---------------------------------------------------------------------------
 # discrete solution container
 
@@ -344,7 +311,7 @@ class DiscreteConicMetric:
 @dataclass
 class ObstructionBundleFiber:
     eigenvalues_near_2: list
-    eigenvectors: list          # discrete representations (kind-specific)
+    eigenvectors: list          # {"j", "vector", "multiplicity"}
     ell: int
     window: float
 
@@ -373,7 +340,8 @@ def _solve_closed(problem, K, W, dists, pair_dists, P):
     corr = _correction(dists, betas)
     sig = np.reshape([f.ravel() for f, _ in corr], (k, N))
     lap = np.reshape([f.ravel() for _, f in corr], (k, N))
-    c_v = SingularBackground(problem).bulk_laplacian()
+    # div grad v = c_v away from the points, for the log terms v
+    c_v = -0.5 * sum(b - 1.0 for b in betas)
     e_reg = np.array([_background_density(np.delete(pair_dists[j], j),
                                           np.delete(betas, j)) for j in idx])
     at_pts = np.array([[f for f, _ in _correction(pair_dists[j], betas)]
@@ -580,7 +548,15 @@ def solve_liouville(problem, mesh_params=None):
     mesh_params: {"n": resolution}.
     """
     n = int((mesh_params or {}).get("n", 256))
+    football = _is_football(problem)
+    cells = n if football or problem.background == "disk" else 2 * n * n
+    if cells > MAX_CELLS:
+        raise ValueError(f"mesh n = {n} asks for {cells} grid cells; the "
+                         f"limit is MAX_CELLS = {MAX_CELLS}")
     if problem.background == "disk":
+        if len(problem.points) != 1 or np.any(problem.points[0]):
+            raise ValueError("the disk solver takes one cone point, at "
+                             "radius 0")
         if problem.curvature > 0:
             raise SolverError("disk solver covers K <= 0")
         return _solve_disk(problem, n)
@@ -590,7 +566,7 @@ def solve_liouville(problem, mesh_params=None):
         # Gauss-Bonnet: a K = 1 metric would have area 2 pi chi
         raise ValueError(f"no spherical metric exists for chi = "
                          f"{problem.chi:.6g} <= 0")
-    if _is_football(problem):
+    if football:
         return _solve_football(problem, n)
     if any(b >= 1.0 for b in problem.beta.beta):
         raise SolverError("general 2-D solves require all angles < 2 pi "
@@ -601,106 +577,65 @@ def solve_liouville(problem, mesh_params=None):
 
 
 # ---------------------------------------------------------------------------
-# linearized operator L = Delta_g - 2 (Friedrichs) and its spectrum near 2
+# the spectrum of the Friedrichs Delta_g near 2, one pencil at a time
 
-@dataclass
-class LinearizedOperator:
-    metric: DiscreteConicMetric
-    kind: str
+def _pencils(metric):
+    """(j, multiplicity, A, B) with Delta_g = pencil(A, B) on each block.
 
-    def mode_matrices(self, j):
-        """Football only: (A, B) with Delta_g = pencil(A, B) on mode j.
-
-        Radial factor R = (sin phi)^j S; A = -(p S')' + j(j+1) p S with
-        p = sin^{2j+1}, B = p e^{2u}.  The substitution builds the
-        Friedrichs condition (excluding the r^{-j/beta} branch) into the
-        discretization.
-        """
-        if self.kind != "football":
-            raise ValueError("mode decomposition applies to footballs")
-        form = FluxForm(self.metric.n, 2 * j + 1)
-        A = form.matrix(potential=j * (j + 1.0) * form.weight)
-        B = sparse.diags(form.weight * self.metric.density(full=True))
-        return A, B
-
-    def matrices(self):
-        """2-D case: symmetric stiffness A and diagonal mass B = M e^{2u}."""
-        if self.kind != "sphere2d":
-            raise ValueError("assembled matrices apply to 2-D solves")
-        m = self.metric
-        A = m.mesh["A"]
-        B = sparse.diags(m.mesh["M"] * m.density().ravel())
-        return A, B
-
-    def apply_axisym(self, values):
-        """(Delta_g - 2) f for axisymmetric cell-centred samples (football)."""
-        form = FluxForm(self.metric.n, 1)
-        f = np.asarray(values, dtype=float)
-        return form(f) / form.weight / self.metric.density(full=True) \
-            - 2.0 * f
-
-
-def linearized_operator(metric):
-    if metric.kind not in ("football", "sphere2d"):
-        raise ValueError("linearized operator for closed solves only")
-    return LinearizedOperator(metric=metric, kind=metric.kind)
+    A football splits into the angular modes j <= 2 ceil(beta) + 4: the
+    radial factor R = (sin phi)^j S gives A = -(p S')' + j(j+1) p S and
+    B = p e^{2u} with p = sin^{2j+1}, which builds the Friedrichs condition
+    (excluding the r^{-j/beta} branch) into the discretization.  A 2-D
+    solve is one pencil (j = None): the stiffness and the mass M e^{2u}.
+    """
+    if metric.kind == "football":
+        rho = metric.density(full=True)
+        forms = [FluxForm(metric.n, 2 * j + 1)
+                 for j in range(2 * math.ceil(metric.beta[0]) + 5)]
+        return [(j, 1 if j == 0 else 2,
+                 form.matrix(potential=j * (j + 1.0) * form.weight),
+                 sparse.diags(form.weight * rho))
+                for j, form in enumerate(forms)]
+    if metric.kind == "sphere2d":
+        return [(None, 1, metric.mesh["A"],
+                 sparse.diags(metric.mesh["M"] * metric.density().ravel()))]
+    raise ValueError("the spectrum near 2 is defined for closed solves only")
 
 
 def spectrum_near_two(metric, window=0.5):
     """Eigenpairs of Delta_g with |lambda - 2| < window (shift-invert at 2).
 
-    If an eigenvalue sits within 0.1*window of the window boundary the
-    window is enlarged once and the solve retried.
+    One pass solves each pencil of ``_pencils`` once, for the widened
+    window 1.5 window: k = 8 eigenpairs from a fixed start vector, with k
+    doubled (up to N - 2) while all returned ones lie inside it.  The
+    window widens to 1.5 window if an eigenvalue sits within 0.1 window of
+    its edge; one as close to the widened edge is a SolverError.
     """
-    op = linearized_operator(metric)
-
-    def solve(win):
-        pairs = []
-        if op.kind == "football":
-            b = metric.beta[0]
-            jmax = 2 * math.ceil(b) + 4
-            all_vals = []
-            for j in range(jmax + 1):
-                A, B = op.mode_matrices(j)
-                k = min(8, A.shape[0] - 2)
-                vals, vecs = eigsh(A, k=k, M=B, sigma=2.0, which="LM")
-                all_vals.extend(vals)
-                for lam, vec in zip(vals, vecs.T):
-                    if abs(lam - 2.0) < win:
-                        mult = 1 if j == 0 else 2
-                        pairs.append((float(lam), {"j": j, "profile": vec,
-                                                   "multiplicity": mult}))
-        else:
-            A, B = op.matrices()
-            k = min(12, A.shape[0] - 2)
-            vals, vecs = eigsh(A, k=k, M=B, sigma=2.0, which="LM")
-            # more may lie in the window when all k returned ones do
-            while np.all(np.abs(vals - 2.0) < win) and k < A.shape[0] - 2:
-                k = min(2 * k, A.shape[0] - 2)
-                vals, vecs = eigsh(A, k=k, M=B, sigma=2.0, which="LM")
-            all_vals = list(vals)
-            for lam, vec in zip(vals, vecs.T):
-                if abs(lam - 2.0) < win:
-                    pairs.append((float(lam), {"grid": vec,
-                                               "multiplicity": 1}))
-        margin = min((abs(abs(lam - 2.0) - win) for lam in all_vals),
-                     default=win)
-        return pairs, margin
-
-    pairs, margin = solve(window)
-    if margin < 0.1 * window:
-        window *= 1.5
-        pairs, margin = solve(window)
-        if margin < 0.1 * window:
+    wide = 1.5 * window
+    lams, reps = [], []
+    for j, mult, A, B in _pencils(metric):
+        N = A.shape[0]
+        k = min(8, N - 2)
+        v0 = np.random.default_rng(0).standard_normal(N)
+        while True:
+            vals, vecs = eigsh(A, k=k, M=B, sigma=2.0, which="LM", v0=v0)
+            if k == N - 2 or not np.all(np.abs(vals - 2.0) < wide):
+                break
+            k = min(2 * k, N - 2)
+        lams.extend(vals)
+        reps.extend({"j": j, "vector": vec, "multiplicity": mult}
+                    for vec in vecs.T)
+    dist = np.abs(np.array(lams) - 2.0)
+    if np.min(np.abs(dist - window)) < 0.1 * window:
+        window = wide
+        if np.min(np.abs(dist - window)) < 0.1 * window:
             raise SolverError("spectral window boundary too close to an "
                               "eigenvalue")
-    evs, vecs, ell = [], [], 0
-    for lam, rep in sorted(pairs, key=lambda t: abs(t[0] - 2.0)):
-        evs.append(lam)
-        vecs.append(rep)
-        ell += rep["multiplicity"]
-    return ObstructionBundleFiber(eigenvalues_near_2=evs, eigenvectors=vecs,
-                                  ell=ell, window=window)
+    inside = [i for i in np.argsort(dist, kind="stable") if dist[i] < window]
+    return ObstructionBundleFiber(
+        eigenvalues_near_2=[float(lams[i]) for i in inside],
+        eigenvectors=[reps[i] for i in inside],
+        ell=sum(reps[i]["multiplicity"] for i in inside), window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +664,8 @@ def projected_solve(metric, fiber, density_perturbation=None, tol=1e-11):
     # axisymmetric fiber directions, normalized in L^2(g2)
     modes = []
     for lam, rep in zip(fiber.eigenvalues_near_2, fiber.eigenvectors):
-        if rep.get("j", None) == 0:
-            v = rep["profile"]
+        if rep["j"] == 0:
+            v = rep["vector"]
             nrm = math.sqrt(np.sum(v * v * rho2 * centers) * h * 2 * math.pi)
             modes.append(v / nrm)
     ell = len(modes)

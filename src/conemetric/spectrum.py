@@ -181,12 +181,6 @@ class FluxForm:
         return sparse.diags([-f[1:-1], f[:-1] + f[1:] + potential, -f[1:-1]],
                             [-1, 0, 1], format="csc")
 
-    def __call__(self, u):
-        """The stiffness applied as gradient then divergence, so constants
-        map to exactly zero (the assembled diagonal rounds)."""
-        flux = self.face * np.diff(u, prepend=u[:1], append=u[-1:])
-        return flux[:-1] - flux[1:]
-
 
 def _sl_eigs(alpha, n, k=5):
     """Lowest k eigenvalues of the substituted radial problem at n cells.

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from conemetric import liouville
@@ -205,8 +210,20 @@ class TestSolve:
           "0.7404081448024228,3.181843729740195",
           "--beta", "0.698,0.329,0.323,0.635", "--mesh", "48"],
          "chi = -0.015"),
+        (["--background", "disk", "--points", "0.5", "--beta", "0.7",
+          "--curvature", "0"], "one cone point, at radius 0"),
+        (["--background", "disk", "--points", "0;0.5", "--beta", "0.7,0.8",
+          "--curvature", "0"], "one cone point, at radius 0"),
+        # 2 n^2 = 200,978 cells
+        (["--points", "1.5708,0;1.5708,2.0944;1.5708,4.1888",
+          "--beta", "0.6,0.6,0.6", "--mesh", "317"], "MAX_CELLS = 200000"),
+        (["--mesh", "200002"], "MAX_CELLS = 200000"),
+        (["--background", "disk", "--points", "0", "--beta", "0.7",
+          "--curvature", "0", "--mesh", "200001"], "MAX_CELLS = 200000"),
     ], ids=["point-count", "odd-mesh", "tiny-mesh", "nan-beta", "nan-point",
-            "near-coincident", "nonpositive-chi"])
+            "near-coincident", "nonpositive-chi", "disk-off-centre",
+            "disk-two-points", "mesh-cap-2d", "mesh-cap-football",
+            "mesh-cap-disk"])
     def test_invalid_input_is_config_error(self, capsys, argv, message):
         code, _, err = run(capsys, self.FOOTBALL + argv)
         assert code == 2
@@ -229,6 +246,65 @@ class TestSolve:
                                   "--beta", "0.6,0.6,0.6", "--mesh", "24",
                                   "--axisym"])
         assert code == 2
+
+
+FUZZ_POINTS = [(0.0, 0.0), (math.pi, 0.0), (1.5708, 0.0), (1.5708, 2.0944),
+               (1.5708, 4.1888)]
+FUZZ_COORD = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1.0,
+                              0.0]) | st.floats(-4.0, 7.0)
+FUZZ_BETA = st.sampled_from([0.0, -1.0, 1e-300, 1e300, math.nan]) \
+    | st.floats(0.3, 3.5)
+
+
+@st.composite
+def solve_argv(draw):
+    """`solve` arguments: fixed and drawn points (so some repeat), with one
+    angle each; footballs are drawn as an antipodal pair of equal angles."""
+    if draw(st.booleans()):
+        points = [(0.0, 0.0), (math.pi, 0.0)]
+        betas = [draw(FUZZ_BETA)] * 2
+    else:
+        k = draw(st.integers(1, 4))
+        points = draw(st.lists(st.sampled_from(FUZZ_POINTS)
+                               | st.tuples(FUZZ_COORD, FUZZ_COORD),
+                               min_size=k, max_size=k))
+        betas = draw(st.lists(FUZZ_BETA, min_size=k, max_size=k))
+    background = draw(st.sampled_from(["sphere", "disk"]))
+    if background == "disk":
+        # disk points are radii
+        text = ";".join(repr(p[0]) for p in points)
+    else:
+        text = ";".join(f"{p[0]!r},{p[1]!r}" for p in points)
+    mesh = draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 8, 16, 24, 317,
+                                 10 ** 12]))
+    return ["solve", "--background", background, "--points=" + text,
+            "--beta=" + ",".join(repr(b) for b in betas),
+            "--curvature", str(draw(st.sampled_from([-1, 0, 1]))),
+            "--mesh", str(mesh)]
+
+
+class TestSolveFuzz:
+    # inputs that run a whole solve, which few drawn inputs do
+    @example(["solve", "--points=0,0;3.141592653589793,0", "--beta=3.5,3.5",
+              "--mesh", "8"])
+    @example(["solve", "--points=1e308,0;1.5708,2.0944;1.5708,4.1888",
+              "--beta=0.6,0.6,0.6", "--mesh", "16"])
+    @example(["solve", "--background", "disk", "--points=0", "--beta=1e300",
+              "--curvature", "-1", "--mesh", "317"])
+    @given(solve_argv())
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    def test_every_input_ends_cleanly(self, argv):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:      # argparse
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert time.perf_counter() - start < 30.0
 
 
 class TestPairRoundtrip:

@@ -8,13 +8,12 @@ from scipy.sparse.linalg import eigsh
 
 from conemetric import liouville
 from conemetric.liouville import (ConicProblem, SolverError,
-                                  friedrichs_fit, linearized_operator,
-                                  projected_solve, singular_background,
+                                  friedrichs_fit, projected_solve,
                                   solve_liouville, spectrum_near_two,
                                   sphere_point, _assemble_laplacian,
-                                  _axisym_laplacian, _bordered_solve,
-                                  _exp_map)
-from conemetric.spectrum import FluxForm
+                                  _axisym_laplacian, _background_density,
+                                  _bordered_solve, _distance, _pencils)
+from conemetric.spectrum import FluxForm, football_eigenvalues
 
 ANTIPODAL = ((0.0, 0.0), (math.pi, 0.0))
 EQUATOR3 = ((math.pi / 2, 0.0), (math.pi / 2, 2 * math.pi / 3),
@@ -43,39 +42,28 @@ def sphere2d():
     return solve_liouville(prob, {"n": 72})
 
 
-class TestSingularBackground:
-    def test_single_point_log_singularity(self):
-        prob = ConicProblem("sphere", points=((0.0, 0.0),), beta=(2.0,))
-        v = singular_background(prob)
-        d = 0.01
-        x = _exp_map(np.array([0.0, 0.0, 1.0]), np.array(d), np.array(0.0))
-        assert float(v(x)) == pytest.approx(math.log(2.0 * math.sin(d / 2)),
-                                            abs=1e-10)
-        assert v.bulk_laplacian() == pytest.approx(-0.5)
+def background_density(points, beta, x):
+    """e^{2v} at x for the log terms v of cone points (colat, lon)."""
+    return _background_density([_distance(x, sphere_point(*p))
+                                for p in points], beta)
 
+
+class TestSingularBackground:
     def test_trivial_angle_gives_zero_field(self):
         # beta = 1 is a removable point: no log term, unit density
-        prob = ConicProblem("sphere", points=((0.3, 0.1),), beta=(1.0,))
-        v = singular_background(prob)
         xs = np.stack([sphere_point(c, l)
                        for c, l in [(0.5, 0.2), (1.5, 3.0), (2.8, 5.0)]])
-        assert np.max(np.abs(v(xs))) == 0.0
-        assert v.density(xs) == pytest.approx(np.ones(3))
+        density = background_density(((0.3, 0.1),), (1.0,), xs)
+        assert np.max(np.abs(0.5 * np.log(density))) == 0.0
+        assert density == pytest.approx(np.ones(3))
 
     def test_density_matches_chord_product(self):
-        prob = ConicProblem("sphere", points=ANTIPODAL, beta=(0.8, 1.4))
-        v = singular_background(prob)
         x = sphere_point(1.1, 0.7)
         mN = 2.0 * math.sin(1.1 / 2.0)
         mS = 2.0 * math.sin((math.pi - 1.1) / 2.0)
         want = mN ** (2 * (0.8 - 1.0)) * mS ** (2 * (1.4 - 1.0))
-        assert float(v.density(x)) == pytest.approx(want, rel=1e-12)
-
-    def test_sphere_only(self):
-        prob = ConicProblem("disk", points=((0.0,),), beta=(0.7,),
-                            curvature=0)
-        with pytest.raises(ValueError):
-            singular_background(prob)
+        assert float(background_density(ANTIPODAL, (0.8, 1.4), x)) \
+            == pytest.approx(want, rel=1e-12)
 
 
 class TestProblemValidation:
@@ -251,19 +239,14 @@ class TestSolveDispatch:
 
 class TestLinearizedOperator:
     def test_football_mode_spectra_match_closed_form(self, football17):
-        op = linearized_operator(football17)
+        pencils = _pencils(football17)
         beta = 1.7
         for j in (0, 1, 2):
-            A, B = op.mode_matrices(j)
+            _, _, A, B = pencils[j]
             vals = sorted(eigsh(A, k=4, M=B, sigma=-0.1, which="LM")[0])
             exact = [(j / beta + ell) * (j / beta + ell + 1.0)
                      for ell in range(4)]
             assert np.max(np.abs(np.array(vals) - exact)) < 2e-2
-
-    def test_constants(self, football17):
-        op = linearized_operator(football17)
-        out = op.apply_axisym(np.ones(football17.n))
-        assert np.max(np.abs(out + 2.0)) == 0.0
 
     def test_eigenfunction_cos_r(self, football17):
         # cos r on the football in round coordinates
@@ -273,15 +256,16 @@ class TestLinearizedOperator:
         phi = (np.arange(n) + 0.5) * h
         t = np.tan(phi / 2.0)
         f = (1.0 - t ** (2 * beta)) / (1.0 + t ** (2 * beta))
-        op = linearized_operator(football17)
-        out = op.apply_axisym(f)
+        form = FluxForm(n, 1)
+        out = form.matrix() @ f / form.weight \
+            / football17.density(full=True) - 2.0 * f
         # second-order pointwise accuracy degrades within O(h log h) of the
         # poles where the profile is only Hoelder; check away from them
         interior = slice(n // 8, -n // 8)
         assert np.max(np.abs(out[interior])) < 1e-3
 
     def test_2d_stiffness_symmetric(self, sphere2d):
-        A, B = linearized_operator(sphere2d).matrices()
+        _, _, A, B = _pencils(sphere2d)[0]
         assert abs(A - A.T).max() < 1e-12
 
     def test_2d_laplacian_matches_football_on_axisymmetric_samples(self):
@@ -319,11 +303,11 @@ class TestLinearizedOperator:
         lin = L @ v + 2.0 * rho0 * v
         assert np.max(np.abs(fd - lin)) / np.max(np.abs(lin)) < 1e-5
 
-    def test_kind_validation(self, football17, sphere2d):
+    def test_kind_validation(self):
+        prob = ConicProblem("disk", points=((0.0,),), beta=(0.7,),
+                            curvature=0)
         with pytest.raises(ValueError):
-            linearized_operator(football17).matrices()
-        with pytest.raises(ValueError):
-            linearized_operator(sphere2d).mode_matrices(0)
+            _pencils(solve_liouville(prob, {"n": 16}))
 
 
 class TestSpectrumNearTwo:
@@ -342,9 +326,48 @@ class TestSpectrumNearTwo:
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6))
         m = solve_liouville(prob, {"n": 24})
         fib = spectrum_near_two(m, window=36.0)
-        A, B = linearized_operator(m).matrices()
+        _, _, A, B = _pencils(m)[0]
         vals = eigh(A.toarray(), B.toarray(), eigvals_only=True)
         assert fib.ell == np.sum(np.abs(vals - 2.0) < fib.window) > 12
+
+    def test_football_ell_counts_the_whole_window(self):
+        # the j = 0 pencil holds nine eigenvalues in the window, more than
+        # the first eigsh call returns
+        m = solve_liouville(football_problem(0.5), {"n": 256})
+        fib = spectrum_near_two(m, window=78.0)
+        want = sum(mode.multiplicity for mode in
+                   football_eigenvalues(0.5, 2.0 + fib.window)
+                   if abs(mode.lam - 2.0) < fib.window)
+        assert fib.ell == want == 41
+
+    @pytest.mark.parametrize("beta,n,ell,pencils", [
+        ((3.45, 3.45), 512, 5, 13), ((0.6, 0.7, 0.8), 48, 1, 1)],
+        ids=["football", "sphere2d"])
+    def test_each_pencil_solved_once(self, beta, n, ell, pencils,
+                                     monkeypatch):
+        # an eigenvalue sits within 0.05 of the edge of |lambda - 2| < 0.5
+        # (2.5036 for the football's j = 4), so the window widens to 0.75
+        # using the eigenvalues already computed
+        points = ANTIPODAL if len(beta) == 2 else EQUATOR3
+        m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
+                            {"n": n})
+        calls = []
+        eigsh = liouville.eigsh
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(liouville, "eigsh", counted)
+        fib = spectrum_near_two(m)
+        assert len(calls) == len(_pencils(m)) == pencils
+        assert (fib.window, fib.ell) == (0.75, ell)
+
+    def test_reproducible(self):
+        prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
+        m = solve_liouville(prob, {"n": 48})
+        evs = [spectrum_near_two(m).eigenvalues_near_2 for _ in range(3)]
+        assert evs[0] == evs[1] == evs[2]
 
     def test_subcritical_has_empty_fiber(self, sphere2d):
         fib = spectrum_near_two(sphere2d)
@@ -352,7 +375,7 @@ class TestSpectrumNearTwo:
         assert fib.eigenvalues_near_2 == []
 
     def test_subcritical_first_eigenvalue_above_two(self, sphere2d):
-        A, B = linearized_operator(sphere2d).matrices()
+        _, _, A, B = _pencils(sphere2d)[0]
         vals = sorted(eigsh(A, k=3, M=B, sigma=-0.1, which="LM")[0])
         assert vals[0] == pytest.approx(0.0, abs=1e-8)   # constants
         assert vals[1] > 2.0
