@@ -337,9 +337,9 @@ def cmd_solve(args):
         problem = ConicProblem(args.background, points, av, args.curvature)
     except (ValueError, AdmissibilityError) as exc:
         raise ConfigError(str(exc))
-    metric = solve_liouville(problem, {"n": args.mesh})
-    if args.axisym and metric.kind != "football":
+    if args.axisym and not problem.is_football:
         raise ConfigError("--axisym requires an antipodal equal-angle pair")
+    metric = solve_liouville(problem, {"n": args.mesh})
 
     diagnostics = {
         "meta": _meta(subcommand="solve", mesh=args.mesh,
@@ -372,30 +372,21 @@ def cmd_solve(args):
             diagnostics["eigen_coeffs"] = []
 
     if args.samples:
+        g, w = metric.mesh, metric.w
         if metric.kind == "football":
-            phi = metric.mesh["phi"]
-            dens = metric.density()
-            rows = list(zip((float(p) for p in phi),
-                            (float(v) for v in metric.w),
-                            (float(v) for v in dens[:len(phi)])))
-            _emit_csv(("colatitude", "w", "density"), rows, args.samples,
-                      [f"axisymmetric solve, version {__version__}"])
+            header, cols, what = (("colatitude", "w", "density"),
+                                  (g["phi"], w, metric.density()),
+                                  "axisymmetric solve")
         elif metric.kind == "sphere2d":
-            g = metric.mesh
-            dens = metric.density()
-            rows = []
-            for i, p in enumerate(g["phi"]):
-                for k, t in enumerate(g["theta"]):
-                    rows.append((float(p), float(t), float(metric.w[i, k]),
-                                 float(dens[i, k])))
-            _emit_csv(("colatitude", "longitude", "w", "density"), rows,
-                      args.samples, [f"2d solve, version {__version__}"])
+            header, cols, what = (("colatitude", "longitude", "w", "density"),
+                                  (*np.meshgrid(g["phi"], g["theta"],
+                                                indexing="ij"),
+                                   w, metric.density()), "2d solve")
         else:
-            r = metric.mesh["r"]
-            rows = list(zip((float(v) for v in r),
-                            (float(v) for v in metric.w)))
-            _emit_csv(("r", "w"), rows, args.samples,
-                      [f"disk solve, version {__version__}"])
+            header, cols, what = ("r", "w"), (g["r"], w), "disk solve"
+        rows = zip(*(np.ravel(c).tolist() for c in cols))
+        _emit_csv(header, rows, args.samples,
+                  [f"{what}, version {__version__}"])
     _emit(diagnostics, args.output)
     return EXIT_OK
 

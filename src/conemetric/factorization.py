@@ -9,10 +9,11 @@ A_1..A_J of the monic polynomial whose weighted log-modulus
 
 approximates the conformal factor of the split metric.  This module
 implements the forward map (generalized-binomial expansion), the Newton
-power sums, all J! inverse branches (by homotopy continuation in the
-weights from the equal-weight case), the Jacobian/discriminant proximity
-test, the asymptotic expansion z_i = sum_k c_ik rho^k along rays, the
-explicit two-point blowup chart, and single-linkage cluster radii.
+power sums, the inverse branches (a weight homotopy from the unit-weight
+root orderings: all J! for the inverse map, one for a ray expansion), the
+Jacobian/discriminant proximity test, the power-series cascade for the
+ray expansion z_i = sum_k c_ik rho^k, the explicit two-point blowup chart,
+and single-linkage cluster radii.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ MAX_J = 7
 class ContinuationError(RuntimeError):
     """Homotopy continuation failed near the discriminant locus."""
 
-    def __init__(self, branch_id, s, message=""):
+    def __init__(self, branch_id, s):
         self.branch_id = branch_id
         self.s = s
         super().__init__(
-            message or f"continuation stalled on branch {branch_id} at s={s}")
+            f"continuation stalled on branch {branch_id} at s={s}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,10 @@ class WeightVector:
         if J > MAX_J:
             raise ValueError(f"J={J} split points ask for {J}! branches; "
                              f"the limit is J = {MAX_J}")
-        if abs(sum(b) - J) > 1e-9:
-            raise ValueError(f"weights must sum to J={J}, got {sum(b)}")
+        # a NaN or inf weight makes the sum NaN or inf, which fails too
+        if not abs(sum(b) - J) <= 1e-9:
+            raise ValueError(f"weights must be finite and sum to J={J}, "
+                             f"got {sum(b)}")
         for r in range(1, J + 1):
             for I in itertools.combinations(range(J), r):
                 if abs(sum(b[i] for i in I)) <= 1e-12:
@@ -125,9 +128,6 @@ class CoeffVector:
             raise ValueError("A_J = 0: normalized coefficients undefined")
         return tuple(a / aJ for a in self.A)
 
-    def in_omega(self):
-        return self.A[-1] != 0
-
 
 @dataclass(frozen=True)
 class RootConfiguration:
@@ -140,18 +140,6 @@ class RootConfiguration:
     branch_id: int
     near_discriminant: bool = False
     condition: float = math.nan
-
-    @property
-    def min_separation(self):
-        zs = self.z
-        if len(zs) < 2:
-            return math.inf
-        return min(abs(zs[i] - zs[j])
-                   for i in range(len(zs)) for j in range(i + 1, len(zs)))
-
-    @property
-    def pairwise_distinct(self):
-        return self.min_separation > 1e-12
 
 
 @dataclass(frozen=True)
@@ -271,8 +259,7 @@ def jacobian(Z, b: WeightVector):
 
 def _residual(z, bvec, R):
     """G_l(z) = sum_j b_j z_j^l - R_l, batched over leading axes of z."""
-    J = len(R)
-    ells = np.arange(1, J + 1)
+    ells = np.arange(1, z.shape[-1] + 1)
     powers = z[..., np.newaxis, :] ** ells[:, np.newaxis]
     return (powers * bvec).sum(axis=-1) - R
 
@@ -281,8 +268,7 @@ def _newton_correct(z, bvec, R, tol, max_iter=25):
     """Batched Newton iterations on the weighted power-sum system."""
     for _ in range(max_iter):
         G = _residual(z, bvec, R)
-        err = np.max(np.abs(G))
-        if err < tol:
+        if np.max(np.abs(G)) < tol:
             return z, True
         try:
             dz = np.linalg.solve(_power_jacobian(z, bvec),
@@ -293,30 +279,18 @@ def _newton_correct(z, bvec, R, tol, max_iter=25):
     return z, np.max(np.abs(_residual(z, bvec, R))) < tol
 
 
-def inverse_map(A, b: WeightVector, flag_threshold: float = COND_THRESHOLD):
-    """All J! inverse branches of the weighted factorization map.
+def _track(z, b: WeightVector, R):
+    """Follow the stacked start configurations z (roots of P(A; .) for unit
+    weights) to solutions of sum_j b_j z_j^l = R_l, l = 1..J.
 
-    Solves sum_j b_j z_j^l = R_l(A), l = 1..J.  For unit weights the
-    branches are the orderings of the roots of P(A; .); general weights are
-    reached by homotopy continuation along b(s) = (1-s)*1 + s*b with
-    batched Newton prediction-correction and adaptive step halving.
-    Branches whose Jacobian condition number exceeds ``flag_threshold`` are
-    marked near-discriminant.
+    Homotopy continuation along b(s) = (1-s)*1 + s*b with batched Newton
+    prediction-correction and adaptive step halving, then a final polish;
+    equal weights skip the homotopy.
     """
-    if not isinstance(A, CoeffVector):
-        A = CoeffVector(tuple(A))
-    J = b.J
-    if A.J != J:
-        raise ValueError("coefficient and weight dimensions disagree")
-    R = np.asarray(power_sums(A), dtype=complex)
-    roots = np.roots(np.concatenate(([1.0], np.asarray(A.A))))
-    perms = list(itertools.permutations(range(J)))
-    z = np.array([[roots[p] for p in perm] for perm in perms], dtype=complex)
     scale = max(1.0, float(np.max(np.abs(R))))
-
     if not b.is_equal:
         btarget = np.asarray(b.b)
-        bones = np.ones(J)
+        bones = np.ones(b.J)
         s = 0.0
         ds = 0.25
         while s < 1.0:
@@ -325,7 +299,7 @@ def inverse_map(A, b: WeightVector, flag_threshold: float = COND_THRESHOLD):
             bvec = (1.0 - s_new) * bones + s_new * btarget
             # Euler prediction: dG/ds = sum (b_target - 1)_j z_j^l
             Jac = _power_jacobian(z, (1.0 - s) * bones + s * btarget)
-            dGds = _residual(z, btarget - bones, np.zeros(J, dtype=complex))
+            dGds = _residual(z, btarget - bones, 0.0)
             try:
                 dzds = -np.linalg.solve(Jac, dGds[..., np.newaxis])[..., 0]
                 z_pred = z + step * dzds
@@ -344,11 +318,32 @@ def inverse_map(A, b: WeightVector, flag_threshold: float = COND_THRESHOLD):
             else:
                 ds *= 0.5
                 if ds < MIN_STEP:
-                    bad = 0
-                    raise ContinuationError(bad, s)
+                    raise ContinuationError(0, s)
     # final polish
-    bvec = np.asarray(b.b)
-    z, ok = _newton_correct(z, bvec, R, 1e-13 * scale, max_iter=50)
+    return _newton_correct(z, np.asarray(b.b), R, 1e-13 * scale,
+                           max_iter=50)[0]
+
+
+def inverse_map(A, b: WeightVector, flag_threshold: float = COND_THRESHOLD):
+    """All J! inverse branches of the weighted factorization map.
+
+    Solves sum_j b_j z_j^l = R_l(A), l = 1..J.  For unit weights the
+    branches are the orderings of the roots of P(A; .), in the order of
+    itertools.permutations; ``_track`` carries them to general weights.
+    Branches whose Jacobian condition number exceeds ``flag_threshold`` are
+    marked near-discriminant.
+    """
+    if not isinstance(A, CoeffVector):
+        A = CoeffVector(tuple(A))
+    J = b.J
+    if A.J != J:
+        raise ValueError("coefficient and weight dimensions disagree")
+    R = np.asarray(power_sums(A), dtype=complex)
+    if not np.all(np.isfinite(R)):
+        raise ValueError("the power sums R_l(A) of the coefficients "
+                         "overflow; scale A down")
+    roots = np.roots(np.concatenate(([1.0], np.asarray(A.A))))
+    z = _track(roots[np.array(list(itertools.permutations(range(J))))], b, R)
 
     _, conds = jacobian(z, b)
     return [RootConfiguration(z=tuple(zi), branch_id=i,
@@ -383,32 +378,9 @@ def multiplicative_error(A, Z, b: WeightVector, samples,
     return worst
 
 
-def _order_terms(ell, k):
-    """Monomial exponent tuples (m_1..m_{k-1}) contributing at order
-    rho^(ell+k-1) to (c_1 rho + ... )^ell, excluding the linear c_k term.
-
-    Constraints: sum m_j = ell, sum j*m_j = ell + k - 1, indices <= k - 1.
-    """
-    out = []
-    target_deg, target_wt = ell, ell + k - 1
-
-    def rec(idx, deg_left, wt_left, current):
-        if idx == k:
-            if deg_left == 0 and wt_left == 0:
-                out.append(tuple(current))
-            return
-        # index idx contributes idx per unit of exponent
-        max_m = min(deg_left, wt_left // idx)
-        for m in range(max_m + 1):
-            rec(idx + 1, deg_left - m, wt_left - m * idx, current + [m])
-
-    rec(1, target_deg, target_wt, [])
-    return out
-
-
 def expansion_coeffs(theta, Atilde, b: WeightVector, branch: int = 0,
                      ) -> ExpansionData:
-    """Ray-expansion coefficients c_{ik} of the inverse branches.
+    """Ray-expansion coefficients c_{ik} of one inverse branch.
 
     With A_l = Atilde_l * rho^J for l < J and A_J = e^{i theta} rho^J, each
     inverse branch expands as z_i = sum_k c_{ik} rho^k + O(rho^{J+1}).
@@ -416,11 +388,16 @@ def expansion_coeffs(theta, Atilde, b: WeightVector, branch: int = 0,
 
         sum_i b_i c_{i1}^l = 0 (l < J),   sum_i b_i c_{i1}^J = -J e^{i theta}
 
-    (whose equal-weight solutions are the orderings of the J-th roots of
-    -e^{i theta}); columns k >= 2 solve the linear cascade T c_k = y_k with
-    T = diag(1..J) Vandermonde(c_1)^T diag(b) and right sides collecting
-    the coefficient -l*Atilde_l at matched order rho^J together with the
-    lower-order multinomial terms.
+    whose equal-weight solutions are the orderings of the J-th roots of
+    -e^{i theta}; only the ``branch``-th ordering, in the order of
+    ``inverse_map``, is tracked to the weights b.  With z_i(rho) known
+    through rho^{k-1}, column k >= 2 solves the linear cascade T c_k = y_k
+    with T = diag(1..J) Vandermonde(c_1)^T diag(b) and
+
+        y_l = rhs_l - [rho^{l+k-1}] sum_i b_i z_i(rho)^l,
+
+    where rhs_l = -l Atilde_l at the matched order l + k - 1 = J and 0
+    otherwise; c_k enters that coefficient only through T.
     """
     J = b.J
     Atilde = [complex(a) for a in Atilde]
@@ -429,12 +406,14 @@ def expansion_coeffs(theta, Atilde, b: WeightVector, branch: int = 0,
     if len(Atilde) != J - 1:
         raise ValueError("need the J-1 normalized coefficients A~_1..A~_{J-1}")
     Afull = Atilde + [np.exp(1j * theta)]
+    if not 0 <= branch < math.factorial(J):
+        raise ValueError(f"branch index must lie in [0, {math.factorial(J)})")
 
-    lead = CoeffVector(tuple([0.0] * (J - 1) + [np.exp(1j * theta)]))
-    branches = inverse_map(lead, b)
-    if not 0 <= branch < len(branches):
-        raise ValueError(f"branch index must lie in [0, {len(branches)})")
-    c1 = np.asarray(branches[branch].z, dtype=complex)
+    # P = z^J + e^{i theta}: power sums R_l = 0 (l < J), R_J = -J e^{i theta}
+    lead = np.zeros(J + 1, dtype=complex)
+    lead[0], lead[J] = 1.0, Afull[-1]
+    perm = list(itertools.permutations(range(J)))[branch]
+    c1 = _track(np.roots(lead)[np.array([perm])], b, -J * lead[1:])[0]
 
     # coincidence makes the Vandermonde cascade singular
     for i in range(J):
@@ -444,26 +423,20 @@ def expansion_coeffs(theta, Atilde, b: WeightVector, branch: int = 0,
                     f"leading coefficients c_{i+1},1 and c_{j+1},1 coincide; "
                     "cascade matrix is singular")
 
-    C = np.zeros((J, J), dtype=complex)
-    C[:, 0] = c1
+    # row i holds the power series of z_i(rho) through rho^{2J-1}
+    Z = np.zeros((J, 2 * J), dtype=complex)
+    Z[:, 1] = c1
     T = _power_jacobian(c1, np.asarray(b.b))
     for k in range(2, J + 1):
         y = np.zeros(J, dtype=complex)
-        for ell in range(1, J + 1):
-            rhs = -ell * Afull[ell - 1] if ell + k - 1 == J else 0.0
-            low = 0.0 + 0j
-            for m in _order_terms(ell, k):
-                coeff = math.factorial(ell)
-                for mj in m:
-                    coeff //= math.factorial(mj)
-                mono = np.ones(J, dtype=complex)
-                for j, mj in enumerate(m):
-                    if mj:
-                        mono *= C[:, j] ** mj
-                low += coeff * np.dot(np.asarray(b.b), mono)
-            y[ell - 1] = rhs - low
-        C[:, k - 1] = np.linalg.solve(T, y)
-    return ExpansionData(c=C, theta=float(theta), branch_id=branch)
+        y[J - k] = -(J - k + 1) * Afull[J - k]
+        for bi, zi in zip(b.b, Z):
+            power = np.ones(1, dtype=complex)
+            for ell in range(1, J + 1):
+                power = np.convolve(power, zi)[:2 * J]
+                y[ell - 1] -= bi * power[ell + k - 1]
+        Z[:, k] = np.linalg.solve(T, y)
+    return ExpansionData(c=Z[:, 1:J + 1], theta=float(theta), branch_id=branch)
 
 
 def blowup_chart_J2(A, b: WeightVector, branch: int = 0) -> BlowupChart:

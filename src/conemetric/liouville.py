@@ -240,6 +240,18 @@ class ConicProblem:
         return {"troyanov": bool(troy),
                 "subcritical": bool(subcritical_check(self.beta))}
 
+    @property
+    def is_football(self):
+        """Two antipodal sphere points of equal angle: the axisymmetric
+        (football) solve applies."""
+        if self.background != "sphere" or len(self.points) != 2:
+            return False
+        b = self.beta.beta
+        if abs(b[0] - b[1]) > 1e-14:
+            return False
+        x, y = self.unit_points()
+        return abs(_distance(x, y) - math.pi) < 1e-12
+
     def unit_points(self):
         return [sphere_point(*p) for p in self.points]
 
@@ -336,7 +348,11 @@ def _solve_closed(problem, K, W, dists, pair_dists, P):
     betas = problem.beta.beta
     idx = [j for j, b in enumerate(betas) if b < 1.0]
     shape, N, k = np.shape(dists[0]), len(W), len(idx)
-    E = _background_density(dists, betas).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _background_density(dists, betas).ravel()
+    if not np.all(np.isfinite(E)):
+        raise ValueError(f"beta = {list(betas)}: the background density "
+                         "e^(2v) is not finite on the grid")
     corr = _correction(dists, betas)
     sig = np.reshape([f.ravel() for f, _ in corr], (k, N))
     lap = np.reshape([f.ravel() for _, f in corr], (k, N))
@@ -532,23 +548,13 @@ def _solve_disk(problem, n):
 # ---------------------------------------------------------------------------
 # public solve dispatch
 
-def _is_football(problem):
-    if problem.background != "sphere" or len(problem.points) != 2:
-        return False
-    b = problem.beta.beta
-    if abs(b[0] - b[1]) > 1e-14:
-        return False
-    x, y = problem.unit_points()
-    return abs(_distance(x, y) - math.pi) < 1e-12
-
-
 def solve_liouville(problem, mesh_params=None):
     """Solve for the bounded conformal remainder; see the module docstring.
 
     mesh_params: {"n": resolution}.
     """
     n = int((mesh_params or {}).get("n", 256))
-    football = _is_football(problem)
+    football = problem.is_football
     cells = n if football or problem.background == "disk" else 2 * n * n
     if cells > MAX_CELLS:
         raise ValueError(f"mesh n = {n} asks for {cells} grid cells; the "

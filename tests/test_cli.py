@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -117,6 +118,22 @@ class TestSplit:
         assert code == 2
         assert f"--ray-samples must lie in [0, {MAX_RAY_SAMPLES}]" in err
 
+    @pytest.mark.parametrize("weights,coeffs,message", [
+        ("nan,nan", "0.1,0.04", "weights must be finite"),
+        ("inf,-inf", "0.1,0.04", "weights must be finite"),
+        ("1,1", "1e200,1e200", "power sums R_l(A) of the coefficients "
+                               "overflow"),
+    ], ids=["nan-weights", "inf-weights", "overflowing-coeffs"])
+    def test_nonfinite_input_is_config_error(self, capsys, weights, coeffs,
+                                             message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, ["split", "--weights", weights,
+                                        "--coeffs", coeffs])
+        assert code == 2
+        assert message in err
+        assert len(err.splitlines()) == 1
+
     def test_split_point_count_capped(self, capsys):
         J = MAX_J + 1
         code, _, err = run(capsys, ["split", "--weights", ",".join(["1"] * J),
@@ -220,14 +237,22 @@ class TestSolve:
         (["--mesh", "200002"], "MAX_CELLS = 200000"),
         (["--background", "disk", "--points", "0", "--beta", "0.7",
           "--curvature", "0", "--mesh", "200001"], "MAX_CELLS = 200000"),
+        # e^{2v} = (2 sin(phi/2))^{2 (beta - 1)} overflows on the grid
+        (["--beta", "1e300,1e300", "--mesh", "24"],
+         "beta = [1e+300, 1e+300]: the background density"),
+        (["--beta", "600,600", "--mesh", "64"],
+         "beta = [600.0, 600.0]: the background density"),
     ], ids=["point-count", "odd-mesh", "tiny-mesh", "nan-beta", "nan-point",
             "near-coincident", "nonpositive-chi", "disk-off-centre",
             "disk-two-points", "mesh-cap-2d", "mesh-cap-football",
-            "mesh-cap-disk"])
+            "mesh-cap-disk", "huge-beta", "overflowing-beta"])
     def test_invalid_input_is_config_error(self, capsys, argv, message):
-        code, _, err = run(capsys, self.FOOTBALL + argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, self.FOOTBALL + argv)
         assert code == 2
         assert message in err
+        assert len(err.splitlines()) == 1
 
     def test_eigensolver_failure_is_solver_error(self, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -238,7 +263,10 @@ class TestSolve:
         assert "solver failure" in err and "forced" in err
         assert "Traceback" not in err
 
-    def test_axisym_flag_requires_football(self, capsys):
+    def test_axisym_flag_requires_football(self, capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("--axisym was checked after the solve")
+        monkeypatch.setattr(liouville, "_solve_sphere2d", no_solve)
         code, _, _ = run(capsys, ["solve", "--points",
                                   "1.5707963267948966,0;"
                                   "1.5707963267948966,2.0943951023931953;"
@@ -283,6 +311,21 @@ def solve_argv(draw):
             "--mesh", str(mesh)]
 
 
+def ends_cleanly(argv):
+    """Run the CLI on argv: exit 0, 2, 3 or 4, no traceback, under 30 s."""
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:      # argparse
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert time.perf_counter() - start < 30.0
+
+
 class TestSolveFuzz:
     # inputs that run a whole solve, which few drawn inputs do
     @example(["solve", "--points=0,0;3.141592653589793,0", "--beta=3.5,3.5",
@@ -294,17 +337,49 @@ class TestSolveFuzz:
     @given(solve_argv())
     @settings(derandomize=True, deadline=None, max_examples=40)
     def test_every_input_ends_cleanly(self, argv):
-        err = io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:      # argparse
-                code = exc.code
-        assert code in (0, 2, 3, 4), (argv, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        assert time.perf_counter() - start < 30.0
+        ends_cleanly(argv)
+
+
+FUZZ_WEIGHT = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0,
+                               1e300]) | st.floats(-3.0, 3.0)
+FUZZ_COEFF = st.sampled_from([0j, 1e200 + 0j, complex(math.nan, 0.0)]) \
+    | st.complex_numbers(max_magnitude=1.0)
+
+
+@st.composite
+def split_argv(draw):
+    """`split` arguments for 1-8 points; some weight vectors get a zero
+    subset sum, and some are scaled to sum J, so that the homotopy runs."""
+    J = draw(st.integers(1, 8))
+    weights = draw(st.lists(FUZZ_WEIGHT, min_size=J, max_size=J))
+    if J >= 2 and draw(st.integers(0, 3)) == 0:
+        weights[1] = -weights[0]
+    total = sum(weights)
+    if draw(st.integers(0, 3)) > 0 and math.isfinite(total) and total != 0.0:
+        weights = [w * J / total for w in weights]
+    coeffs = draw(st.lists(FUZZ_COEFF, min_size=J, max_size=J))
+    argv = ["split", "--weights=" + ",".join(repr(w) for w in weights),
+            "--coeffs=" + ",".join(repr(c) for c in coeffs),
+            "--ray-samples", str(draw(st.sampled_from([-1, 0, 1, 8,
+                                                       10001])))]
+    branch = draw(st.sampled_from([None, -1, 0, 1, 10 ** 6]))
+    return argv if branch is None else argv + ["--branch", str(branch)]
+
+
+class TestSplitFuzz:
+    # inputs that run the homotopy, which few drawn inputs do: J = 7 with a
+    # ray expansion, a weight path through zero, and R_2 = -2e200
+    @example(["split", "--weights=0.6,0.8,1.2,1.4,0.9,1.1,1.0",
+              "--coeffs=0.1,0.05j,0.02,0.01,-0.004,0.002j,0.001",
+              "--ray-samples", "8", "--branch", "1"])
+    @example(["split", "--weights=3.0,-1.0", "--coeffs=0.1,0.04",
+              "--ray-samples", "8"])
+    @example(["split", "--weights=0.5,1.5", "--coeffs=0j,(1e+200+0j)",
+              "--ray-samples", "8"])
+    @given(split_argv())
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    def test_every_input_ends_cleanly(self, argv):
+        ends_cleanly(argv)
 
 
 class TestPairRoundtrip:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conemetric import factorization
 from conemetric.factorization import (CoeffVector, RootConfiguration,
                                       WeightVector, blowup_chart_J2,
                                       cluster_tree, expansion_coeffs,
@@ -189,6 +190,60 @@ class TestExpansion:
                 for br in inverse_map(A, b))
             # truncation error of the degree-J expansion is O(rho^{J+1})
             assert best < 50.0 * rho ** 4
+
+    def test_unequal_weights_truncation_order(self):
+        theta = 0.7
+        Atilde = (0.3 - 0.2j, 0.1 + 0.25j, -0.15j)
+        b = WeightVector((0.7, 1.1, 0.9, 1.3))
+        data = expansion_coeffs(theta, Atilde, b, branch=5)
+        errs = []
+        for rho in (0.04, 0.02):
+            A = CoeffVector(tuple(
+                [a * rho ** 4 for a in Atilde]
+                + [cmath.exp(1j * theta) * rho ** 4]))
+            z_pred = data.evaluate(rho)
+            errs.append(min(
+                max(abs(x - y) for x, y in zip(br.z, z_pred))
+                for br in inverse_map(A, b)))
+        # O(rho^{J+1}) = O(rho^5) truncation error
+        assert math.log2(errs[0] / errs[1]) >= 4.5
+
+    def test_branch_matches_inverse_map_row(self):
+        for J in range(1, 7):
+            rng = np.random.default_rng(J)
+            b = random_weights(rng, J)
+            theta = float(rng.uniform(0.0, 2.0 * math.pi))
+            lead = CoeffVector(tuple([0.0] * (J - 1)
+                                     + [cmath.exp(1j * theta)]))
+            branches = inverse_map(lead, b)
+            ids = range(math.factorial(J)) if J <= 4 else \
+                rng.choice(math.factorial(J), 20, replace=False)
+            for i in ids:
+                data = expansion_coeffs(theta, [0.1] * (J - 1), b,
+                                        branch=int(i))
+                assert np.max(np.abs(data.c[:, 0]
+                                     - np.array(branches[i].z))) <= 1e-12
+
+    def test_tracks_one_path(self, monkeypatch):
+        stacks = []
+        newton = factorization._newton_correct
+
+        def recorder(z, *args, **kwargs):
+            stacks.append(z.shape[0])
+            return newton(z, *args, **kwargs)
+        monkeypatch.setattr(factorization, "_newton_correct", recorder)
+        b = random_weights(np.random.default_rng(2), 5)
+        expansion_coeffs(0.3, (0.1, -0.2j, 0.05, 0.1 + 0.1j), b, branch=77)
+        assert stacks and set(stacks) == {1}
+
+    @pytest.mark.parametrize("branch", [-1, 6])
+    def test_branch_out_of_range(self, monkeypatch, branch):
+        def no_tracking(*args):
+            raise AssertionError("tracked before the branch check")
+        monkeypatch.setattr(factorization, "_track", no_tracking)
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            expansion_coeffs(0.3, (0.1, 0.2), WeightVector((0.8, 1.2, 1.0)),
+                             branch=branch)
 
 
 class TestMultiplicativeError:
