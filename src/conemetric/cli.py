@@ -49,6 +49,8 @@ EXIT_VERIFY = 4
 
 #: most radii `split --ray-samples` may ask for
 MAX_RAY_SAMPLES = 10_000
+#: most samples `spectrum --flow start:stop:count` may ask for
+MAX_FLOW_SAMPLES = 10_000
 
 
 class ConfigError(ValueError):
@@ -105,12 +107,14 @@ def _emit(report, output):
 
 
 def _emit_csv(header, rows, output, comments=()):
+    """One line per row; floats as %.17g (nan and inf unquoted), other
+    values by str.  The types of the first row fix each column's format."""
+    rows = [tuple(row) for row in rows]
+    fmt = ",".join("%.17g" if isinstance(v, float) else "%s"
+                   for v in rows[0]) if rows else ""
     lines = ["# " + c for c in comments]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(
-            _fmt_float(v).strip('"') if isinstance(v, float) else str(v)
-            for v in row))
+    lines.extend(fmt % row for row in rows)
     _write("\n".join(lines) + "\n", output)
 
 
@@ -211,11 +215,14 @@ def cmd_split(args):
     try:
         b = WeightVector(tuple(weights))
         A = CoeffVector(tuple(coeffs))
+        Atilde = A.Atilde if args.ray_samples else None
     except ValueError as exc:
         raise ConfigError(str(exc))
+    # inverse_map returns one branch per ordering of the J split points
+    if args.branch is not None \
+            and not 0 <= args.branch < math.factorial(b.J):
+        raise ConfigError(f"branch must lie in [0, {math.factorial(b.J)})")
     branches = inverse_map(A, b)
-    if args.branch is not None and not 0 <= args.branch < len(branches):
-        raise ConfigError(f"branch must lie in [0, {len(branches)})")
     out_branches = []
     for br in branches:
         if args.branch is not None and br.branch_id != args.branch:
@@ -234,7 +241,7 @@ def cmd_split(args):
         "branches": out_branches,
     }
     if args.ray_samples:
-        data = expansion_coeffs(A.theta, A.Atilde[:b.J - 1], b,
+        data = expansion_coeffs(A.theta, Atilde[:b.J - 1], b,
                                 branch=args.branch or 0)
         rhos = np.linspace(A.rho / args.ray_samples, A.rho, args.ray_samples)
         report["expansion"] = {
@@ -265,6 +272,9 @@ def cmd_spectrum(args):
             raise ConfigError("--flow expects start:stop:count")
         if n < 2 or a <= 0 or bnd <= 0:
             raise ConfigError("flow path needs two positive endpoints")
+        if n > MAX_FLOW_SAMPLES:
+            raise ConfigError(f"--flow asks for {n} samples; the limit is "
+                              f"{MAX_FLOW_SAMPLES}")
         path = list(np.linspace(a, bnd, n))
         flow = eigenvalue_flow(path)
         comments = [f"spectral flow {a}:{bnd}:{n}, version {__version__}"]
@@ -398,22 +408,26 @@ def cmd_pair(args):
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read diagnostics {args.diagnostics!r}: "
                           f"{exc}")
+    if not isinstance(diag, dict):
+        raise ConfigError(f"diagnostics {args.diagnostics!r} must hold a "
+                          "JSON object, as solve writes")
     raw_rows = diag.get("eigen_coeffs")
     betas = diag.get("beta")
     if not betas:
         raise ConfigError("diagnostics carry no cone angles")
     if raw_rows is None:
         raise ConfigError("diagnostics carry no eigenfunction coefficients")
-    rows = []
-    for raw in raw_rows:
-        row = []
-        for e in raw:
-            row.append(EigenCoeffs(
-                beta=float(e["beta"]), constant=float(e["constant"]),
-                modes=tuple((int(m), float(a), float(b))
-                            for m, a, b in e["modes"]),
-                residual=float(e["residual"]), reliable=bool(e["reliable"])))
-        rows.append(row)
+    try:
+        betas = [float(b) for b in betas]
+        rows = [[EigenCoeffs(
+            beta=float(e["beta"]), constant=float(e["constant"]),
+            modes=tuple((int(m), float(a), float(b))
+                        for m, a, b in e["modes"]),
+            residual=float(e["residual"]), reliable=bool(e["reliable"]))
+            for e in raw] for raw in raw_rows]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed diagnostics {args.diagnostics!r}: "
+                          f"{exc!r}")
 
     dir_groups = [_parse_complexes(chunk)
                   for chunk in args.direction.split(";") if chunk.strip()]

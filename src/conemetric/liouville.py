@@ -16,6 +16,13 @@ exactly when 2 lies in the spectrum of the current conic Laplacian;
 footballs are solved on a half interval with the equatorial symmetry,
 which removes the translation mode, and the general projected solve treats
 the eigenvalue-2 directions with a bordered system.
+
+A football step factors its tridiagonal Jacobian directly.  A 2-D step
+runs GMRES on the bordered system, preconditioned by the Jacobian with the
+density averaged in longitude: an FFT in longitude splits that operator
+into one latitude tridiagonal per Fourier mode (the separable structure of
+FISHPACK-style sphere solvers).  An iteration costs O(N log n) on the
+N = 2 n^2 cells, where sparse LU grows like n^3.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh, spsolve
+from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.sparse.linalg import LinearOperator, eigsh, gmres, spsolve
 
 from .angles import AngleVector, conic_euler_char, subcritical_check, troyanov_check
 from .spectrum import FluxForm
@@ -47,6 +55,12 @@ MAX_NEWTON = 60
 #: most grid cells a solve may ask for (n for footballs and disks, 2 n^2
 #: for 2-D solves), so that every request ends in bounded time and memory
 MAX_CELLS = 200_000
+#: GMRES of a 2-D Newton step: relative residual, restart length and most
+#: restart cycles.  A step cut off by the cap is judged, like any other, by
+#: the merit of damped_newton.
+KRYLOV_RTOL = 1e-12
+KRYLOV_RESTART = 40
+KRYLOV_CYCLES = 3
 
 
 class SolverError(RuntimeError):
@@ -96,15 +110,20 @@ def damped_newton(residual, step, x0, tol, floor=0.0):
     raise SolverError("Newton did not converge", residual=np.max(np.abs(F)))
 
 
+def _border(x0, Z, rows, corner, rhs):
+    """The solution of [[J, cols], [rows, corner]] x = rhs from x0 = J^-1
+    rhs[:n] and Z = J^-1 cols, by the k x k Schur complement in the k
+    border unknowns."""
+    y = np.linalg.solve(corner - rows @ Z, rhs[len(x0):] - rows @ x0)
+    return np.concatenate([x0 - Z @ y, y])
+
+
 def _bordered_solve(J, cols, rows, corner, rhs):
     """Solve [[J, cols], [rows, corner]] x = rhs for sparse J and k border
-    unknowns: one factorization of J serves k + 1 right-hand sides, and the
-    border comes from the k x k Schur complement."""
+    unknowns: one factorization of J serves k + 1 right-hand sides."""
     n = J.shape[0]
     X = spsolve(J, np.column_stack([rhs[:n], cols])).reshape(n, -1)
-    x0, Z = X[:, 0], X[:, 1:]
-    y = np.linalg.solve(corner - rows @ Z, rhs[n:] - rows @ x0)
-    return np.concatenate([x0 - Z @ y, y])
+    return _border(X[:, 0], X[:, 1:], rows, corner, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +350,7 @@ class ObstructionBundleFiber:
 # ---------------------------------------------------------------------------
 # closed-sphere solve: one Newton on w and the cone coefficients
 
-def _solve_closed(problem, K, W, dists, pair_dists, P):
+def _solve_closed(problem, K, W, dists, pair_dists, P, solve):
     """One damped Newton for x = (w, A_j for beta_j < 1); returns (w shaped
     like the distance fields, all A_j with 0 for beta_j >= 1, sup|F|).
 
@@ -343,7 +362,9 @@ def _solve_closed(problem, K, W, dists, pair_dists, P):
 
     A_j is the limit of the density over m_j^{2 beta_j - 2} at p_j, and
     e_reg,j the other points' background density there.  s is linear in
-    A, so a step factors K - 2 W rho once for a Schur complement in A.
+    A, so the Jacobian is J = K - 2 W rho bordered by the A_j, and a step
+    is one ``solve(J, cols, rows, corner, rhs)`` of that bordered system:
+    ``_bordered_solve`` for footballs, ``_lon_fft_solver`` for 2-D solves.
     """
     betas = problem.beta.beta
     idx = [j for j, b in enumerate(betas) if b < 1.0]
@@ -382,11 +403,11 @@ def _solve_closed(problem, K, W, dists, pair_dists, P):
 
     def step(x, F):
         rho, g = fields(x)
-        return _bordered_solve(K - sparse.diags(2.0 * W * rho),
-                               -(W * (lap + 2.0 * rho * sig)).T,
-                               sparse.diags(-2.0 * g) @ P,
-                               np.eye(k) - 2.0 * g[:, None] * at_pts,
-                               np.concatenate([W * F[:N], -F[N:]]))
+        return solve(K - sparse.diags(2.0 * W * rho),
+                     -(W * (lap + 2.0 * rho * sig)).T,
+                     sparse.diags(-2.0 * g) @ P,
+                     np.eye(k) - 2.0 * g[:, None] * at_pts,
+                     np.concatenate([W * F[:N], -F[N:]]))
 
     # constant w balancing the mean of the equation, and the A_j rule at it
     w0 = 0.5 * math.log(max((1.0 - c_v) * np.sum(W) / np.sum(E * W), 1e-6))
@@ -427,7 +448,8 @@ def _solve_football(problem, n):
     P = np.zeros((2, n // 2))
     P[:, :2] = (9.0 / 8.0, -1.0 / 8.0)
     w, A, resid = _solve_closed(problem, form.matrix(), form.weight, dists,
-                                ((0.0, math.pi), (math.pi, 0.0)), P)
+                                ((0.0, math.pi), (math.pi, 0.0)), P,
+                                _bordered_solve)
     return DiscreteConicMetric(
         problem=problem, kind="football", n=n, w=w, sing_coeffs=A,
         residual=resid, mesh={"phi": phi, "dists": dists,
@@ -471,6 +493,70 @@ def _assemble_laplacian(n_lat):
     return A.tocsc(), M
 
 
+def _lon_fft_solver(n_lat):
+    """The bordered Newton step of the n x 2n grid, ``solve(J, cols, rows,
+    corner, rhs)``, by GMRES on the whole (N + k) system.
+
+    The preconditioner is the same bordered system with J = A - 2 diag(M
+    rho) replaced by P = A - 2 diag(M rhobar), rhobar(phi) the longitude
+    mean of the density; P is J with its diagonal averaged over each
+    latitude row.  P is circulant in longitude like A, so an rfft in
+    longitude splits it into n + 1 real symmetric latitude tridiagonals,
+    one per Fourier mode m,
+
+        h^2 K + diag((2 - 2 cos(pi m / n)) / sin phi - 2 M rhobar),
+
+    which are stacked mode-major and factored once per step.  The border
+    goes through ``_border`` with P^-1 cols, also computed once per step.
+    Both the rfft and the row mean commute with rotations in longitude, so
+    the iterates keep the symmetries of the grid.
+    """
+    n_lon = 2 * n_lat
+    form = FluxForm(n_lat, 1)
+    off = -form.h ** 2 * form.face[1:-1]
+    # the tridiagonals side by side, with no coupling between modes
+    sub = np.tile(np.append(off, 0.0), n_lat + 1)[:-1]
+    # C contributes 2 - 2 cos(pi m / n) on mode m; the row mean of J's
+    # diagonal already holds the 2
+    shift = (-2.0 * np.cos(np.pi * np.arange(n_lat + 1) / n_lat)[:, None]
+             / form.weight).ravel()
+
+    def solve(J, cols, rows, corner, rhs):
+        N, k = cols.shape
+        mean = J.diagonal().reshape(n_lat, n_lon).mean(axis=1)
+        *lu, info = dgttrf(sub, np.tile(mean, n_lat + 1) + shift, sub)
+        if info:
+            raise SolverError("the longitude-mean Jacobian is singular")
+
+        def precond(B):
+            """P^-1 B for an N x c block B."""
+            c = B.shape[1]
+            F = np.fft.rfft(B.reshape(n_lat, n_lon, c), axis=1)
+            F = F.transpose(1, 0, 2).reshape(-1, c)
+            X, _ = dgttrs(*lu, np.hstack([F.real, F.imag]))
+            F = (X[:, :c] + 1j * X[:, c:]).reshape(n_lat + 1, n_lat, c)
+            return np.fft.irfft(F.transpose(1, 0, 2), n_lon,
+                                axis=1).reshape(N, c)
+
+        def bordered(x):
+            return np.concatenate([J @ x[:N] + cols @ x[N:],
+                                   rows @ x[:N] + corner @ x[N:]])
+
+        Z = precond(cols)
+
+        def preconditioned(r):
+            return _border(precond(r[:N, None])[:, 0], Z, rows, corner, r)
+
+        shape = (N + k, N + k)
+        x, _ = gmres(LinearOperator(shape, bordered, dtype=float), rhs,
+                     rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART,
+                     maxiter=KRYLOV_CYCLES,
+                     M=LinearOperator(shape, preconditioned, dtype=float))
+        return x
+
+    return solve
+
+
 def _interp_matrix(phi, theta, x):
     """Bilinear interpolation of cell-centred samples at the points x
     (shape (..., 3)), as a sparse matrix acting on the flattened grid."""
@@ -505,10 +591,19 @@ def _solve_sphere2d(problem, n_lat):
             f"closer than 2h = 2 pi / n = {2.0 * math.pi / n_lat:.3g}; "
             "refine the mesh")
     phi, theta, xyz = _grid2d(n_lat)
-    A, M = _assemble_laplacian(n_lat)
     dists = [_distance(xyz, p) for p in pts]
+    for j, d in enumerate(dists):
+        cell = np.unravel_index(np.argmin(d), d.shape)
+        if d[cell] == 0.0:
+            colat, lon = map(float, problem.points[j])
+            raise ValueError(
+                f"cone point {j} at ({colat!r}, {lon!r}) lies on the centre "
+                f"of cell {tuple(map(int, cell))} of the n = {n_lat} grid, "
+                "where its density is infinite; move it or change the mesh")
+    A, M = _assemble_laplacian(n_lat)
     w, coeffs, resid = _solve_closed(problem, A, M, dists, pair_dists,
-                                     _interp_matrix(phi, theta, pts))
+                                     _interp_matrix(phi, theta, pts),
+                                     _lon_fft_solver(n_lat))
     return DiscreteConicMetric(
         problem=problem, kind="sphere2d", n=n_lat, w=w, sing_coeffs=coeffs,
         residual=resid, mesh={"phi": phi, "theta": theta, "A": A, "M": M,

@@ -13,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from conemetric import liouville
-from conemetric.cli import MAX_RAY_SAMPLES, canonical_json, main
+from conemetric import cli, liouville
+from conemetric.cli import (MAX_FLOW_SAMPLES, MAX_RAY_SAMPLES, canonical_json,
+                            main)
 from conemetric.factorization import MAX_J
 
 
@@ -134,6 +135,22 @@ class TestSplit:
         assert message in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--branch", "1000000"], "branch must lie in [0, 6)"),
+        (["--branch", "-1"], "branch must lie in [0, 6)"),
+        (["--coeffs", "0.1,0.04,0", "--ray-samples", "4"], "A_J = 0"),
+    ], ids=["branch-too-large", "negative-branch", "zero-last-coeff"])
+    def test_parsed_input_checked_before_homotopy(self, capsys, monkeypatch,
+                                                  argv, message):
+        def no_homotopy(*args):
+            raise AssertionError("input was checked after inverse_map")
+        monkeypatch.setattr(cli, "inverse_map", no_homotopy)
+        code, _, err = run(capsys, ["split", "--weights", "0.8,1.2,1.0",
+                                    "--coeffs", "0.1+0.05j,0.04,0.01"]
+                           + argv)
+        assert code == 2
+        assert message in err
+
     def test_split_point_count_capped(self, capsys):
         J = MAX_J + 1
         code, _, err = run(capsys, ["split", "--weights", ",".join(["1"] * J),
@@ -163,6 +180,13 @@ class TestSpectrum:
 
     def test_bad_flow_spec(self, capsys):
         assert run(capsys, ["spectrum", "--flow", "1.5:3.5"])[0] == 2
+
+    def test_flow_count_capped(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["spectrum", "--flow", "1:3:100000000"])
+        assert code == 2
+        assert f"the limit is {MAX_FLOW_SAMPLES}" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_nan_beta_rejected(self, capsys):
         assert run(capsys, ["spectrum", "--beta", "nan"])[0] == 2
@@ -237,6 +261,13 @@ class TestSolve:
         (["--mesh", "200002"], "MAX_CELLS = 200000"),
         (["--background", "disk", "--points", "0", "--beta", "0.7",
           "--curvature", "0", "--mesh", "200001"], "MAX_CELLS = 200000"),
+        # the first point sits on the centre of cell (23, 0)
+        (["--points", "1.5380714033200027,0.032724923474893676;"
+          "1.5707963267948966,2.0943951023931953;"
+          "1.5707963267948966,4.1887902047863905",
+          "--beta", "0.6,0.6,0.6", "--mesh", "48"],
+         "cone point 0 at (1.5380714033200027, 0.032724923474893676) lies "
+         "on the centre of cell (23, 0)"),
         # e^{2v} = (2 sin(phi/2))^{2 (beta - 1)} overflows on the grid
         (["--beta", "1e300,1e300", "--mesh", "24"],
          "beta = [1e+300, 1e+300]: the background density"),
@@ -245,7 +276,8 @@ class TestSolve:
     ], ids=["point-count", "odd-mesh", "tiny-mesh", "nan-beta", "nan-point",
             "near-coincident", "nonpositive-chi", "disk-off-centre",
             "disk-two-points", "mesh-cap-2d", "mesh-cap-football",
-            "mesh-cap-disk", "huge-beta", "overflowing-beta"])
+            "mesh-cap-disk", "point-on-cell-centre", "huge-beta",
+            "overflowing-beta"])
     def test_invalid_input_is_config_error(self, capsys, argv, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -429,6 +461,21 @@ class TestPairRoundtrip:
     def test_missing_diagnostics(self, capsys):
         assert run(capsys, ["pair", "--diagnostics", "/nonexistent.json",
                             "--direction", "0.1;0.1"])[0] == 2
+
+    @pytest.mark.parametrize("payload,message", [
+        ([1, 2], "must hold a JSON object"),
+        ({"beta": [1.5, 1.5], "eigen_coeffs": [[1]]}, "malformed"),
+        ({"beta": [1.5, 1.5], "eigen_coeffs": [[{"beta": 1.5}]]},
+         "malformed"),
+        ({"beta": 3, "eigen_coeffs": []}, "malformed"),
+    ], ids=["list", "row-not-object", "row-missing-keys", "beta-not-list"])
+    def test_malformed_diagnostics(self, tmp_path, capsys, payload, message):
+        code, _, err = run(capsys, ["pair", "--diagnostics",
+                                    write_config(tmp_path, payload),
+                                    "--direction", "0.1;0.1"])
+        assert code == 2
+        assert message in err
+        assert len(err.splitlines()) == 1
 
 
 class TestImports:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, gmres
 
 from conemetric import liouville
 from conemetric.liouville import (ConicProblem, SolverError,
@@ -12,12 +12,16 @@ from conemetric.liouville import (ConicProblem, SolverError,
                                   solve_liouville, spectrum_near_two,
                                   sphere_point, _assemble_laplacian,
                                   _axisym_laplacian, _background_density,
-                                  _bordered_solve, _distance, _pencils)
+                                  _bordered_solve, _distance,
+                                  _lon_fft_solver, _pencils)
 from conemetric.spectrum import FluxForm, football_eigenvalues
 
 ANTIPODAL = ((0.0, 0.0), (math.pi, 0.0))
 EQUATOR3 = ((math.pi / 2, 0.0), (math.pi / 2, 2 * math.pi / 3),
             (math.pi / 2, 4 * math.pi / 3))
+TETRAHEDRON = tuple((math.acos(z / math.sqrt(3.0)), math.atan2(y, x))
+                    for x, y, z in ((1, 1, 1), (1, -1, -1), (-1, 1, -1),
+                                    (-1, -1, 1)))
 
 
 def football_problem(beta):
@@ -195,6 +199,68 @@ class TestBorderedSolve:
         got = _bordered_solve(J, cols, rows, corner, rhs)
         assert got.shape == (n + k,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def newton_systems(monkeypatch, points, beta, n):
+    """The bordered systems (J, cols, rows, corner, rhs) of every Newton
+    step of a 2-D solve, stepped by the direct solve."""
+    systems = []
+
+    def direct(*system):
+        systems.append(system)
+        return _bordered_solve(*system)
+
+    monkeypatch.setattr(liouville, "_lon_fft_solver", lambda n_lat: direct)
+    solve_liouville(ConicProblem("sphere", points=points, beta=beta),
+                    {"n": n})
+    return systems
+
+
+class TestKrylovStep:
+    @pytest.mark.parametrize("points,beta,n", [
+        (EQUATOR3, (0.6, 0.7, 0.8), 48), (TETRAHEDRON, (0.8,) * 4, 24)],
+        ids=["k3", "k4"])
+    def test_matches_direct_step(self, monkeypatch, points, beta, n):
+        systems = newton_systems(monkeypatch, points, beta, n)
+        assert len(systems) >= 3
+        krylov = _lon_fft_solver(n)
+        for system in systems:
+            want = _bordered_solve(*system)
+            got = krylov(*system)
+            assert np.max(np.abs(got - want)) \
+                <= 1e-10 * np.max(np.abs(want))
+
+    def test_2d_solve_makes_no_sparse_lu(self, monkeypatch):
+        def no_lu(*args):
+            raise AssertionError("a 2-D Newton step called spsolve")
+        monkeypatch.setattr(liouville, "spsolve", no_lu)
+        prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
+        assert solve_liouville(prob, {"n": 24}).residual < 1e-9
+
+    def test_exact_for_longitude_constant_density(self, monkeypatch):
+        # the preconditioner is J itself, bordered the same way
+        n, k = 24, 3
+        A, M = _assemble_laplacian(n)
+        phi = (np.arange(n) + 0.5) * (math.pi / n)
+        J = A - sparse.diags(2.0 * M * np.repeat(0.3 + 0.2 * np.cos(phi) ** 2,
+                                                 2 * n))
+        rng = np.random.default_rng(0)
+        N = J.shape[0]
+        cols = rng.standard_normal((N, k))
+        rows = rng.standard_normal((k, N))
+        corner = rng.standard_normal((k, k)) + 3.0 * np.eye(k)
+        rhs = rng.standard_normal(N + k)
+        residuals = []
+
+        def counted(*args, **kwargs):
+            return gmres(*args, callback=residuals.append,
+                         callback_type="pr_norm", **kwargs)
+
+        monkeypatch.setattr(liouville, "gmres", counted)
+        got = _lon_fft_solver(n)(J, cols, rows, corner, rhs)
+        want = _bordered_solve(J, cols, rows, corner, rhs)
+        assert 1 <= len(residuals) <= 2
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestDiskSolve:
