@@ -9,13 +9,13 @@ Modules:
   positions and polynomial coefficients, its inverse branches, ray
   expansions, and the two-point blowup chart.
 - ``spectrum``: closed-form and numeric spectra of conic Laplacians on
-  footballs and doubled triangles, and the spectral-flow crossing report.
+  footballs, and the spectral-flow crossing report.
 - ``liouville``: constant-curvature Liouville solvers on the disk, the
   football, and the sphere, the spectrum of Delta_g near 2, the eigenvalue-2
   obstruction fiber, projected solves, and indicial-expansion fits.
 - ``pairing``: the obstruction pairing between eigenfunctions at 2 and
   splitting directions, its kernel, case classification, and the
-  flatness/vanishing certificates.
+  vanishing certificate of the splitting factor's rho-derivatives.
 - ``cli``: the ``conemetric`` command-line front-end.
 - ``acceptance``: the end-to-end verification suite behind
   ``conemetric verify``.

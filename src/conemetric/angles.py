@@ -37,10 +37,9 @@ __all__ = [
     "subcritical_check",
     "coaxial_check",
     "splitting_spec",
-    "equal_angle_split",
 ]
 
-#: tolerance used when deciding whether a floating-point angle is an integer
+#: tolerance for angle comparisons: integer angles and the splitting checks
 INT_TOL = 1e-9
 
 
@@ -82,12 +81,6 @@ class SplitSpec:
     B: tuple            # grouped by cluster, in descending-sorted angle order
     weights: tuple      # per cluster, same grouping as B
     order: tuple        # sorted position -> original index
-
-    def cluster(self, j):
-        """Return (B_slice, weight_slice) for sorted cluster index j."""
-        lo = sum(self.cluster_sizes[:j])
-        hi = lo + self.cluster_sizes[j]
-        return self.B[lo:hi], self.weights[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -148,10 +141,6 @@ def troyanov_check(av: AngleVector) -> bool:
     return all((b - 1.0) > total - (b - 1.0) for b in beta)
 
 
-def _round_int(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def mp_distance(av: AngleVector) -> float:
     """Exact l^1 distance from beta - 1 to the odd-sum integer lattice.
 
@@ -161,7 +150,7 @@ def mp_distance(av: AngleVector) -> float:
     if av.genus != 0:
         raise ValueError("mp_distance is defined for genus 0")
     x = [b - 1.0 for b in av.beta]
-    n = [_round_int(xi) for xi in x]
+    n = [math.floor(xi + 0.5) for xi in x]
     frac = [abs(xi - ni) for xi, ni in zip(x, n)]
     base = sum(frac)
     if sum(n) % 2 != 0:
@@ -170,14 +159,12 @@ def mp_distance(av: AngleVector) -> float:
     return base + min(1.0 - 2.0 * f for f in frac)
 
 
-def mp_membership(av: AngleVector, tol: float = 1e-12) -> str:
+def mp_membership(av: AngleVector) -> str:
     """Classify against the distance-1 region: interior/boundary/outside."""
     d = mp_distance(av) - 1.0
-    if d > tol:
-        return "interior"
-    if d < -tol:
-        return "outside"
-    return "boundary"
+    if abs(d) <= 1e-12:
+        return "boundary"
+    return "interior" if d > 0 else "outside"
 
 
 def subcritical_check(av: AngleVector) -> bool:
@@ -185,15 +172,15 @@ def subcritical_check(av: AngleVector) -> bool:
     return conic_euler_char(av) < min(2.0, 2.0 * min(av.beta))
 
 
-def _as_fraction(x: float, max_den: int = 1000):
+def _as_fraction(x: float):
     """Rational recognition of a float, or None.
 
-    Only denominators up to ``max_den`` are recognized; keeping the bound
+    Only denominators up to 1000 are recognized; keeping the bound
     small ensures floats produced from irrational angles stay unrecognized
     (continued-fraction convergents with huge denominators approximate any
     float to within the tolerance).
     """
-    fr = Fraction(x).limit_denominator(max_den)
+    fr = Fraction(x).limit_denominator(1000)
     if abs(float(fr) - x) <= INT_TOL:
         return fr
     return None
@@ -204,19 +191,12 @@ def _coprime_rescaling(values):
 
     Returns (eta, b) or None when some entry is not recognizably rational.
     """
-    fracs = []
-    for v in values:
-        fr = _as_fraction(v)
-        if fr is None:
-            return None
-        fracs.append(fr)
-    lcm = 1
-    for fr in fracs:
-        lcm = lcm * fr.denominator // math.gcd(lcm, fr.denominator)
+    fracs = [_as_fraction(v) for v in values]
+    if None in fracs:
+        return None
+    lcm = math.lcm(*(fr.denominator for fr in fracs))
     ints = [int(fr * lcm) for fr in fracs]
-    g = 0
-    for m in ints:
-        g = math.gcd(g, m)
+    g = math.gcd(*ints)
     b = tuple(m // g for m in ints)
     return Fraction(g, lcm), b
 
@@ -293,7 +273,7 @@ def _int_part(b: float) -> int:
     return f
 
 
-def splitting_spec(av: AngleVector, B, tol: float = 1e-9) -> SplitSpec:
+def splitting_spec(av: AngleVector, B) -> SplitSpec:
     """Validate splitting data and compute the per-cluster weights.
 
     ``B`` is the flat list of K target angle parameters grouped by cluster
@@ -320,25 +300,25 @@ def splitting_spec(av: AngleVector, B, tol: float = 1e-9) -> SplitSpec:
         cluster = B[pos:pos + Nj]
         pos += Nj
         if Nj == 1:
-            if abs(cluster[0] - bj) > tol:
+            if abs(cluster[0] - bj) > INT_TOL:
                 raise AdmissibilityError(
                     f"unsplit cluster {j} must keep its angle {bj}, "
                     f"got {cluster[0]}")
             weights.append(float(_int_part(bj)))
             continue
         excess = [x - 1.0 for x in cluster]
-        if abs(sum(excess) - (bj - 1.0)) > tol:
+        if abs(sum(excess) - (bj - 1.0)) > INT_TOL:
             raise AdmissibilityError(
                 f"cluster {j}: sum of (B_i - 1) = {sum(excess)} does not "
                 f"match beta_j - 1 = {bj - 1}")
         for i, x in enumerate(cluster):
-            if abs(x - 1.0) <= tol:
+            if abs(x - 1.0) <= INT_TOL:
                 raise AdmissibilityError(
                     f"cluster {j}: B_{i} = 1 (angle 2*pi) is forbidden in a "
                     "split cluster")
         for r in range(1, Nj):
             for I in itertools.combinations(range(Nj), r):
-                if abs(sum(excess[i] for i in I)) <= tol:
+                if abs(sum(excess[i] for i in I)) <= INT_TOL:
                     raise AdmissibilityError(
                         f"cluster {j}: subcluster {I} merges to angle 2*pi "
                         "(excess sums to zero)")
@@ -347,9 +327,3 @@ def splitting_spec(av: AngleVector, B, tol: float = 1e-9) -> SplitSpec:
     return SplitSpec(k0=k0, cluster_sizes=sizes, K=K, B=B,
                      weights=tuple(weights), order=tuple(order))
 
-
-def equal_angle_split(beta0: float, J: int | None = None):
-    """The equal-angle splitting of a single cone point: B_i - 1 = (beta0-1)/J."""
-    if J is None:
-        J = _int_part(beta0)
-    return tuple(1.0 + (beta0 - 1.0) / J for _ in range(J))

@@ -51,6 +51,8 @@ EXIT_VERIFY = 4
 MAX_RAY_SAMPLES = 10_000
 #: most samples `spectrum --flow start:stop:count` may ask for
 MAX_FLOW_SAMPLES = 10_000
+#: most entries of an `angles` config's beta or B list
+MAX_ANGLES = 16
 
 
 class ConfigError(ValueError):
@@ -158,18 +160,38 @@ def _parse_points(text):
 _ANGLES_KEYS = {"genus", "beta", "B"}
 
 
+def _angle_list(cfg, key):
+    """cfg[key] as at most MAX_ANGLES finite floats: the coaxial and
+    subcluster searches take time exponential in the count."""
+    value = cfg[key]
+    # the bound also fails nan, inf and integers beyond the float range
+    if type(value) is list and len(value) <= MAX_ANGLES and all(
+            type(x) in (int, float) and abs(x) <= sys.float_info.max
+            for x in value):
+        return tuple(float(x) for x in value)
+    raise ConfigError(f"{key!r} must be a list of at most {MAX_ANGLES} "
+                      "finite numbers")
+
+
 def cmd_angles(args):
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {args.config!r} must hold a JSON object")
     unknown = set(cfg) - _ANGLES_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     if "beta" not in cfg:
         raise ConfigError("config must provide 'beta'")
-    av = AngleVector(int(cfg.get("genus", 0)), tuple(cfg["beta"]))
+    genus = cfg.get("genus", 0)
+    if type(genus) not in (int, float) or not 0 <= genus < 2 ** 53 \
+            or genus != int(genus):
+        raise ConfigError("'genus' must be a nonnegative integer")
+    av = AngleVector(int(genus), _angle_list(cfg, "beta"))
+    B = _angle_list(cfg, "B") if "B" in cfg else None
     coax = coaxial_check(av)
     report = {
         "meta": _meta(subcommand="angles"),
@@ -191,8 +213,8 @@ def cmd_angles(args):
                                                   coax.eta.denominator],
         },
     }
-    if "B" in cfg:
-        spec = splitting_spec(av, tuple(cfg["B"]))
+    if B is not None:
+        spec = splitting_spec(av, B)
         report["splitting"] = {
             "k0": spec.k0,
             "K": spec.K,
@@ -302,7 +324,7 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
-def _football_eigrows(beta, tol=1e-9):
+def _football_eigrows(beta):
     """Cone-chart coefficient rows of the eigenvalue-2 eigenfunctions.
 
     The (j=0, ell=1) mode is cos(distance) at either pole; integer beta adds
@@ -318,7 +340,7 @@ def _football_eigrows(beta, tol=1e-9):
 
     rows.append(both_poles(lambda r, t: np.cos(np.asarray(r))))
     j = int(round(beta))
-    if abs(beta - j) < tol and j >= 1:
+    if abs(beta - j) < 1e-9 and j >= 1:
         prof = football_eigenfunction(beta, j, 0)
         rows.append(both_poles(lambda r, t: prof(r) * np.cos(j * t)))
         rows.append(both_poles(lambda r, t: prof(r) * np.sin(j * t)))

@@ -12,8 +12,8 @@ implements the forward map (generalized-binomial expansion), the Newton
 power sums, the inverse branches (a weight homotopy from the unit-weight
 root orderings: all J! for the inverse map, one for a ray expansion), the
 Jacobian/discriminant proximity test, the power-series cascade for the
-ray expansion z_i = sum_k c_ik rho^k, the explicit two-point blowup chart,
-and single-linkage cluster radii.
+ray expansion z_i = sum_k c_ik rho^k, and the explicit two-point blowup
+chart.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "RootConfiguration",
     "ExpansionData",
     "BlowupChart",
-    "ClusterNode",
     "ContinuationError",
     "forward_map",
     "power_sums",
@@ -39,7 +38,6 @@ __all__ = [
     "multiplicative_error",
     "expansion_coeffs",
     "blowup_chart_J2",
-    "cluster_tree",
 ]
 
 #: condition number beyond which a configuration is flagged near-discriminant
@@ -170,16 +168,6 @@ class BlowupChart:
     branch: tuple
 
 
-@dataclass(frozen=True)
-class ClusterNode:
-    """Node of the single-linkage merge tree with its clustering radius."""
-
-    members: tuple
-    radius: float
-    merge_height: float
-    children: tuple = ()
-
-
 def _binom_series(exponent, zj, order):
     """Coefficients of (1 - zj*w)^exponent in w, up to the given order."""
     out = np.empty(order + 1, dtype=complex)
@@ -191,11 +179,11 @@ def _binom_series(exponent, zj, order):
     return out
 
 
-def forward_map(Z, b: WeightVector, extra_order: int = 2) -> CoeffVector:
+def forward_map(Z, b: WeightVector) -> CoeffVector:
     """Coefficients of the weighted factorization product.
 
     Expands each (z - z_j)^{b_j} = z^{b_j} (1 - z_j/z)^{b_j} as a series in
-    1/z to degree J + extra_order, multiplies the factors, and keeps the top
+    1/z to degree J, multiplies the factors, and keeps the top
     J + 1 coefficients of the formal product z^J (1 + A_1/z + ...).  For
     unit weights this reproduces the exact monic polynomial coefficients
     (signed elementary symmetric functions of the roots).
@@ -206,12 +194,11 @@ def forward_map(Z, b: WeightVector, extra_order: int = 2) -> CoeffVector:
     J = b.J
     if len(zs) != J:
         raise ValueError("number of points must match number of weights")
-    order = J + extra_order
-    prod = np.zeros(order + 1, dtype=complex)
+    prod = np.zeros(J + 1, dtype=complex)
     prod[0] = 1.0
     for bj, zj in zip(b.b, zs):
-        prod = np.convolve(prod, _binom_series(bj, zj, order))[:order + 1]
-    return CoeffVector(tuple(prod[1:J + 1]))
+        prod = np.convolve(prod, _binom_series(bj, zj, J))[:J + 1]
+    return CoeffVector(tuple(prod[1:]))
 
 
 def power_sums(A) -> tuple:
@@ -265,29 +252,36 @@ def _residual(z, bvec, R):
 
 
 def _newton_correct(z, bvec, R, tol, max_iter=25):
-    """Batched Newton iterations on the weighted power-sum system."""
+    """Batched Newton iterations on the weighted power-sum system; returns
+    z and the sup residual of each configuration, converged if all < tol."""
     for _ in range(max_iter):
         G = _residual(z, bvec, R)
         if np.max(np.abs(G)) < tol:
-            return z, True
+            break
         try:
             dz = np.linalg.solve(_power_jacobian(z, bvec),
                                  G[..., np.newaxis])[..., 0]
         except np.linalg.LinAlgError:
-            return z, False
+            break
         z = z - dz
-    return z, np.max(np.abs(_residual(z, bvec, R))) < tol
+    else:
+        G = _residual(z, bvec, R)
+    return z, np.max(np.abs(G), axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _track(z, b: WeightVector, R):
     """Follow the stacked start configurations z (roots of P(A; .) for unit
     weights) to solutions of sum_j b_j z_j^l = R_l, l = 1..J.
 
     Homotopy continuation along b(s) = (1-s)*1 + s*b with batched Newton
     prediction-correction and adaptive step halving, then a final polish;
-    equal weights skip the homotopy.
+    equal weights skip the homotopy.  Overflow on the way only fails a
+    step.  A stall, or a polish that does not converge, raises
+    ContinuationError naming the stack index of the worst path.
     """
     scale = max(1.0, float(np.max(np.abs(R))))
+    tol = NEWTON_TOL * scale
     if not b.is_equal:
         btarget = np.asarray(b.b)
         bones = np.ones(b.J)
@@ -303,34 +297,39 @@ def _track(z, b: WeightVector, R):
             try:
                 dzds = -np.linalg.solve(Jac, dGds[..., np.newaxis])[..., 0]
                 z_pred = z + step * dzds
-                z_new, ok = _newton_correct(z_pred, bvec, R,
-                                            NEWTON_TOL * scale)
-            except np.linalg.LinAlgError:
-                ok = False
-            if ok:
+                z_new, res = _newton_correct(z_pred, bvec, R, tol)
                 # forbid branch jumps much larger than the predicted motion
                 jump = np.max(np.abs(z_new - z_pred), axis=-1)
                 allowed = 10.0 * (step * np.max(np.abs(dzds), axis=-1) + 1e-9)
-                ok = bool(np.all(jump <= np.maximum(allowed, 1e-6)))
+                allowed = np.maximum(allowed, 1e-6)
+                ok = np.max(res) < tol and np.all(jump <= allowed)
+            except np.linalg.LinAlgError:
+                ok, res = False, None
             if ok:
                 z, s = z_new, s_new
                 ds = min(2.0 * ds, 0.25)
             else:
                 ds *= 0.5
                 if ds < MIN_STEP:
-                    raise ContinuationError(0, s)
+                    # the path that missed by the worse of its two ratios
+                    worst = 0 if res is None else np.argmax(
+                        np.maximum(res / tol, jump / allowed))
+                    raise ContinuationError(int(worst), s)
     # final polish
-    return _newton_correct(z, np.asarray(b.b), R, 1e-13 * scale,
-                           max_iter=50)[0]
+    z, res = _newton_correct(z, np.asarray(b.b), R, 1e-13 * scale,
+                             max_iter=50)
+    if not np.max(res) < 1e-13 * scale:
+        raise ContinuationError(int(np.argmax(res)), 1.0)
+    return z
 
 
-def inverse_map(A, b: WeightVector, flag_threshold: float = COND_THRESHOLD):
+def inverse_map(A, b: WeightVector):
     """All J! inverse branches of the weighted factorization map.
 
     Solves sum_j b_j z_j^l = R_l(A), l = 1..J.  For unit weights the
     branches are the orderings of the roots of P(A; .), in the order of
     itertools.permutations; ``_track`` carries them to general weights.
-    Branches whose Jacobian condition number exceeds ``flag_threshold`` are
+    Branches whose Jacobian condition number exceeds COND_THRESHOLD are
     marked near-discriminant.
     """
     if not isinstance(A, CoeffVector):
@@ -347,16 +346,15 @@ def inverse_map(A, b: WeightVector, flag_threshold: float = COND_THRESHOLD):
 
     _, conds = jacobian(z, b)
     return [RootConfiguration(z=tuple(zi), branch_id=i,
-                              near_discriminant=bool(c > flag_threshold),
+                              near_discriminant=bool(c > COND_THRESHOLD),
                               condition=float(c))
             for i, (zi, c) in enumerate(zip(z, conds))]
 
 
-def multiplicative_error(A, Z, b: WeightVector, samples,
-                         margin: float = 0.0) -> float:
+def multiplicative_error(A, Z, b: WeightVector, samples) -> float:
     """Sup over samples of | log|P(A;z)| - sum_j b_j log|z - z_j| |.
 
-    Samples must lie in the annulus (1 + margin)*max|z_j| < |z| < 1.
+    Samples must lie in the annulus max|z_j| < |z| < 1.
     """
     if not isinstance(A, CoeffVector):
         A = CoeffVector(tuple(A))
@@ -368,10 +366,9 @@ def multiplicative_error(A, Z, b: WeightVector, samples,
     coeffs = np.concatenate(([1.0], np.asarray(A.A)))
     for zq in samples:
         zq = complex(zq)
-        if abs(zq) <= (1.0 + margin) * rmax or abs(zq) >= 1.0:
+        if abs(zq) <= rmax or abs(zq) >= 1.0:
             raise ValueError(
-                f"sample {zq} outside the annulus "
-                f"({(1 + margin) * rmax:.3g}, 1)")
+                f"sample {zq} outside the annulus ({rmax:.3g}, 1)")
         p = np.polyval(coeffs, zq)
         v = float(np.sum(np.asarray(b.b) * np.log(np.abs(zq - zs))))
         worst = max(worst, abs(math.log(abs(p)) - v))
@@ -413,7 +410,10 @@ def expansion_coeffs(theta, Atilde, b: WeightVector, branch: int = 0,
     lead = np.zeros(J + 1, dtype=complex)
     lead[0], lead[J] = 1.0, Afull[-1]
     perm = list(itertools.permutations(range(J)))[branch]
-    c1 = _track(np.roots(lead)[np.array([perm])], b, -J * lead[1:])[0]
+    try:
+        c1 = _track(np.roots(lead)[np.array([perm])], b, -J * lead[1:])[0]
+    except ContinuationError as exc:   # _track sees one path, index 0
+        raise ContinuationError(branch, exc.s) from None
 
     # coincidence makes the Vandermonde cascade singular
     for i in range(J):
@@ -492,34 +492,3 @@ def blowup_chart_J2(A, b: WeightVector, branch: int = 0) -> BlowupChart:
         z0_2_lead=-At1 / 2.0,
         z0=z0, branch=(z1, z2))
 
-
-def cluster_tree(points, K: int | None = None):
-    """Single-linkage merge hierarchy of a point configuration.
-
-    Each internal node records its index set and clustering radius (the
-    diameter of the subcluster).  Returns the root node; leaves are
-    singletons of radius 0.
-    """
-    pts = [complex(p) for p in points]
-    n = len(pts)
-    if K is not None and K != n:
-        raise ValueError(f"expected {K} points, got {n}")
-    if n == 1:
-        return ClusterNode(members=(0,), radius=0.0, merge_height=0.0)
-    # imported here: scipy.cluster and scipy.spatial cost import time on
-    # every command, and no command builds a cluster tree
-    from scipy.cluster.hierarchy import linkage
-    from scipy.spatial.distance import pdist
-    xy = np.array([[p.real, p.imag] for p in pts])
-    Z = linkage(pdist(xy), method="single")
-    nodes = [ClusterNode(members=(i,), radius=0.0, merge_height=0.0)
-             for i in range(n)]
-    for a, bidx, height, _count in Z:
-        left, right = nodes[int(a)], nodes[int(bidx)]
-        members = tuple(sorted(left.members + right.members))
-        diam = max(abs(pts[i] - pts[j])
-                   for i in members for j in members)
-        nodes.append(ClusterNode(members=members, radius=diam,
-                                 merge_height=float(height),
-                                 children=(left, right)))
-    return nodes[-1]

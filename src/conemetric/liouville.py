@@ -742,7 +742,7 @@ def spectrum_near_two(metric, window=0.5):
 # ---------------------------------------------------------------------------
 # projected solve (bordered Newton, axisymmetric reduction)
 
-def projected_solve(metric, fiber, density_perturbation=None, tol=1e-11):
+def projected_solve(metric, fiber, density_perturbation=None):
     """Solve the Liouville equation with right side confined to the fiber.
 
     Works in the axisymmetric reduction on a football background g2 (the
@@ -795,7 +795,7 @@ def projected_solve(metric, fiber, density_perturbation=None, tol=1e-11):
             L + sparse.diags(2.0 * rho2 * np.exp(2.0 * x[:n])),
             -(V * rho2).T, V * B, np.zeros((ell, ell)), -F)
 
-    x, _ = damped_newton(residual, step, np.zeros(n + ell), tol)
+    x, _ = damped_newton(residual, step, np.zeros(n + ell), 1e-11)
     return x[:n], x[n:]
 
 
@@ -812,18 +812,16 @@ class FriedrichsFit:
     slope: float               # log-log decay rate of the residuals
 
 
-def friedrichs_fit(metric, point_index, radii=None, n_theta=64):
+def friedrichs_fit(metric, point_index):
     """Fit a0 + sum r^{j/beta}(a cos + b sin) near a cone point.
 
     J is the largest integer strictly below 2 beta; the remainder must
     decay like r^2 in the uniformized radial variable.
     """
     b = metric.beta[point_index]
-    if radii is None:
-        radii = np.geomspace(0.45, 1.0, 8)
-    radii = np.asarray(radii, dtype=float)
+    radii = np.geomspace(0.45, 1.0, 8)
     J = math.ceil(2.0 * b) - 1
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     cols, samples = [], []
     for r in radii:
         m = (b * r) ** (1.0 / b)
@@ -842,7 +840,7 @@ def friedrichs_fit(metric, point_index, radii=None, n_theta=64):
     y = np.concatenate(samples)
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     model_wo_tail = X[:, :-1] @ coef[:-1]
-    resid = np.abs(y - model_wo_tail).reshape(len(radii), n_theta).max(axis=1)
+    resid = np.abs(y - model_wo_tail).reshape(len(radii), -1).max(axis=1)
     slope = np.polyfit(np.log(radii), np.log(resid), 1)[0]
     indicial = [(j / b, coef[2 * j - 1], coef[2 * j]) for j in range(1, J + 1)]
     return FriedrichsFit(point_index=point_index, radii=radii,

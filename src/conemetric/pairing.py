@@ -13,9 +13,9 @@ kernel is the tangent space of splitting directions that preserve solvability
 of the curvature equation.  This module extracts expansion coefficients by
 least squares on annuli, evaluates the pairing both in closed form and by
 quadrature, computes the kernel, classifies the local deformation behaviour,
-and numerically certifies the two flatness lemmas that drive the pairing
+and numerically certifies the flatness lemma that drives the pairing
 derivation: vanishing of the low ``rho``-derivatives of the splitting
-conformal factor, and flatness of the eigenvalue along the splitting family.
+conformal factor.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "EigenCoeffs",
     "DirectionCoeffs",
-    "FlatnessReport",
     "extract_eigf_coeffs",
     "direction_coeffs",
     "pairing_B",
@@ -40,7 +39,6 @@ __all__ = [
     "football_counts",
     "vdot_vanishing_check",
     "vdot_limit_residual",
-    "eigenvalue_flatness_check",
 ]
 
 #: least-squares fit (or inter-annulus disagreement) above this flags the row
@@ -90,7 +88,7 @@ class DirectionCoeffs:
         return np.array([c for (_, ec, es) in self.modes for c in (ec, es)])
 
 
-def extract_eigf_coeffs(phi, beta, annuli=DEFAULT_ANNULI, n_r=8, n_theta=64):
+def extract_eigf_coeffs(phi, beta, annuli=DEFAULT_ANNULI):
     """Least-squares indicial coefficients of phi(r, theta) at a cone point.
 
     phi is a callable on the cone chart (r = geodesic distance, theta with
@@ -109,11 +107,11 @@ def extract_eigf_coeffs(phi, beta, annuli=DEFAULT_ANNULI, n_r=8, n_theta=64):
     mmax = _mode_count(beta)
     results = []
     residuals = []
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     for lo, hi in annuli:
         if not 0 < lo < hi:
             raise ValueError("annulus radii must satisfy 0 < lo < hi")
-        radii = np.geomspace(lo, hi, n_r)
+        radii = np.geomspace(lo, hi, 8)
         rr, tt = np.meshgrid(radii, theta, indexing="ij")
         rr, tt = rr.ravel(), tt.ravel()
         cols, nuisance = [np.ones_like(rr)], [rr ** 2]
@@ -200,8 +198,7 @@ def pairing_matrix(rows):
     return np.array(out, dtype=float)
 
 
-def boundary_pairing_integral(phi_expansion, vdot_expansion, epsilons, beta,
-                              n_theta=256):
+def boundary_pairing_integral(phi_expansion, vdot_expansion, epsilons, beta):
     """Quadrature limit of the pairing boundary integral at a cone point.
 
     The expansions are coefficient lists [(m, c_cos, c_sin), ...] with m = 0
@@ -218,7 +215,7 @@ def boundary_pairing_integral(phi_expansion, vdot_expansion, epsilons, beta,
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) < 2 or any(e <= 0 for e in epsilons):
         raise ValueError("need at least two positive radii")
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
 
     def fields(expansion, sign, r):
         val = np.zeros_like(theta)
@@ -332,8 +329,13 @@ def classify_case(ell, K, K0, rank):
     return {"case": "partial_rigidity", "dim": dim}
 
 
-def _vdot_fd(coeffs, J, k, h, z):
+#: where the splitting conformal factor is sampled: 64 points on |z| = 0.5
+_CIRCLE = 0.5 * np.exp(2j * math.pi * np.arange(64) / 64)
+
+
+def _vdot_fd(coeffs, J, k, h):
     """k-th central difference in rho of log|z^J + rho^J Q(z)| at rho = 0."""
+    z = _CIRCLE
 
     def v(rho):
         poly = z ** J
@@ -348,12 +350,12 @@ def _vdot_fd(coeffs, J, k, h, z):
     return acc / h ** k
 
 
-def vdot_vanishing_check(A, J, k, h=1e-2, radius=0.5, n_samples=64):
+def vdot_vanishing_check(A, J, k, h=1e-2):
     """Finite-difference residual of the k-th rho-derivative of the
     splitting conformal factor at rho = 0.
 
     v(rho, z) = log|z^J + rho^J (A_1 z^{J-1} + ... + A_J)| sampled on
-    |z| = radius.  The k-th derivative vanishes identically for k < J and
+    _CIRCLE.  The k-th derivative vanishes identically for k < J and
     the central difference decays at rate h^2; at k = J it converges to
     J! * Re(sum_l A_l z^{-l}).
     """
@@ -362,139 +364,23 @@ def vdot_vanishing_check(A, J, k, h=1e-2, radius=0.5, n_samples=64):
         raise ValueError("need J polynomial coefficients")
     if not 1 <= k <= J:
         raise ValueError("derivative order must satisfy 1 <= k <= J")
-    z = radius * np.exp(2j * math.pi * np.arange(n_samples) / n_samples)
-    return float(np.max(np.abs(_vdot_fd(coeffs, J, k, h, z))))
+    return float(np.max(np.abs(_vdot_fd(coeffs, J, k, h))))
 
 
-def vdot_limit_residual(A, J, h=2e-2, radius=0.5, n_samples=64):
+def vdot_limit_residual(A, J):
     """Pointwise misfit of the J-th rho-derivative against its closed form.
 
     Compares the Richardson-extrapolated J-th central difference of the
     splitting conformal factor at rho = 0 with the analytic value
-    J! * Re(sum_l A_l z^{-l}) on |z| = radius and returns the sup misfit.
+    J! * Re(sum_l A_l z^{-l}) on _CIRCLE and returns the sup misfit.
     """
     coeffs = tuple(complex(a) for a in getattr(A, "A", A))
     if len(coeffs) != J:
         raise ValueError("need J polynomial coefficients")
-    z = radius * np.exp(2j * math.pi * np.arange(n_samples) / n_samples)
-    coarse = _vdot_fd(coeffs, J, J, h, z)
-    fine = _vdot_fd(coeffs, J, J, h / 2.0, z)
+    coarse = _vdot_fd(coeffs, J, J, 2e-2)
+    fine = _vdot_fd(coeffs, J, J, 1e-2)
     fd = (4.0 * fine - coarse) / 3.0
     limit = math.factorial(J) * np.real(
-        sum(a * z ** (-m) for m, a in enumerate(coeffs, start=1)))
+        sum(a * _CIRCLE ** (-m) for m, a in enumerate(coeffs, start=1)))
     return float(np.max(np.abs(fd - limit)))
 
-
-@dataclass(frozen=True)
-class FlatnessReport:
-    beta0: float
-    J: int
-    rhos: tuple
-    lambda_rho: tuple       # eigenvalue derivative along the family
-    derivatives: dict       # order k -> d^k lambda / d rho^k at rho = 0
-    order: float            # fitted vanishing order of lambda_rho in rho
-
-
-def _lambda_rho_football(beta0, coeffs, rho, cut_lo=0.3, cut_hi=0.6,
-                         n_quad=80):
-    """d lambda / d rho for the normalized cos(r) football eigenfunction.
-
-    The eigenvalue derivative along the splitting family is the integral of
-    -2 lambda vdot |phi|^2 against the football area element; vdot is the
-    rho-derivative of log|z^J + rho^J Q(z)| localized by a radial cutoff.
-    The angular integral is evaluated exactly by residues of
-    Q(z) / (z (z^J + rho^J Q(z))) on |z| = s: it is constant between the
-    moduli of the roots, so only a piecewise-smooth radial quadrature
-    remains.
-    """
-    J = len(coeffs)
-    lam = 2.0
-    norm2 = 4.0 * math.pi * beta0 / 3.0  # L2 norm^2 of cos(r)
-
-    if rho == 0.0:
-        return 0.0
-
-    poly = np.array([1.0 + 0j] + [rho ** J * a for a in coeffs])
-    roots = np.roots(poly)
-    dpoly = np.polyder(poly)
-
-    def Q(z):
-        return np.polyval(np.array(coeffs, dtype=complex), z)
-
-    residues = Q(roots) / (roots * np.polyval(dpoly, roots))
-    order_idx = np.argsort(np.abs(roots))
-    radii = np.abs(roots)[order_idx]
-    residues = residues[order_idx]
-
-    # angular mean of Re[Q / (z^J + rho^J Q)] as a function of s = |z|:
-    # 2 pi Re[rho^{-J} + sum of residues inside |z| = s]
-    inner = rho ** (-J)
-    levels = [2.0 * math.pi * float(np.real(inner + np.sum(residues[:i])))
-              for i in range(len(radii) + 1)]
-
-    def smooth(s):
-        # |phi|^2 w0 eta s with phi = cos r in the uniformizing chart
-        s2b = s ** (2.0 * beta0)
-        w0 = 4.0 * beta0 ** 2 * s ** (2.0 * beta0 - 2.0) / (1.0 + s2b) ** 2
-        phi2 = ((1.0 - s2b) / (1.0 + s2b)) ** 2 / norm2
-        t = np.clip((s - cut_lo) / (cut_hi - cut_lo), 0.0, 1.0)
-        eta = 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
-        return phi2 * w0 * eta * s
-
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    breaks = [0.0] + [float(r) for r in radii if r < cut_hi] + [cut_hi]
-    total = 0.0
-    for i in range(len(breaks) - 1):
-        a, b = breaks[i], breaks[i + 1]
-        if b <= a:
-            continue
-        s = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        level = levels[min(i, len(levels) - 1)]
-        total += 0.5 * (b - a) * float(np.sum(weights * smooth(s))) * level
-    return -2.0 * lam * J * rho ** (J - 1) * total
-
-
-def eigenvalue_flatness_check(football_beta, split_A, orders=(1, 2),
-                              rhos=None, fd_step=0.02):
-    """Flatness of the eigenvalue 2 along a football splitting family.
-
-    Evaluates the eigenvalue derivative quadrature at the sampled rho values,
-    estimates the rho-derivatives of the eigenvalue at 0 by central
-    differences of that derivative, and fits the vanishing order of
-    d lambda / d rho; the fitted order is at least J (the eigenvalue is flat
-    to order J at the unsplit configuration).
-    """
-    beta0 = float(football_beta)
-    coeffs = tuple(complex(a) for a in getattr(split_A, "A", split_A))
-    J = len(coeffs)
-    if beta0 <= 0 or J < 1:
-        raise ValueError("invalid family data")
-    if abs(coeffs[-1]) == 0.0:
-        raise ValueError("A_J must be nonzero for a genuine split")
-    if rhos is None:
-        rhos = tuple(np.geomspace(0.01, 0.08, 6))
-    lr = [_lambda_rho_football(beta0, coeffs, float(r)) for r in rhos]
-
-    derivatives = {}
-    for k in orders:
-        if k == 1:
-            derivatives[1] = _lambda_rho_football(beta0, coeffs, 0.0)
-        else:
-            # (k-1)-th central difference of lambda_rho at 0
-            acc = 0.0
-            m = k - 1
-            for i in range(m + 1):
-                acc += ((-1.0) ** (m - i) * math.comb(m, i)
-                        * _lambda_rho_football(beta0, coeffs,
-                                               (i - m / 2.0) * fd_step))
-            derivatives[k] = acc / fd_step ** m
-
-    mags = np.abs(lr)
-    if np.all(mags < 1e-14):
-        order = math.inf
-    else:
-        logs = np.log(np.maximum(mags, 1e-300))
-        order = float(np.polyfit(np.log(rhos), logs, 1)[0])
-    return FlatnessReport(beta0=beta0, J=J, rhos=tuple(float(r) for r in rhos),
-                          lambda_rho=tuple(lr), derivatives=derivatives,
-                          order=order)

@@ -1,4 +1,4 @@
-"""Spectra of conic Laplacians on footballs and doubled triangles.
+"""Spectra of conic Laplacians on footballs.
 
 The football of angle 2*pi*beta carries the metric
 g = dr^2 + beta^2 sin^2(r) dtheta^2 on (0, pi) x S^1.  Separation of
@@ -12,9 +12,8 @@ and radial eigenfunctions sin^{j/beta}(r) C_l^{(j/beta + 1/2)}(cos r)
 (Gegenbauer), which carry the Friedrichs behaviour r^{j/beta} at both
 poles.  This module provides the closed-form enumeration, the closed-form
 unit-norm radial eigenfunctions, an independent Sturm-Liouville
-finite-difference oracle, the Dirichlet
-eigenvalues of the (pi/2, pi/2, pi*beta) spherical triangle, and the
-spectral-flow crossing report at eigenvalue 2 along paths of footballs.
+finite-difference oracle, and the spectral-flow crossing report at
+eigenvalue 2 along paths of footballs.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "eigenvalue_count",
     "football_eigenfunction",
     "radial_sturm_liouville",
-    "triangle_dirichlet_eigenvalues",
     "eigenvalue_flow",
 ]
 
@@ -63,7 +61,6 @@ class FlowCrossing:
     s_index: int          # crossing between samples s_index and s_index + 1
     beta: float           # integer value of beta at the crossing
     j: int                # angular mode responsible (j = beta)
-    ell: int = 0
 
 
 def _mode_lambda(beta, j, ell):
@@ -71,42 +68,37 @@ def _mode_lambda(beta, j, ell):
     return x * (x + 1.0)
 
 
-def _ladder(beta, lambda_max, tol, j0, ell_step):
-    """(j, ell, lambda) with lambda = x(x + 1) <= lambda_max + tol for
-    x = j/beta + ell_step * ell, j >= j0 and ell >= 0, sorted by lambda."""
+def football_eigenvalues(beta, lambda_max):
+    """All football modes with lambda <= lambda_max, sorted by eigenvalue."""
     # a nonfinite beta makes j/beta = 0 for every j, so the ladder would
     # never leave the window
     if not (math.isfinite(beta) and math.isfinite(lambda_max)) \
             or beta <= 0 or lambda_max < 0:
         raise ValueError("beta must be positive and lambda_max nonnegative, "
                          "both finite")
-    # x <= x_max bounds j by beta x_max and ell by x_max / ell_step, so the
-    # ladder holds at most `size` modes
-    x_max = math.sqrt(lambda_max + tol + 0.25) - 0.5
-    size = (beta * x_max + 1.0 - j0) * (x_max / ell_step + 1.0)
+    top = lambda_max + 1e-12          # round-off slack
+    # x = j/beta + ell <= x_max bounds j by beta x_max and ell by x_max, so
+    # the ladder holds at most `size` modes
+    x_max = math.sqrt(top + 0.25) - 0.5
+    size = (beta * x_max + 1.0) * (x_max + 1.0)
     if size > MAX_MODES:
         raise ValueError(f"beta={beta:g} and lambda_max={lambda_max:g} ask "
                          f"for up to {size:.3g} modes; the limit is "
                          f"{MAX_MODES}")
     out = []
-    j = j0
-    while _mode_lambda(beta, j, 0) <= lambda_max + tol:
+    j = 0
+    while _mode_lambda(beta, j, 0) <= top:
         ell = 0
         while True:
-            lam = _mode_lambda(beta, j, ell_step * ell)
-            if lam > lambda_max + tol:
+            lam = _mode_lambda(beta, j, ell)
+            if lam > top:
                 break
-            out.append((j, ell, lam))
+            out.append(EigenMode(j=j, ell=ell, lam=lam,
+                                 multiplicity=1 if j == 0 else 2))
             ell += 1
         j += 1
-    out.sort(key=lambda t: (t[2], t[0]))
+    out.sort(key=lambda m: (m.lam, m.j))
     return out
-
-
-def football_eigenvalues(beta, lambda_max, tol: float = 1e-12):
-    """All football modes with lambda <= lambda_max, sorted by eigenvalue."""
-    return [EigenMode(j=j, ell=ell, lam=lam, multiplicity=1 if j == 0 else 2)
-            for j, ell, lam in _ladder(beta, lambda_max, tol, 0, 1)]
 
 
 def eigenvalue_count(beta, threshold=2.0, strict=False, tol: float = 1e-9):
@@ -215,22 +207,13 @@ def radial_sturm_liouville(beta, j, n_grid=2048, k=5, richardson=True):
     return (4.0 * fine - coarse) / 3.0
 
 
-def triangle_dirichlet_eigenvalues(beta, lambda_max, tol: float = 1e-12):
-    """Dirichlet spectrum of the (pi/2, pi/2, pi*beta) spherical triangle.
-
-    Enumerates (j/beta + 2l)(j/beta + 2l + 1) for j >= 1, l >= 0 up to
-    lambda_max, sorted, as (j, l, lambda) triples.
-    """
-    return _ladder(beta, lambda_max, tol, 1, 2)
-
-
 def strict_count_below_two(beta):
     """#{lambda < 2} for the football, counting multiplicity."""
     return eigenvalue_count(beta, threshold=2.0, strict=True,
                             tol=CROSSING_TOL)
 
 
-def eigenvalue_flow(beta_path, j_max=None):
+def eigenvalue_flow(beta_path):
     """Crossing report at lambda = 2 along a sampled path of footballs.
 
     A mode (j, 0) crosses 2 exactly when j/beta = 1, i.e. when beta passes
@@ -252,7 +235,5 @@ def eigenvalue_flow(beta_path, j_max=None):
         lo, hi = sorted((betas[i], betas[i + 1]))
         for j in range(max(1, math.floor(lo)), math.floor(hi) + 2):
             if below(j, betas[i]) != below(j, betas[i + 1]):
-                if j_max is not None and j > j_max:
-                    continue
                 crossings.append(FlowCrossing(s_index=i, beta=float(j), j=j))
     return {"counts": counts, "crossings": crossings}

@@ -6,10 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conemetric.angles import (AdmissibilityError, AngleVector,
-                               coaxial_check, conic_euler_char,
-                               equal_angle_split, mp_distance, mp_membership,
-                               splitting_spec, subcritical_check,
-                               troyanov_check)
+                               coaxial_check, conic_euler_char, mp_distance,
+                               mp_membership, splitting_spec,
+                               subcritical_check, troyanov_check)
 
 
 def _mp_bruteforce(betas):
@@ -134,14 +133,9 @@ class TestCoaxial:
 
 
 class TestSplitting:
-    def test_equal_angle_split_sums(self):
-        B = equal_angle_split(2.5)
-        assert len(B) == 2
-        assert sum(x - 1.0 for x in B) == pytest.approx(1.5)
-
     def test_valid_spec(self):
         av = AngleVector(0, (2.5, 0.7))
-        spec = splitting_spec(av, equal_angle_split(2.5) + (0.7,))
+        spec = splitting_spec(av, (1.75, 1.75, 0.7))
         assert spec.k0 == 1
         assert spec.K == 3
         assert spec.cluster_sizes == (2, 1)
@@ -170,5 +164,5 @@ class TestSplitting:
         if J < 2:
             return
         av = AngleVector(0, (beta0, 0.5))
-        spec = splitting_spec(av, equal_angle_split(beta0) + (0.5,))
+        spec = splitting_spec(av, (1 + (beta0 - 1) / J,) * J + (0.5,))
         assert spec.K == J + 1

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
@@ -84,6 +85,21 @@ class TestAngles:
     def test_missing_file(self, capsys):
         assert run(capsys, ["angles", "/nonexistent/config.json"])[0] == 2
 
+    @pytest.mark.parametrize("payload", [
+        3, {"beta": 5}, {"beta": None}, {"beta": [2.5, 0.7], "B": 3},
+        {"beta": [0.5, True]}, {"beta": [10 ** 400]}, {"beta": [math.nan]},
+        {"beta": [0.5 + 0.01 * i for i in range(17)]},
+        {"beta": [0.5], "genus": 1.5}, {"beta": [0.5], "genus": [0]},
+    ], ids=["number", "beta-number", "beta-null", "B-number", "beta-bool",
+            "beta-huge-int", "beta-nan", "17-angles", "genus-fraction",
+            "genus-list"])
+    def test_malformed_config_rejected(self, tmp_path, capsys, payload):
+        code, out, err = run(capsys, ["angles",
+                                      write_config(tmp_path, payload)])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
 
 class TestSplit:
     def test_branch_count(self, capsys):
@@ -110,6 +126,22 @@ class TestSplit:
     def test_length_mismatch(self, capsys):
         assert run(capsys, ["split", "--weights", "1.0,1.0",
                             "--coeffs", "0.1"])[0] == 2
+
+    @pytest.mark.parametrize("weights,coeffs", [
+        ("1.565694329437171,-0.1677033309422706,1.2148375889145602,"
+         "1.3871714125905394",
+         "(-445911.37041949516+1e-05j),0j,0j,(-445911.37041949516+1e-05j)"),
+        ("1,1,1", "0,1e200,0"),
+        ("1,1,1", "0,1e300,0"),
+    ], ids=["homotopy-overflow", "unpolished-roots", "nan-roots"])
+    def test_unconverged_branches_fail(self, capsys, weights, coeffs):
+        # roots so large that Newton overflows on the way or cannot
+        # polish them: a solver failure, with no warning
+        code, out, err = run(capsys, ["split", "--weights=" + weights,
+                                      "--coeffs=" + coeffs])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("samples", ["-1", str(MAX_RAY_SAMPLES + 1)])
     def test_ray_samples_capped(self, capsys, samples):
@@ -370,6 +402,49 @@ class TestSolveFuzz:
     @settings(derandomize=True, deadline=None, max_examples=40)
     def test_every_input_ends_cleanly(self, argv):
         ends_cleanly(argv)
+
+
+FUZZ_ANGLE = st.floats(0.05, 6.0) | st.sampled_from([0.5, 1.0, 2.0, 3.0])
+FUZZ_BAD = st.sampled_from([0.0, -1.0, 1e300, math.nan, math.inf, 10 ** 400,
+                            True, None, "1", [1.5]])
+FUZZ_ANGLES = st.lists(FUZZ_ANGLE, min_size=1, max_size=18) \
+    | st.lists(FUZZ_ANGLE | FUZZ_BAD, max_size=4) | FUZZ_BAD
+
+
+@st.composite
+def angles_config(draw):
+    """`angles` configs: mostly objects with valid angle lists of up to 18
+    entries, some with wrong types, non-finite numbers or a bad genus; some
+    carry an equal-angle split B of the first angle."""
+    cfg = {"beta": draw(FUZZ_ANGLES)}
+    if draw(st.integers(0, 3)) == 0:
+        cfg["genus"] = draw(st.sampled_from([0, 1, 0.0, 1.5, -1, 2 ** 53,
+                                             math.nan, None, [0]]))
+    beta = cfg["beta"]
+    B = FUZZ_ANGLES
+    if type(beta) is list and beta and type(beta[0]) is float \
+            and 2.0 <= beta[0] <= 6.0 and draw(st.booleans()):
+        J = math.floor(beta[0])
+        B = st.just([1 + (beta[0] - 1) / J] * J + beta[1:])
+    if draw(st.booleans()):
+        cfg["B"] = draw(B)
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from([{**cfg, "betas": 1}, 3, None, [cfg]]))
+    return cfg
+
+
+class TestAnglesFuzz:
+    # 16 non-integer angles: the largest coaxial search a config may ask for
+    @example({"beta": [0.5 + 0.01 * i for i in range(16)]})
+    @example({"genus": 0, "beta": [2.5, 0.7], "B": [1.75, 1.75, 0.7]})
+    @given(angles_config())
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_every_config_ends_cleanly(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            ends_cleanly(["angles", path])
 
 
 FUZZ_WEIGHT = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0,

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conemetric import factorization
-from conemetric.factorization import (CoeffVector, RootConfiguration,
-                                      WeightVector, blowup_chart_J2,
-                                      cluster_tree, expansion_coeffs,
+from conemetric.factorization import (CoeffVector, ContinuationError,
+                                      RootConfiguration, WeightVector,
+                                      blowup_chart_J2, expansion_coeffs,
                                       forward_map, inverse_map, jacobian,
                                       multiplicative_error, power_sums)
 
@@ -166,6 +166,14 @@ class TestExpansion:
                 assert np.max(np.abs(data.c[:, 2] - want3)) < 1e-10
         assert found
 
+    def test_stall_names_requested_branch(self):
+        # the weight path (1 + 2s, 1 - 2s) crosses b_2 = 0 at s = 1/2, where
+        # both branches stall
+        with pytest.raises(ContinuationError) as info:
+            expansion_coeffs(0.3, (0.2,), WeightVector((3.0, -1.0)), branch=1)
+        assert info.value.branch_id == 1
+        assert info.value.s == pytest.approx(0.5)
+
     def test_leading_system_residual(self):
         theta = 1.2
         b = WeightVector((0.8, 1.2))
@@ -298,17 +306,3 @@ class TestBlowupChart:
         out = forward_map(chart.branch, b)
         assert np.allclose(out.A, A.A, atol=1e-10)
 
-
-class TestClusterTree:
-    def test_two_scale_configuration(self):
-        pts = [0.0, 1e-3, 1.0, 1.0 + 2e-3]
-        root = cluster_tree(pts)
-        assert root.members == (0, 1, 2, 3)
-        assert root.radius == pytest.approx(abs(1.0 + 2e-3))
-        tight = [c for c in root.children]
-        sub = sorted(tuple(c.members) for c in tight)
-        assert sub == [(0, 1), (2, 3)]
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            cluster_tree([0.0, 1.0], K=3)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conemetric.pairing import (DEFAULT_ANNULI, FIT_TOL, DirectionCoeffs,
                                 EigenCoeffs, boundary_pairing_integral,
                                 classify_case, direction_coeffs,
-                                direction_counts, eigenvalue_flatness_check,
-                                extract_eigf_coeffs, football_counts,
+                                direction_counts, extract_eigf_coeffs,
+                                football_counts,
                                 pairing_B, pairing_matrix, solution_space,
                                 vdot_limit_residual, vdot_vanishing_check)
 
@@ -292,28 +292,3 @@ class TestVdotFlatness:
         with pytest.raises(ValueError):
             vdot_vanishing_check(self.A3, 3, 4)
 
-
-class TestEigenvalueFlatness:
-    def test_integer_football_J2(self):
-        rep = eigenvalue_flatness_check(2.0, (0.3 + 0.2j, 0.25))
-        assert rep.J == 2
-        assert rep.order >= rep.J - 0.05
-        # the derivative decays like rho^{2 beta0 - 1}
-        assert rep.order == pytest.approx(2 * 2.0 - 1.0, abs=0.05)
-        assert rep.derivatives[1] == 0.0
-        assert abs(rep.derivatives[2]) < 1e-3
-
-    def test_single_split_J1(self):
-        rep = eigenvalue_flatness_check(1.5, (0.4,))
-        assert rep.order >= rep.J - 0.05
-        assert rep.order == pytest.approx(2 * 1.5 - 1.0, abs=0.05)
-
-    def test_noninteger_football(self):
-        rep = eigenvalue_flatness_check(2.5, (0.1, 0.2 + 0.1j), orders=(1,))
-        assert rep.order == pytest.approx(2 * 2.5 - 1.0, abs=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            eigenvalue_flatness_check(2.0, (0.3, 0.0))   # degenerate split
-        with pytest.raises(ValueError):
-            eigenvalue_flatness_check(-1.0, (0.3,))

@@ -9,8 +9,7 @@ from conemetric.spectrum import (eigenvalue_count, eigenvalue_flow,
                                  football_eigenfunction,
                                  football_eigenvalues,
                                  radial_sturm_liouville,
-                                 strict_count_below_two,
-                                 triangle_dirichlet_eigenvalues)
+                                 strict_count_below_two)
 
 
 class TestClosedForm:
@@ -35,8 +34,6 @@ class TestClosedForm:
         # beta = 2e5 and lambda_max = 3e5 ask for more than MAX_MODES modes
         with pytest.raises(ValueError):
             football_eigenvalues(beta, lambda_max)
-        with pytest.raises(ValueError):
-            triangle_dirichlet_eigenvalues(beta, lambda_max)
 
     def test_sorted_by_eigenvalue(self):
         lams = [m.lam for m in football_eigenvalues(1.7, 10.0)]
@@ -157,20 +154,6 @@ class TestEigenfunctions:
         R = football_eigenfunction(1.5, 1, 0)
         with pytest.raises(ValueError):
             R(np.array([0.0, 1.0]))
-
-
-class TestTriangle:
-    def test_enumeration(self):
-        rows = triangle_dirichlet_eigenvalues(0.5, 10.0)
-        # j >= 1, even Gegenbauer ladder: x = 2j + 2l
-        want = sorted((2 * j + 2 * ell) * (2 * j + 2 * ell + 1)
-                      for j in range(1, 3) for ell in range(2))
-        got = [lam for (_, _, lam) in rows]
-        assert got == pytest.approx(sorted(w for w in want if w <= 10.0))
-
-    def test_no_axisymmetric_modes(self):
-        assert all(j >= 1 for (j, _, _)
-                   in triangle_dirichlet_eigenvalues(0.8, 20.0))
 
 
 class TestFlow:
