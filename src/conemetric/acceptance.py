@@ -21,7 +21,7 @@ from .factorization import (CoeffVector, WeightVector, expansion_coeffs,
                             forward_map, inverse_map, multiplicative_error)
 from .liouville import ConicProblem, friedrichs_fit, solve_liouville
 from .pairing import (boundary_pairing_integral, direction_coeffs,
-                      extract_eigf_coeffs, football_counts, pairing_B,
+                      direction_counts, extract_eigf_coeffs, pairing_B,
                       pairing_matrix, solution_space, vdot_limit_residual,
                       vdot_vanishing_check)
 from .spectrum import (eigenvalue_count, eigenvalue_flow,
@@ -328,7 +328,7 @@ def criterion_11(seed=DEFAULT_SEED):
         worst = max(max(abs(ac), abs(asn)) for _, ac, asn in eig.modes)
         ok = ok and worst < 1e-8
         row = [eig, eig]  # both poles carry the same expansion
-        K, _, _ = football_counts(beta)
+        K, _, _ = direction_counts((beta, beta))
         direction = [direction_coeffs(
             tuple(1.0 + 0.5j for _ in eig.modes), beta)] * 2
         Bvals = pairing_B(row, direction)

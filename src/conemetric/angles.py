@@ -13,7 +13,11 @@ the elementary membership tests used everywhere else in the package:
 * the subcritical (coercive-energy) inequality,
 * the coaxial (reducible monodromy) conditions, and
 * validation of cone-point splitting data: cluster sizes, split angles
-  B_i and the associated weights.
+  B_i and the associated weights, and
+* the integer arithmetic of a single angle: its integer part [beta],
+  whether it sits at an integer, and whether its point is weighted
+  (beta > 1), each to within INT_TOL.  The pairing, the spectral counts
+  and the command line take these rules from here.
 
 Everything is plain arithmetic on small vectors; all functions are pure.
 """
@@ -37,6 +41,9 @@ __all__ = [
     "subcritical_check",
     "coaxial_check",
     "splitting_spec",
+    "int_part",
+    "is_integer",
+    "is_weighted",
 ]
 
 #: tolerance for angle comparisons: integer angles and the splitting checks
@@ -172,6 +179,22 @@ def subcritical_check(av: AngleVector) -> bool:
     return conic_euler_char(av) < min(2.0, 2.0 * min(av.beta))
 
 
+def is_integer(b: float) -> bool:
+    """Whether b sits within INT_TOL of an integer."""
+    return abs(b - round(b)) <= INT_TOL
+
+
+def int_part(b: float) -> int:
+    """Integer part [b], robust against angles sitting at an integer."""
+    return int(round(b)) if is_integer(b) else math.floor(b)
+
+
+def is_weighted(b: float) -> bool:
+    """Whether a cone point of angle 2*pi*b is weighted: b > 1 + INT_TOL.
+    Only weighted points split, and only they carry m-weighted modes."""
+    return b > 1 + INT_TOL
+
+
 def _as_fraction(x: float):
     """Rational recognition of a float, or None.
 
@@ -221,8 +244,8 @@ def coaxial_check(av: AngleVector) -> CoaxialResult:
         raise ValueError("coaxial_check is defined for genus 0")
     beta = av.beta
     n = len(beta)
-    nonint = [b for b in beta if abs(b - round(b)) > INT_TOL]
-    ints = [int(round(b)) for b in beta if abs(b - round(b)) <= INT_TOL]
+    nonint = [b for b in beta if not is_integer(b)]
+    ints = [int_part(b) for b in beta if is_integer(b)]
     m = len(nonint)
 
     if m == 0:
@@ -240,9 +263,9 @@ def coaxial_check(av: AngleVector) -> CoaxialResult:
     indeterminate_witness = None
     for eps in itertools.product((1, -1), repeat=m):
         k1f = sum(e * b for e, b in zip(eps, nonint))
-        if k1f < -INT_TOL or abs(k1f - round(k1f)) > INT_TOL:
+        if k1f < -INT_TOL or not is_integer(k1f):
             continue
-        k1 = int(round(k1f))
+        k1 = int_part(k1f)
         k2 = sum_int - n - k1 + 2
         if k2 < 0 or k2 % 2 != 0:
             continue
@@ -265,14 +288,6 @@ def coaxial_check(av: AngleVector) -> CoaxialResult:
     return CoaxialResult(status="false")
 
 
-def _int_part(b: float) -> int:
-    """Integer part [b], robust against angles sitting at an integer."""
-    f = math.floor(b)
-    if abs(b - (f + 1)) <= INT_TOL:
-        return f + 1
-    return f
-
-
 def splitting_spec(av: AngleVector, B) -> SplitSpec:
     """Validate splitting data and compute the per-cluster weights.
 
@@ -284,8 +299,8 @@ def splitting_spec(av: AngleVector, B) -> SplitSpec:
     """
     order = sorted(range(av.k), key=lambda i: -av.beta[i])
     beta_sorted = [av.beta[i] for i in order]
-    k0 = sum(1 for b in beta_sorted if b > 1 + INT_TOL)
-    sizes = tuple(max(_int_part(b), 1) for b in beta_sorted)
+    k0 = sum(1 for b in beta_sorted if is_weighted(b))
+    sizes = tuple(max(int_part(b), 1) for b in beta_sorted)
     K = sum(sizes)
     B = tuple(float(x) for x in B)
     if len(B) != K:
@@ -304,7 +319,7 @@ def splitting_spec(av: AngleVector, B) -> SplitSpec:
                 raise AdmissibilityError(
                     f"unsplit cluster {j} must keep its angle {bj}, "
                     f"got {cluster[0]}")
-            weights.append(float(_int_part(bj)))
+            weights.append(float(int_part(bj)))
             continue
         excess = [x - 1.0 for x in cluster]
         if abs(sum(excess) - (bj - 1.0)) > INT_TOL:
@@ -322,7 +337,7 @@ def splitting_spec(av: AngleVector, B) -> SplitSpec:
                     raise AdmissibilityError(
                         f"cluster {j}: subcluster {I} merges to angle 2*pi "
                         "(excess sums to zero)")
-        J = _int_part(bj)
+        J = int_part(bj)
         weights.extend(J * e / (bj - 1.0) for e in excess)
     return SplitSpec(k0=k0, cluster_sizes=sizes, K=K, B=B,
                      weights=tuple(weights), order=tuple(order))

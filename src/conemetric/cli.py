@@ -27,8 +27,9 @@ import numpy as np
 from . import __version__
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .angles import (AdmissibilityError, AngleVector, coaxial_check,
-                     conic_euler_char, mp_distance, mp_membership,
-                     splitting_spec, subcritical_check, troyanov_check)
+                     conic_euler_char, int_part, is_integer, mp_distance,
+                     mp_membership, splitting_spec, subcritical_check,
+                     troyanov_check)
 from .factorization import (CoeffVector, WeightVector, blowup_chart_J2,
                             expansion_coeffs, inverse_map)
 # unused here (inverse_map records each branch's condition number), but the
@@ -192,17 +193,24 @@ def cmd_angles(args):
         raise ConfigError("'genus' must be a nonnegative integer")
     av = AngleVector(int(genus), _angle_list(cfg, "beta"))
     B = _angle_list(cfg, "B") if "B" in cfg else None
-    coax = coaxial_check(av)
+    chi = conic_euler_char(av)
+    # the lattice and coaxial tests are those of the sphere; the Troyanov
+    # region needs chi > 0
+    sphere = av.genus == 0
     report = {
         "meta": _meta(subcommand="angles"),
         "genus": av.genus,
         "beta": list(av.beta),
-        "chi": conic_euler_char(av),
-        "troyanov": troyanov_check(av),
-        "mp_distance": mp_distance(av),
-        "mp_membership": mp_membership(av),
+        "chi": chi,
+        "troyanov": chi > 0 and troyanov_check(av),
+        "mp_distance": mp_distance(av) if sphere else None,
+        "mp_membership": mp_membership(av) if sphere else None,
         "subcritical": subcritical_check(av),
-        "coaxial": {
+        "coaxial": None,
+    }
+    if sphere:
+        coax = coaxial_check(av)
+        report["coaxial"] = {
             "status": coax.status,
             "case": coax.case,
             "epsilon": list(coax.epsilon),
@@ -211,8 +219,7 @@ def cmd_angles(args):
             "b": list(coax.b),
             "eta": None if coax.eta is None else [coax.eta.numerator,
                                                   coax.eta.denominator],
-        },
-    }
+        }
     if B is not None:
         spec = splitting_spec(av, B)
         report["splitting"] = {
@@ -275,7 +282,7 @@ def cmd_split(args):
                     for r in rhos],
         }
     if b.J == 2:
-        chart = blowup_chart_J2(A, b, branch=args.branch or 0)
+        chart = blowup_chart_J2(A, b, branches[args.branch or 0])
         report["blowup"] = {
             "R": chart.R, "phi": chart.phi, "z0_2": complex(chart.z0_2),
             "R_lead": chart.R_lead, "phi_lead": chart.phi_lead,
@@ -292,8 +299,8 @@ def cmd_spectrum(args):
             a, bnd, n = float(a), float(bnd), int(n)
         except ValueError:
             raise ConfigError("--flow expects start:stop:count")
-        if n < 2 or a <= 0 or bnd <= 0:
-            raise ConfigError("flow path needs two positive endpoints")
+        if n < 2 or not (0 < a < math.inf and 0 < bnd < math.inf):
+            raise ConfigError("flow path needs two positive finite endpoints")
         if n > MAX_FLOW_SAMPLES:
             raise ConfigError(f"--flow asks for {n} samples; the limit is "
                               f"{MAX_FLOW_SAMPLES}")
@@ -339,8 +346,8 @@ def _football_eigrows(beta):
         return [north, south]
 
     rows.append(both_poles(lambda r, t: np.cos(np.asarray(r))))
-    j = int(round(beta))
-    if abs(beta - j) < 1e-9 and j >= 1:
+    j = int_part(beta)
+    if is_integer(beta) and j >= 1:
         prof = football_eigenfunction(beta, j, 0)
         rows.append(both_poles(lambda r, t: prof(r) * np.cos(j * t)))
         rows.append(both_poles(lambda r, t: prof(r) * np.sin(j * t)))

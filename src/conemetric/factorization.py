@@ -386,8 +386,10 @@ def expansion_coeffs(theta, Atilde, b: WeightVector, branch: int = 0,
         sum_i b_i c_{i1}^l = 0 (l < J),   sum_i b_i c_{i1}^J = -J e^{i theta}
 
     whose equal-weight solutions are the orderings of the J-th roots of
-    -e^{i theta}; only the ``branch``-th ordering, in the order of
-    ``inverse_map``, is tracked to the weights b.  With z_i(rho) known
+    -e^{i theta}; only the ``branch``-th ordering (itertools.permutations
+    order) is tracked to the weights b.  That numbering is not
+    ``inverse_map``'s, which orders the roots of P(A; .): the expansion
+    with a given id may follow another inverse branch.  With z_i(rho) known
     through rho^{k-1}, column k >= 2 solves the linear cascade T c_k = y_k
     with T = diag(1..J) Vandermonde(c_1)^T diag(b) and
 
@@ -439,20 +441,19 @@ def expansion_coeffs(theta, Atilde, b: WeightVector, branch: int = 0,
     return ExpansionData(c=Z[:, 1:J + 1], theta=float(theta), branch_id=branch)
 
 
-def blowup_chart_J2(A, b: WeightVector, branch: int = 0) -> BlowupChart:
-    """Projective (blown-up) coordinates for a two-point split.
+def blowup_chart_J2(A, b: WeightVector,
+                    branch: RootConfiguration) -> BlowupChart:
+    """Projective (blown-up) coordinates of one two-point inverse branch.
 
-    Uses the closed-form branches
-
-        z1 = (-A_1 + bbar*sqrt(A_1^2 - 4 A_2)) / 2,
-        z2 = (-A_1 - sqrt(A_1^2 - 4 A_2)/bbar) / 2,    bbar = sqrt(b_2/b_1)
-
-    (or the branch with the square root negated), passes to the midpoint
-    z0 and half-difference R e^{i phi}, and applies the two radial blowups
+    ``branch`` is one of the configurations (z1, z2) that ``inverse_map``
+    returns for A and b.  Passes to the midpoint z0 and half-difference
+    R e^{i phi} = (z1 - z2)/2, and applies the two radial blowups
     z0 -> z0/rho_hat -> (z0/rho_hat - c)/rho_hat with rho_hat = R/c' the
-    radial scale, c = ((bbar - 1/bbar)/2) sqrt(-e^{i theta}) and
-    c' = (bbar + 1/bbar)/2.  The returned leading terms are
-    (c' rho, arg sqrt(-e^{i theta}), -Atilde_1/2).
+    radial scale, c' = (b_1 + b_2)/(2 sqrt(b_1 b_2)) and
+    c = s0 (b_2 - b_1)/(2 sqrt(b_1 b_2)).  Here s0 is the square root of
+    -e^{i theta} nearest to (z1 - z2)/(2 c' rho), the limit of e^{i phi} on
+    this branch as rho -> 0.  The returned leading terms are
+    (c' rho, arg s0, -Atilde_1/2).
     """
     if not isinstance(A, CoeffVector):
         A = CoeffVector(tuple(A))
@@ -461,34 +462,21 @@ def blowup_chart_J2(A, b: WeightVector, branch: int = 0) -> BlowupChart:
     A1, A2 = A.A
     if A2 == 0:
         raise ValueError("A_2 = 0 lies outside the chart domain")
-    rho = abs(A2) ** 0.5
-    theta = math.atan2(A2.imag, A2.real)
-    At1 = A1 / abs(A2)
-    bbar = math.sqrt(b.b[1] / b.b[0])
-    sq = np.sqrt(complex(A1 * A1 - 4.0 * A2))
-    if branch == 1:
-        sq = -sq
-    elif branch != 0:
-        raise ValueError("branch must be 0 or 1")
-    z1 = (-A1 + bbar * sq) / 2.0
-    z2 = (-A1 - sq / bbar) / 2.0
+    z1, z2 = (complex(z) for z in branch.z)
     z0 = (z1 + z2) / 2.0
     zt = (z1 - z2) / 2.0
     R = abs(zt)
-    phi = math.atan2(zt.imag, zt.real)
-
-    s0 = np.sqrt(-np.exp(1j * theta))
-    if branch == 1:
+    s0 = complex(np.sqrt(-np.exp(1j * A.theta)))
+    if (zt * s0.conjugate()).real < 0:
         s0 = -s0
-    cprime = (bbar + 1.0 / bbar) / 2.0
-    c = ((bbar - 1.0 / bbar) / 2.0) * s0
+    b1, b2 = b.b
+    cprime = (b1 + b2) / (2.0 * math.sqrt(b1 * b2))
+    c = (b2 - b1) / (2.0 * math.sqrt(b1 * b2)) * s0
     rho_hat = R / cprime
-    z0_1 = z0 / rho_hat
-    z0_2 = (z0_1 - c) / rho_hat
     return BlowupChart(
-        R=R, phi=phi, z0_2=z0_2,
-        R_lead=cprime * rho,
-        phi_lead=float(np.angle(s0)),
-        z0_2_lead=-At1 / 2.0,
+        R=R, phi=math.atan2(zt.imag, zt.real),
+        z0_2=(z0 / rho_hat - c) / rho_hat,
+        R_lead=cprime * A.rho,
+        phi_lead=math.atan2(s0.imag, s0.real),
+        z0_2_lead=-A1 / abs(A2) / 2.0,
         z0=z0, branch=(z1, z2))
-

@@ -35,7 +35,7 @@ from scipy import sparse
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, eigsh, gmres, spsolve
 
-from .angles import AngleVector, conic_euler_char, subcritical_check, troyanov_check
+from .angles import AngleVector, conic_euler_char, subcritical_check
 from .spectrum import FluxForm
 
 __all__ = [
@@ -246,18 +246,6 @@ class ConicProblem:
     @property
     def chi(self):
         return conic_euler_char(self.beta)
-
-    @property
-    def flags(self):
-        """Existence-region bookkeeping for the K = 1 genus-0 case."""
-        if self.curvature != 1 or self.background != "sphere":
-            return {}
-        try:
-            troy = troyanov_check(self.beta)
-        except Exception:
-            troy = False
-        return {"troyanov": bool(troy),
-                "subcritical": bool(subcritical_check(self.beta))}
 
     @property
     def is_football(self):

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .angles import int_part, is_weighted
+
 __all__ = [
     "EigenCoeffs",
     "DirectionCoeffs",
@@ -36,7 +38,6 @@ __all__ = [
     "solution_space",
     "classify_case",
     "direction_counts",
-    "football_counts",
     "vdot_vanishing_check",
     "vdot_limit_residual",
 ]
@@ -52,11 +53,6 @@ _PIVOT_TIE = 1e-6
 
 #: default extraction annuli in the cone chart, [inner, outer] radii
 DEFAULT_ANNULI = ((0.05, 0.1), (0.1, 0.2))
-
-
-def _mode_count(beta):
-    # [beta] indicial modes for beta > 1; the single r^{1/beta} mode otherwise
-    return max(1, int(math.floor(beta + 1e-12)))
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,7 @@ def extract_eigf_coeffs(phi, beta, annuli=DEFAULT_ANNULI):
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    mmax = _mode_count(beta)
+    mmax = max(1, int_part(beta))
     results = []
     residuals = []
     theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
@@ -190,9 +186,9 @@ def pairing_matrix(rows):
         entries = []
         for eig in row:
             for (m, ac, asn) in eig.modes:
-                # the m weight applies at weighted points (beta > 1) only;
-                # the beta < 1 terms enter unweighted
-                w = float(m) if eig.beta > 1.0 else 1.0
+                # the m weight applies at weighted points only; the other
+                # terms enter unweighted
+                w = float(m) if is_weighted(eig.beta) else 1.0
                 entries.extend((w * ac, w * asn))
         out.append(entries)
     return np.array(out, dtype=float)
@@ -289,21 +285,16 @@ def solution_space(B_matrix, atol=0.0):
 def direction_counts(betas):
     """Direction-space counts (K, K0, k0) for a tuple of cone angles.
 
-    K0 sums [beta_j] over the points with beta_j > 1 (there are k0 of them)
-    and K = K0 + (k - k0) adds one slot for each remaining point.
+    K0 sums [beta_j] over the k0 weighted points (beta_j > 1) and
+    K = K0 + (k - k0) adds one slot for each remaining point, so K is the
+    number of points the cone points split into.
     """
     betas = [float(b) for b in betas]
     if any(b <= 0 for b in betas):
         raise ValueError("angles must be positive")
-    k0 = sum(1 for b in betas if b > 1.0)
-    K0 = sum(int(math.floor(b + 1e-12)) for b in betas if b > 1.0)
-    K = K0 + (len(betas) - k0)
-    return K, K0, k0
-
-
-def football_counts(beta):
-    """(K, K0, k0) for the football of angle 2*pi*beta at both poles."""
-    return direction_counts((beta, beta))
+    weighted = [b for b in betas if is_weighted(b)]
+    K0 = sum(int_part(b) for b in weighted)
+    return K0 + len(betas) - len(weighted), K0, len(weighted)
 
 
 def classify_case(ell, K, K0, rank):

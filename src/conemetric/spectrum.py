@@ -14,6 +14,12 @@ poles.  This module provides the closed-form enumeration, the closed-form
 unit-norm radial eigenfunctions, an independent Sturm-Liouville
 finite-difference oracle, and the spectral-flow crossing report at
 eigenvalue 2 along paths of footballs.
+
+Below 2 lie only (0, 0) and the doubled (j, 0) with 1 <= j < beta, so
+#{lambda < 2} = 1 + 2n with n = [beta] - 1 at an integer beta and [beta]
+otherwise, in the sense of ``angles.int_part`` and ``angles.is_integer``.
+Along a path, (j, 0) crosses 2 where beta passes the integer j, and the
+flow report names each j between n at consecutive samples.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 from scipy.special import eval_gegenbauer, gammaln
 
+from .angles import int_part, is_integer
+
 __all__ = [
     "EigenMode",
     "FlowCrossing",
@@ -37,8 +45,6 @@ __all__ = [
     "eigenvalue_flow",
 ]
 
-#: tolerance for deciding whether beta sits exactly at an integer
-CROSSING_TOL = 1e-9
 #: most modes a closed-form ladder may hold, so that every request ends in
 #: bounded time and memory
 MAX_MODES = 100_000
@@ -101,19 +107,12 @@ def football_eigenvalues(beta, lambda_max):
     return out
 
 
-def eigenvalue_count(beta, threshold=2.0, strict=False, tol: float = 1e-9):
-    """Number of football eigenvalues below (or at) the threshold.
+def eigenvalue_count(beta, threshold=2.0):
+    """Number of football eigenvalues lambda <= threshold, with multiplicity.
 
-    Counts multiplicity.  With ``strict=False`` (the closed-form count)
-    lambda <= threshold gives 2 + 2*[beta] at threshold 2; ``strict=True``
-    counts lambda < threshold only.
+    Counts the closed-form ladder; at threshold 2 this is 2 + 2*[beta].
     """
-    modes = football_eigenvalues(beta, threshold + 1.0)
-    total = 0
-    for m in modes:
-        if m.lam <= threshold + tol if not strict else m.lam < threshold - tol:
-            total += m.multiplicity
-    return total
+    return sum(m.multiplicity for m in football_eigenvalues(beta, threshold))
 
 
 def football_eigenfunction(beta, j, ell):
@@ -209,31 +208,22 @@ def radial_sturm_liouville(beta, j, n_grid=2048, k=5, richardson=True):
 
 def strict_count_below_two(beta):
     """#{lambda < 2} for the football, counting multiplicity."""
-    return eigenvalue_count(beta, threshold=2.0, strict=True,
-                            tol=CROSSING_TOL)
+    return 1 + 2 * (int_part(beta) - is_integer(beta))
 
 
 def eigenvalue_flow(beta_path):
     """Crossing report at lambda = 2 along a sampled path of footballs.
 
-    A mode (j, 0) crosses 2 exactly when j/beta = 1, i.e. when beta passes
-    the integer j.  For each jump of N(s) = #{lambda < 2} between
-    consecutive samples, the integers strictly between the sampled beta
-    values are reported with their responsible modes.
+    Between consecutive samples with counts 1 + 2n and 1 + 2n', each mode
+    (j, 0) with min(n, n') < j <= max(n, n') crosses 2, at beta = j.
     """
     betas = [float(b) for b in beta_path]
-    if any(b <= 0 for b in betas):
-        raise ValueError("beta path must be positive")
+    # the bound also caps the crossings reported between two samples
+    if not all(0 < b <= MAX_MODES for b in betas):
+        raise ValueError(f"beta path must lie in (0, {MAX_MODES}]")
     counts = [strict_count_below_two(b) for b in betas]
-    crossings = []
-
-    def below(j, b):
-        # mode (j, 0) contributes to #{lambda < 2} exactly when j < beta
-        return j < b - CROSSING_TOL
-
-    for i in range(len(betas) - 1):
-        lo, hi = sorted((betas[i], betas[i + 1]))
-        for j in range(max(1, math.floor(lo)), math.floor(hi) + 2):
-            if below(j, betas[i]) != below(j, betas[i + 1]):
-                crossings.append(FlowCrossing(s_index=i, beta=float(j), j=j))
+    crossings = [FlowCrossing(s_index=i, beta=float(j), j=j)
+                 for i in range(len(counts) - 1)
+                 for j in range(min(counts[i:i + 2]) // 2 + 1,
+                                max(counts[i:i + 2]) // 2 + 1)]
     return {"counts": counts, "crossings": crossings}

@@ -1,4 +1,6 @@
+import cmath
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -8,12 +10,15 @@ import sys
 import tempfile
 import time
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import conemetric
 from conemetric import cli, liouville
 from conemetric.cli import (MAX_FLOW_SAMPLES, MAX_RAY_SAMPLES, canonical_json,
                             main)
@@ -72,6 +77,21 @@ class TestAngles:
         assert split["K"] == 3
         assert split["cluster_sizes"] == [2, 1]
 
+    @pytest.mark.parametrize("payload,troyanov", [
+        ({"genus": 1, "beta": [1.5, 0.7]}, True),
+        ({"genus": 2, "beta": [3.5]}, True),
+        ({"beta": [0.5, 0.5, 0.5, 0.5]}, False),
+    ], ids=["genus-1", "genus-2", "chi-0"])
+    def test_any_genus_and_chi(self, tmp_path, capsys, payload, troyanov):
+        code, out, _ = run(capsys, ["angles",
+                                    write_config(tmp_path, payload)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["troyanov"] is troyanov
+        # the lattice and coaxial tests are reported on the sphere only
+        for key in ("coaxial", "mp_distance", "mp_membership"):
+            assert (report[key] is None) == (report["genus"] > 0)
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"beta": [0.5], "betas": [0.5]})
         code, _, err = run(capsys, ["angles", cfg])
@@ -117,6 +137,22 @@ class TestSplit:
         assert len(report["branches"]) == 1
         assert report["branches"][0]["branch_id"] == 1
         assert "blowup" in report          # J = 2 chart always reported
+
+    @pytest.mark.parametrize("weights", ["1.0,1.0", "0.7,1.3"])
+    def test_blowup_describes_printed_branch(self, capsys, weights):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            A = 0.1 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+            for branch in ("0", "1"):
+                code, out, _ = run(capsys, [
+                    "split", "--weights", weights, "--branch", branch,
+                    "--coeffs", ",".join(str(complex(a)) for a in A)])
+                assert code == 0
+                report = json.loads(out)
+                (x1, y1), (x2, y2) = report["branches"][0]["z"]
+                half = complex(x1 - x2, y1 - y2) / 2.0
+                gap = report["blowup"]["phi"] - cmath.phase(half)
+                assert abs(cmath.phase(cmath.exp(1j * gap))) < 1e-12
 
     def test_bad_weight_sum(self, capsys):
         code, _, err = run(capsys, ["split", "--weights", "1.0,0.5",
@@ -212,6 +248,15 @@ class TestSpectrum:
 
     def test_bad_flow_spec(self, capsys):
         assert run(capsys, ["spectrum", "--flow", "1.5:3.5"])[0] == 2
+
+    @pytest.mark.parametrize("flow", ["1.5:1e300:2", "1.5:inf:2", "nan:2:3"])
+    def test_flow_beta_bounded(self, capsys, flow):
+        # each step reports one crossing per integer it passes
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["spectrum", "--flow", flow])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert time.perf_counter() - start < 1.0
 
     def test_flow_count_capped(self, capsys):
         start = time.perf_counter()
@@ -529,6 +574,21 @@ class TestPairRoundtrip:
         assert report["ell"] == 3
         assert report["unreliable_rows"] == []
 
+    @pytest.mark.parametrize("beta", [1 + 5e-10, 1.9999999995, 2.0,
+                                      2.0000000008, 2.5, 3 - 2e-10])
+    def test_near_integer_rows_reliable(self, tmp_path, capsys, beta):
+        # solve and pair agree with angles on [beta] and integrality
+        diag = tmp_path / "diag.json"
+        assert main(["solve", "--points", "0,0;3.141592653589793,0",
+                     "--beta", f"{beta!r},{beta!r}", "--mesh", "256",
+                     "--output", str(diag)]) == 0
+        modes = json.loads(diag.read_text())["eigen_coeffs"][0][0]["modes"]
+        group = ",".join(["0.1+0.2j"] * len(modes))
+        code, out, _ = run(capsys, ["pair", "--diagnostics", str(diag),
+                                    "--direction", f"{group};{group}"])
+        assert code == 0
+        assert json.loads(out)["unreliable_rows"] == []
+
     def test_direction_group_count_mismatch(self, diag_path, capsys):
         assert run(capsys, ["pair", "--diagnostics", diag_path,
                             "--direction", "0.1"])[0] == 2
@@ -562,6 +622,19 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestBenchSpans:
+    def test_traced_names_resolve(self):
+        # bench/run.py --trace 1 wraps each of these names in place
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for target, _ in spans.WRAPPED:
+            mod, attr = target.split(".")
+            assert callable(getattr(getattr(conemetric, mod), attr, None)), \
+                target
 
 
 class TestVerify:

@@ -294,15 +294,29 @@ class TestBlowupChart:
         for rho in (1e-2, 1e-3):
             A = CoeffVector((At1 * rho ** 2,
                              cmath.exp(1j * theta) * rho ** 2))
-            chart = blowup_chart_J2(A, b)
+            chart = blowup_chart_J2(A, b, inverse_map(A, b)[0])
             gaps.append(max(abs(chart.R - chart.R_lead) / rho,
                             abs(chart.z0_2 - chart.z0_2_lead)))
         assert gaps[1] < 0.2 * gaps[0]
 
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.7, 1.3)])
+    @pytest.mark.parametrize("theta", [0.0, 0.9])
+    def test_phase_tends_to_leading_phase(self, theta, weights):
+        b = WeightVector(weights)
+        for k in (0, 1):
+            gaps = []
+            for rho in (1e-2, 1e-3):
+                A = CoeffVector(((0.3 - 0.2j) * rho ** 2,
+                                 cmath.exp(1j * theta) * rho ** 2))
+                chart = blowup_chart_J2(A, b, inverse_map(A, b)[k])
+                gaps.append(abs(cmath.phase(
+                    cmath.exp(1j * (chart.phi - chart.phi_lead)))))
+            assert gaps[1] < 0.2 * gaps[0] and gaps[1] < 1e-3
+
     def test_branch_points_factor(self):
         b = WeightVector((0.7, 1.3))
         A = CoeffVector((0.1 + 0.2j, 0.05))
-        chart = blowup_chart_J2(A, b)
+        chart = blowup_chart_J2(A, b, inverse_map(A, b)[0])
         out = forward_map(chart.branch, b)
         assert np.allclose(out.A, A.A, atol=1e-10)
 

@@ -95,10 +95,6 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             ConicProblem("sphere", points=ANTIPODAL, beta=(0.8,))
 
-    def test_existence_flags(self):
-        prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6))
-        assert prob.flags == {"troyanov": True, "subcritical": True}
-
     def test_chi(self):
         assert football_problem(1.7).chi == pytest.approx(2 * 1.7)
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conemetric.angles import AngleVector, int_part, splitting_spec
 from conemetric.pairing import (DEFAULT_ANNULI, FIT_TOL, DirectionCoeffs,
                                 EigenCoeffs, boundary_pairing_integral,
                                 classify_case, direction_coeffs,
                                 direction_counts, extract_eigf_coeffs,
-                                football_counts,
                                 pairing_B, pairing_matrix, solution_space,
                                 vdot_limit_residual, vdot_vanishing_check)
 
@@ -230,10 +230,21 @@ class TestCounts:
 
     def test_football_large_angle(self):
         # K = 2 [beta] at both poles
-        assert football_counts(2.5) == (4, 4, 2)
+        assert direction_counts((2.5, 2.5)) == (4, 4, 2)
 
     def test_football_small_angle(self):
-        assert football_counts(0.8) == (2, 0, 0)
+        assert direction_counts((0.8, 0.8)) == (2, 0, 0)
+
+    @pytest.mark.parametrize("beta", [1 + 5e-10, 1.9999999995, 2.0,
+                                      2.0000000008, 2.5, 3 - 2e-10])
+    def test_near_integer_agrees_with_splitting_spec(self, beta):
+        # each point splits into [beta] points when weighted, else stays
+        n = max(1, int_part(beta))
+        cluster = [beta] if n == 1 else [1 + (beta - 1) / n] * n
+        spec = splitting_spec(AngleVector(0, (beta, beta)), cluster * 2)
+        K, K0, k0 = direction_counts((beta, beta))
+        assert (K, k0) == (sum(spec.cluster_sizes), spec.k0)
+        assert K0 == (K if k0 else 0)     # both points weighted, or neither
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,18 @@ class TestFlow:
         flow = eigenvalue_flow(path)
         assert flow["counts"] == [strict_count_below_two(b) for b in path]
 
+    @pytest.mark.parametrize("beta", [1 + 5e-10, 1.9999999995, 2.0,
+                                      2.0000000008, 2.5, 3 - 2e-10])
+    def test_count_changes_only_at_crossings(self, beta):
+        path = [beta - 0.5, beta, beta + 0.5]
+        for p in (path, path[::-1]):
+            flow = eigenvalue_flow(p)
+            counts = flow["counts"]
+            assert counts == [strict_count_below_two(b) for b in p]
+            for i in range(len(p) - 1):
+                crossed = sum(c.s_index == i for c in flow["crossings"])
+                assert 2 * crossed == abs(counts[i + 1] - counts[i])
+
     def test_wiggle_counts_each_crossing(self):
         flow = eigenvalue_flow([1.8, 2.2, 1.8, 2.2])
         got = [(c.s_index, c.beta) for c in flow["crossings"]]
