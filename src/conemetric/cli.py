@@ -447,7 +447,7 @@ def cmd_pair(args):
     if raw_rows is None:
         raise ConfigError("diagnostics carry no eigenfunction coefficients")
     try:
-        betas = [float(b) for b in betas]
+        betas = list(AngleVector(genus=0, beta=betas).beta)
         rows = [[EigenCoeffs(
             beta=float(e["beta"]), constant=float(e["constant"]),
             modes=tuple((int(m), float(a), float(b))

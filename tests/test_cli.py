@@ -603,7 +603,10 @@ class TestPairRoundtrip:
         ({"beta": [1.5, 1.5], "eigen_coeffs": [[{"beta": 1.5}]]},
          "malformed"),
         ({"beta": 3, "eigen_coeffs": []}, "malformed"),
-    ], ids=["list", "row-not-object", "row-missing-keys", "beta-not-list"])
+        ({"beta": [math.inf, math.inf], "eigen_coeffs": []}, "finite"),
+        ({"beta": [math.nan, 1.5], "eigen_coeffs": []}, "finite"),
+    ], ids=["list", "row-not-object", "row-missing-keys", "beta-not-list",
+            "beta-inf", "beta-nan"])
     def test_malformed_diagnostics(self, tmp_path, capsys, payload, message):
         code, _, err = run(capsys, ["pair", "--diagnostics",
                                     write_config(tmp_path, payload),

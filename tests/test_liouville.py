@@ -402,28 +402,56 @@ class TestSpectrumNearTwo:
                    if abs(mode.lam - 2.0) < fib.window)
         assert fib.ell == want == 41
 
-    @pytest.mark.parametrize("beta,n,ell,pencils", [
-        ((3.45, 3.45), 512, 5, 13), ((0.6, 0.7, 0.8), 48, 1, 1)],
-        ids=["football", "sphere2d"])
-    def test_each_pencil_solved_once(self, beta, n, ell, pencils,
-                                     monkeypatch):
-        # an eigenvalue sits within 0.05 of the edge of |lambda - 2| < 0.5
-        # (2.5036 for the football's j = 4), so the window widens to 0.75
-        # using the eigenvalues already computed
+    @pytest.mark.parametrize("beta,n,window", [
+        ((0.6, 0.6, 0.6), 24, 36.0), ((0.5, 0.5), 256, 78.0)],
+        ids=["sphere2d", "football"])
+    def test_eigenvalues_match_dense_pencil(self, beta, n, window):
+        # both windows need several k doublings; the values, not only the
+        # count, must be those of a dense solve of each pencil
         points = ANTIPODAL if len(beta) == 2 else EQUATOR3
         m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
                             {"n": n})
-        calls = []
-        eigsh = liouville.eigsh
+        fib = spectrum_near_two(m, window=window)
+        for j, _, A, B in _pencils(m):
+            vals = eigh(A.toarray(), B.toarray(), eigvals_only=True)
+            want = np.sort(vals[np.abs(vals - 2.0) < fib.window])
+            got = np.sort([lam for lam, rep in zip(fib.eigenvalues_near_2,
+                                                   fib.eigenvectors)
+                           if rep["j"] == j])
+            assert len(got) == len(want)
+            assert np.all(np.abs(got - want)
+                          <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return eigsh(*args, **kwargs)
+    @pytest.mark.parametrize("beta,n,window,pencils,eigsh_calls,ell", [
+        ((3.45, 3.45), 512, (0.5, 0.75), 13, 13, 5),
+        ((0.6, 0.7, 0.8), 48, (0.5, 0.75), 1, 1, 1),
+        ((0.6, 0.6, 0.6), 24, (36.0, 36.0), 1, 5, 16)],
+        ids=["football", "sphere2d", "doubling"])
+    def test_each_pencil_solved_once(self, beta, n, window, pencils,
+                                     eigsh_calls, ell, monkeypatch):
+        # an eigenvalue sits within 0.05 of the edge of |lambda - 2| < 0.5
+        # (2.5036 for the football's j = 4), so the window widens to 0.75
+        # using the eigenvalues already computed; the doubling case asks
+        # eigsh for k = 2, 4, 8, 16 and 32 eigenpairs of one factorization
+        points = ANTIPODAL if len(beta) == 2 else EQUATOR3
+        m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
+                            {"n": n})
+        calls = {"eigsh": 0, "splu": 0}
 
-        monkeypatch.setattr(liouville, "eigsh", counted)
-        fib = spectrum_near_two(m)
-        assert len(calls) == len(_pencils(m)) == pencils
-        assert (fib.window, fib.ell) == (0.75, ell)
+        def counted(name):
+            fn = getattr(liouville, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(liouville, name, counted(name))
+        fib = spectrum_near_two(m, window=window[0])
+        assert calls["splu"] == len(_pencils(m)) == pencils
+        assert calls["eigsh"] == eigsh_calls
+        assert (fib.window, fib.ell) == (window[1], ell)
 
     def test_reproducible(self):
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
