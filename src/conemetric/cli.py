@@ -21,6 +21,8 @@ import argparse
 import json
 import math
 import sys
+# json.dumps of a str, without its per-call set-up
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -64,20 +66,30 @@ class ConfigError(ValueError):
 # canonical serialization
 
 def _fmt_float(x):
-    if math.isnan(x) or math.isinf(x):
-        return json.dumps(str(x))
-    return "%.17g" % x
+    if math.isfinite(x):
+        return "%.17g" % x
+    return _quote(str(x))
 
 
 def canonical_json(obj, indent=0):
-    """Render obj as canonical JSON: sorted keys, 17-digit floats."""
+    """Render obj as canonical JSON: sorted keys, 17-digit floats.  The
+    leaves come first, since a report holds more of them than containers."""
     pad = " " * indent
+    if isinstance(obj, (float, np.floating)):
+        return pad + _fmt_float(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return pad + "[" + _fmt_float(obj.real) + ", " \
+            + _fmt_float(obj.imag) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return pad + json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return pad + str(int(obj))
     if isinstance(obj, dict):
         if not obj:
             return pad + "{}"
         items = []
         for key in sorted(obj):
-            items.append(pad + "  " + json.dumps(str(key)) + ": "
+            items.append(pad + "  " + _quote(str(key)) + ": "
                          + canonical_json(obj[key], indent + 2).lstrip())
         return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -85,16 +97,9 @@ def canonical_json(obj, indent=0):
             return pad + "[]"
         items = [canonical_json(v, indent + 2) for v in obj]
         return pad + "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return pad + json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return pad + str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return pad + _fmt_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return pad + "[" + _fmt_float(obj.real) + ", " \
-            + _fmt_float(obj.imag) + "]"
-    return pad + json.dumps(str(obj))
+    if isinstance(obj, np.ndarray):
+        return canonical_json(obj.tolist(), indent)
+    return pad + _quote(str(obj))
 
 
 def _write(text, output):
@@ -200,7 +205,7 @@ def cmd_angles(args):
     report = {
         "meta": _meta(subcommand="angles"),
         "genus": av.genus,
-        "beta": list(av.beta),
+        "beta": av.beta,
         "chi": chi,
         "troyanov": chi > 0 and troyanov_check(av),
         "mp_distance": mp_distance(av) if sphere else None,
@@ -210,26 +215,11 @@ def cmd_angles(args):
     }
     if sphere:
         coax = coaxial_check(av)
-        report["coaxial"] = {
-            "status": coax.status,
-            "case": coax.case,
-            "epsilon": list(coax.epsilon),
-            "k1": coax.k1,
-            "k2": coax.k2,
-            "b": list(coax.b),
-            "eta": None if coax.eta is None else [coax.eta.numerator,
-                                                  coax.eta.denominator],
-        }
+        eta = None if coax.eta is None else [coax.eta.numerator,
+                                             coax.eta.denominator]
+        report["coaxial"] = {**vars(coax), "eta": eta}
     if B is not None:
-        spec = splitting_spec(av, B)
-        report["splitting"] = {
-            "k0": spec.k0,
-            "K": spec.K,
-            "cluster_sizes": list(spec.cluster_sizes),
-            "B": list(spec.B),
-            "weights": list(spec.weights),
-            "order": list(spec.order),
-        }
+        report["splitting"] = vars(splitting_spec(av, B))
     _emit(report, args.output)
     return EXIT_OK
 
@@ -252,42 +242,26 @@ def cmd_split(args):
             and not 0 <= args.branch < math.factorial(b.J):
         raise ConfigError(f"branch must lie in [0, {math.factorial(b.J)})")
     branches = inverse_map(A, b)
-    out_branches = []
-    for br in branches:
-        if args.branch is not None and br.branch_id != args.branch:
-            continue
-        out_branches.append({
-            "branch_id": br.branch_id,
-            "z": [complex(z) for z in br.z],
-            "condition": br.condition,
-            "near_discriminant": br.near_discriminant,
-        })
     report = {
         "meta": _meta(subcommand="split"),
         "J": b.J,
-        "weights": list(b.b),
-        "coeffs": [complex(a) for a in A.A],
-        "branches": out_branches,
+        "weights": b.b,
+        "coeffs": A.A,
+        "branches": [vars(br) for br in branches
+                     if args.branch in (None, br.branch_id)],
     }
     if args.ray_samples:
         data = expansion_coeffs(A.theta, Atilde[:b.J - 1], b,
                                 branch=args.branch or 0)
         rhos = np.linspace(A.rho / args.ray_samples, A.rho, args.ray_samples)
         report["expansion"] = {
-            "theta": data.theta,
-            "branch_id": data.branch_id,
-            "c": [[complex(v) for v in row] for row in data.c],
-            "ray": [{"rho": float(r),
-                     "z": [complex(v) for v in data.evaluate(float(r))]}
-                    for r in rhos],
+            **vars(data),
+            "ray": [{"rho": r, "z": data.evaluate(r)} for r in rhos.tolist()],
         }
     if b.J == 2:
         chart = blowup_chart_J2(A, b, branches[args.branch or 0])
-        report["blowup"] = {
-            "R": chart.R, "phi": chart.phi, "z0_2": complex(chart.z0_2),
-            "R_lead": chart.R_lead, "phi_lead": chart.phi_lead,
-            "z0_2_lead": complex(chart.z0_2_lead), "z0": complex(chart.z0),
-        }
+        report["blowup"] = {k: v for k, v in vars(chart).items()
+                            if k != "branch"}
     _emit(report, args.output)
     return EXIT_OK
 
@@ -354,16 +328,6 @@ def _football_eigrows(beta):
     return rows
 
 
-def _coeff_row_json(row):
-    return [{
-        "beta": e.beta,
-        "constant": e.constant,
-        "modes": [[m, ac, asn] for m, ac, asn in e.modes],
-        "residual": e.residual,
-        "reliable": e.reliable,
-    } for e in row]
-
-
 def cmd_solve(args):
     points = _parse_points(args.points)
     betas = _parse_floats(args.beta)
@@ -385,11 +349,11 @@ def cmd_solve(args):
                       tolerance=metric.residual),
         "background": args.background,
         "kind": metric.kind,
-        "points": [list(p) for p in points],
-        "beta": list(av.beta),
+        "points": points,
+        "beta": av.beta,
         "curvature": args.curvature,
         "residual": metric.residual,
-        "sing_coeffs": [float(c) for c in metric.sing_coeffs],
+        "sing_coeffs": metric.sing_coeffs,
     }
     if args.curvature == 1:
         chi = conic_euler_char(av)
@@ -398,13 +362,11 @@ def cmd_solve(args):
         diagnostics["area_target"] = 2.0 * math.pi * chi
         fiber = spectrum_near_two(metric)
         diagnostics["ell"] = fiber.ell
-        diagnostics["eigenvalues_near_2"] = [float(v) for v in
-                                             fiber.eigenvalues_near_2]
+        diagnostics["eigenvalues_near_2"] = fiber.eigenvalues_near_2
         if metric.kind == "football":
-            proj = projected_solve(metric, fiber)
-            diagnostics["Lambda"] = [float(v) for v in np.atleast_1d(proj[1])]
-            rows = _football_eigrows(av.beta[0])
-            diagnostics["eigen_coeffs"] = [_coeff_row_json(r) for r in rows]
+            diagnostics["Lambda"] = projected_solve(metric, fiber)[1]
+            diagnostics["eigen_coeffs"] = [[vars(e) for e in row] for row
+                                           in _football_eigrows(av.beta[0])]
         else:
             # the projected solve runs in the axisymmetric reduction only
             diagnostics["Lambda"] = []
@@ -430,6 +392,12 @@ def cmd_solve(args):
     return EXIT_OK
 
 
+def _finite(x):
+    if not math.isfinite(x := float(x)):
+        raise ValueError(f"non-finite number {x}")
+    return x
+
+
 def cmd_pair(args):
     try:
         with open(args.diagnostics) as fh:
@@ -447,52 +415,54 @@ def cmd_pair(args):
     if raw_rows is None:
         raise ConfigError("diagnostics carry no eigenfunction coefficients")
     try:
-        betas = list(AngleVector(genus=0, beta=betas).beta)
+        betas = AngleVector(genus=0, beta=betas).beta
         rows = [[EigenCoeffs(
-            beta=float(e["beta"]), constant=float(e["constant"]),
-            modes=tuple((int(m), float(a), float(b))
+            beta=_finite(e["beta"]), constant=_finite(e["constant"]),
+            modes=tuple((int(m), _finite(a), _finite(b))
                         for m, a, b in e["modes"]),
-            residual=float(e["residual"]), reliable=bool(e["reliable"]))
+            residual=_finite(e["residual"]), reliable=bool(e["reliable"]))
             for e in raw] for raw in raw_rows]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed diagnostics {args.diagnostics!r}: "
                           f"{exc!r}")
+    if not 0 <= args.rank_atol < math.inf:
+        raise ConfigError("--rank-atol must be finite and nonnegative")
 
     dir_groups = [_parse_complexes(chunk)
                   for chunk in args.direction.split(";") if chunk.strip()]
     if len(dir_groups) != len(betas):
         raise ConfigError("need one direction coefficient group per cone "
                           "point")
-    dirs = [direction_coeffs(tuple(g), float(b))
-            for g, b in zip(dir_groups, betas)]
+    if not np.isfinite([c for g in dir_groups for c in g]).all():
+        raise ConfigError("direction coefficients must be finite")
+    dirs = [direction_coeffs(g, b) for g, b in zip(dir_groups, betas)]
 
     ell = len(rows)
     K, K0, k0 = direction_counts(betas)
     report = {
         "meta": _meta(subcommand="pair"),
-        "beta": [float(b) for b in betas],
+        "beta": betas,
         "ell": ell,
         "K": K, "K0": K0, "k0": k0,
         "direction": {
-            "coefficients": [[complex(c) for c in g] for g in dir_groups],
+            "coefficients": dir_groups,
             # branch convention: coefficients are those of the monic
             # splitting polynomial for branch 0 of the inverse map
             "branch": 0,
         },
     }
     if ell:
-        unreliable = [i for i, row in enumerate(rows)
-                      if not all(e.reliable for e in row)]
+        values = pairing_B(rows, dirs)  # checks the mode indices first
         matrix = pairing_matrix(rows)
         kernel, info = solution_space(matrix, atol=args.rank_atol)
-        result = classify_case(ell, K, K0, info["rank"])
         report.update({
-            "B_values": [float(v) for v in pairing_B(rows, dirs)],
-            "B_matrix": [[float(v) for v in r] for r in matrix],
-            "kernel": [[float(v) for v in col] for col in kernel.T],
+            "B_values": values,
+            "B_matrix": matrix,
+            "kernel": kernel.T,
             "rank": info["rank"],
-            "unreliable_rows": unreliable,
-            "classification": result,
+            "unreliable_rows": [i for i, row in enumerate(rows)
+                                if not all(e.reliable for e in row)],
+            "classification": classify_case(ell, K, K0, info["rank"]),
         })
     else:
         report["classification"] = classify_case(ell, K, K0, 0)

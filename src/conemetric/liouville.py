@@ -55,12 +55,11 @@ MAX_NEWTON = 60
 #: most grid cells a solve may ask for (n for footballs and disks, 2 n^2
 #: for 2-D solves), so that every request ends in bounded time and memory
 MAX_CELLS = 200_000
-#: GMRES of a 2-D Newton step: relative residual, restart length and most
-#: restart cycles.  A step cut off by the cap is judged, like any other, by
-#: the merit of damped_newton.
+#: GMRES of a 2-D Newton step: relative residual and the length of its one
+#: cycle.  A step that stops short of the tolerance is judged, like any
+#: other, by the merit of damped_newton.
 KRYLOV_RTOL = 1e-12
 KRYLOV_RESTART = 40
-KRYLOV_CYCLES = 3
 
 
 class SolverError(RuntimeError):
@@ -69,7 +68,7 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-def damped_newton(residual, step, x0, tol, floor=0.0):
+def damped_newton(residual, step, x0, tol, floor):
     """Newton iteration with step halving; returns (x, sup|residual(x)|).
 
     ``step(x, F)`` is the caller's linear solve for the Newton correction.
@@ -108,6 +107,12 @@ def damped_newton(residual, step, x0, tol, floor=0.0):
             raise SolverError("Newton line search stalled",
                               residual=np.max(np.abs(F)))
     raise SolverError("Newton did not converge", residual=np.max(np.abs(F)))
+
+
+def _row_floor(L):
+    """eps times the row sums of |L|: the rounding floor of L @ x per unit
+    of sup|x|, for the ``floor`` of damped_newton."""
+    return np.finfo(float).eps * np.asarray(abs(L).sum(axis=1)).ravel()
 
 
 def _border(x0, Z, rows, corner, rhs):
@@ -375,8 +380,7 @@ def _solve_closed(problem, K, W, dists, pair_dists, P, solve):
     # rounding floor of each cell row: the stiffness amplifies eps |w| by
     # its row sum over the cell measure (~ h^-2 for the football and at the
     # equator, ~ h^-4 at the grid poles of the 2-D solve)
-    floor = np.finfo(float).eps * np.concatenate(
-        [np.asarray(abs(K).sum(axis=1)).ravel() / W, np.zeros(k)])
+    floor = np.append(_row_floor(K) / W, np.zeros(k))
 
     def fields(x):
         """The density rho and the A_j rule g at x."""
@@ -483,7 +487,9 @@ def _assemble_laplacian(n_lat):
 
 def _lon_fft_solver(n_lat):
     """The bordered Newton step of the n x 2n grid, ``solve(J, cols, rows,
-    corner, rhs)``, by GMRES on the whole (N + k) system.
+    corner, rhs)``, by GMRES on the whole (N + k) system: one cycle of at
+    most KRYLOV_RESTART iterations, with no restart, since later cycles
+    gain little once the step nears the rounding floor of the residual.
 
     The preconditioner is the same bordered system with J = A - 2 diag(M
     rho) replaced by P = A - 2 diag(M rhobar), rhobar(phi) the longitude
@@ -538,7 +544,7 @@ def _lon_fft_solver(n_lat):
         shape = (N + k, N + k)
         x, _ = gmres(LinearOperator(shape, bordered, dtype=float), rhs,
                      rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART,
-                     maxiter=KRYLOV_CYCLES,
+                     maxiter=1,
                      M=LinearOperator(shape, preconditioned, dtype=float))
         return x
 
@@ -622,7 +628,7 @@ def _solve_disk(problem, n):
         lambda w: L @ w + K * E * np.exp(2.0 * w),
         lambda w, F: spsolve(L + sparse.diags(2.0 * K * E * np.exp(2.0 * w)),
                              -F),
-        np.zeros(n), NEWTON_TOL)
+        np.zeros(n), NEWTON_TOL, _row_floor(L))
     return DiscreteConicMetric(problem=problem, kind="disk", n=n, w=w,
                                sing_coeffs=(0.0,), residual=float(resid),
                                mesh={"r": r, "h": h})
@@ -792,7 +798,8 @@ def projected_solve(metric, fiber, density_perturbation=None):
             L + sparse.diags(2.0 * rho2 * np.exp(2.0 * x[:n])),
             -(V * rho2).T, V * B, np.zeros((ell, ell)), -F)
 
-    x, _ = damped_newton(residual, step, np.zeros(n + ell), 1e-11)
+    x, _ = damped_newton(residual, step, np.zeros(n + ell), 1e-11,
+                         np.append(_row_floor(L), np.zeros(ell)))
     return x[:n], x[n:]
 
 

@@ -142,7 +142,11 @@ def direction_coeffs(A, beta0):
     coeffs = tuple(complex(a) for a in getattr(A, "A", A))
     modes = []
     for m, a in enumerate(coeffs, start=1):
-        e = a / beta0 ** (m / beta0)
+        try:
+            e = a / beta0 ** (m / beta0)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"beta0^(m/beta0) = {beta0!r}^{m / beta0!r} "
+                             "leaves the float range")
         modes.append((m, e.real, e.imag))
     return DirectionCoeffs(beta=float(beta0), modes=tuple(modes))
 
@@ -171,7 +175,12 @@ def pairing_B(eig, direction):
                                  "or indices differ")
     if not rows:
         return np.array([])
-    return pairing_matrix(rows) @ np.concatenate([d.vector for d in dirs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = pairing_matrix(rows) @ np.concatenate([d.vector
+                                                        for d in dirs])
+    if not np.isfinite(values).all():
+        raise ValueError("the pairing values leave the float range")
+    return values
 
 
 def pairing_matrix(rows):
@@ -265,7 +274,11 @@ def solution_space(B_matrix, atol=0.0):
     identity.
     """
     B = np.atleast_2d(np.asarray(B_matrix, dtype=float))
+    if not np.isfinite(B).all():
+        raise ValueError("the pairing matrix is not finite")
     u, s, vt = np.linalg.svd(B)
+    if not np.isfinite(s).all():
+        raise ValueError("the pairing matrix's singular values overflow")
     if s.size and s[0] > 0:
         rank = int(np.sum(s > max(RANK_TOL * s[0], atol)))
     else:

@@ -53,6 +53,13 @@ class TestCanonicalJson:
     def test_bool_and_none(self):
         assert canonical_json([True, None]) == "[\n  true,\n  null\n]"
 
+    def test_numpy_arrays_as_lists(self):
+        real = np.array([[0.1, -2.0], [np.inf, 3.0]])
+        assert canonical_json(real) == canonical_json(real.tolist())
+        assert canonical_json(np.array([1.5 + 0.25j, -1j])) \
+            == "[\n  [1.5, 0.25],\n  [-0, -1]\n]"
+        assert canonical_json(np.zeros((0, 3))) == "[]"
+
 
 class TestAngles:
     def test_report(self, tmp_path, capsys):
@@ -444,7 +451,7 @@ class TestSolveFuzz:
     @example(["solve", "--background", "disk", "--points=0", "--beta=1e300",
               "--curvature", "-1", "--mesh", "317"])
     @given(solve_argv())
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     def test_every_input_ends_cleanly(self, argv):
         ends_cleanly(argv)
 
@@ -483,7 +490,7 @@ class TestAnglesFuzz:
     @example({"beta": [0.5 + 0.01 * i for i in range(16)]})
     @example({"genus": 0, "beta": [2.5, 0.7], "B": [1.75, 1.75, 0.7]})
     @given(angles_config())
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     def test_every_config_ends_cleanly(self, cfg):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "config.json")
@@ -529,7 +536,7 @@ class TestSplitFuzz:
     @example(["split", "--weights=0.5,1.5", "--coeffs=0j,(1e+200+0j)",
               "--ray-samples", "8"])
     @given(split_argv())
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     def test_every_input_ends_cleanly(self, argv):
         ends_cleanly(argv)
 
@@ -614,6 +621,126 @@ class TestPairRoundtrip:
         assert code == 2
         assert message in err
         assert len(err.splitlines()) == 1
+
+
+def football_diagnostics(beta, tmp_path):
+    """solve's diagnostics of the beta football at n = 64, as a dict."""
+    path = tmp_path / f"diag-{beta}.json"
+    assert main(["solve", "--points", "0,0;3.141592653589793,0", "--beta",
+                 f"{beta},{beta}", "--mesh", "64", "--output", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+class TestReportSchema:
+    """The keys of each report section that the CLI takes from a result
+    dataclass, so that renaming a field cannot change the JSON silently."""
+
+    def test_angles_sections(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"beta": [2.5, 0.7],
+                                      "B": [1.75, 1.75, 0.7]})
+        report = json.loads(run(capsys, ["angles", cfg])[1])
+        assert set(report["coaxial"]) == {"status", "case", "epsilon", "k1",
+                                          "k2", "b", "eta"}
+        assert set(report["splitting"]) == {"k0", "K", "cluster_sizes", "B",
+                                            "weights", "order"}
+
+    def test_split_sections(self, capsys):
+        report = json.loads(run(capsys, [
+            "split", "--weights", "1.0,1.0", "--coeffs", "0.1,0.04",
+            "--ray-samples", "2"])[1])
+        for branch in report["branches"]:
+            assert set(branch) == {"branch_id", "z", "condition",
+                                   "near_discriminant"}
+        assert set(report["expansion"]) == {"theta", "branch_id", "c", "ray"}
+        assert {frozenset(p) for p in report["expansion"]["ray"]} \
+            == {frozenset({"rho", "z"})}
+        assert set(report["blowup"]) == {"R", "phi", "z0_2", "R_lead",
+                                         "phi_lead", "z0_2_lead", "z0"}
+
+    def test_solve_eigen_coeffs(self, tmp_path):
+        rows = football_diagnostics(2, tmp_path)["eigen_coeffs"]
+        assert len(rows) == 3
+        for entry in (e for row in rows for e in row):
+            assert set(entry) == {"beta", "constant", "modes", "residual",
+                                  "reliable"}
+
+
+PAIR_NUMBER = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
+                               0.0, 10 ** 400, "nan", None, [1.0]]) \
+    | st.floats(-2.0, 2.0)
+PAIR_DIRECTION = st.sampled_from([complex(1e308, 0.0), complex(math.inf, 0.0),
+                                  complex(0.0, math.nan)]) | FUZZ_COEFF
+
+
+@st.composite
+def pair_case(draw, diagnostics):
+    """An edit of a football's diagnostics and `pair` arguments: numbers in
+    the eigen_coeffs rows replaced by non-finite, huge or mistyped ones,
+    tiny or huge cone angles, and drawn direction groups and rank floor."""
+    diag = json.loads(json.dumps(diagnostics[draw(st.sampled_from(
+        sorted(diagnostics)))]))
+    entries = [e for row in diag["eigen_coeffs"] for e in row]
+    for _ in range(draw(st.integers(0, 3))):
+        entry = draw(st.sampled_from(entries))
+        key = draw(st.sampled_from(["beta", "constant", "residual",
+                                    "modes"]))
+        if key == "modes":
+            draw(st.sampled_from(entry["modes"]))[draw(st.integers(0, 2))] \
+                = draw(PAIR_NUMBER)
+        else:
+            entry[key] = draw(PAIR_NUMBER)
+    if draw(st.integers(0, 3)) == 0:
+        beta = draw(st.sampled_from([1e-3, 1e-5, 1e300]))
+        diag["beta"] = [beta, beta]
+        for entry in entries:
+            entry["beta"] = beta
+    size = len(entries[0]["modes"]) + draw(st.sampled_from([0, 0, 0, 1]))
+    groups = [",".join(repr(draw(PAIR_DIRECTION)) for _ in range(size))
+              for _ in range(2)]
+    return diag, ["--direction", ";".join(groups), "--rank-atol",
+                  draw(st.sampled_from(["1e-8", "0", "nan", "-1", "inf"]))]
+
+
+class TestPairFuzz:
+    @pytest.fixture(scope="class")
+    def diagnostics(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("pair")
+        return {beta: football_diagnostics(beta, tmp_path)
+                for beta in ("1.7", "2")}
+
+    @staticmethod
+    def pair_argv(tmp, diag, argv):
+        path = os.path.join(tmp, "diag.json")
+        with open(path, "w") as fh:
+            json.dump(diag, fh)
+        return ["pair", "--diagnostics", path] + argv
+
+    @pytest.mark.parametrize("beta,key,value,direction", [
+        ("2", "modes", [[math.inf, 0.0, 0.0], [2, 0.0, 0.0]],
+         "0.1,0.2j;-0.05,0.1"),
+        ("2", "constant", math.nan, "0.1,0.2j;-0.05,0.1"),
+        ("1.7", "modes", [[1, 1e308, 1e308]], "0.1+0.2j;-0.05"),
+        ("2", None, None, "nan,0.3;0.1,0.1"),
+    ], ids=["mode-index-inf", "coefficient-nan", "coefficients-1e308",
+            "direction-nan"])
+    def test_refused_with_one_line(self, diagnostics, tmp_path, capsys, beta,
+                                   key, value, direction):
+        diag = json.loads(json.dumps(diagnostics[beta]))
+        if key:
+            for entry in (e for row in diag["eigen_coeffs"] for e in row):
+                entry[key] = value
+        code, out, err = run(capsys, self.pair_argv(
+            tmp_path, diag, ["--direction", direction]))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_every_input_ends_cleanly(self, diagnostics, data):
+        diag, argv = data.draw(pair_case(diagnostics))
+        with tempfile.TemporaryDirectory() as tmp:
+            ends_cleanly(self.pair_argv(tmp, diag, argv))
 
 
 class TestImports:

@@ -76,7 +76,7 @@ class TestForwardInverse:
         assert np.allclose(A.A, poly[1:], atol=1e-12)
 
     @given(st.integers(1, 4), st.integers(0, 10 ** 6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_roundtrip_all_branches(self, J, seed):
         rng = np.random.default_rng(seed)
         b = random_weights(rng, J)
@@ -124,7 +124,7 @@ class TestForwardInverse:
 
 class TestTwoPointRadicals:
     @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_matches_closed_form(self, seed):
         rng = np.random.default_rng(seed)
         b = random_weights(rng, 2)

@@ -164,7 +164,7 @@ class TestSphere2dSolve:
         # two more full Newton steps move the returned solve by round-off
         newton = liouville.damped_newton
 
-        def continued(residual, step, x0, tol, floor=0.0):
+        def continued(residual, step, x0, tol, floor):
             x, res = newton(residual, step, x0, tol, floor)
             for _ in range(2):
                 x = x + step(x, residual(x))
@@ -273,6 +273,17 @@ class TestDiskSolve:
         m = solve_liouville(prob, {"n": 64})
         assert m.residual < 1e-9
         assert np.max(np.abs(m.w)) > 0.2
+
+    @pytest.mark.parametrize("beta", [0.3, 0.7, 3.0])
+    def test_converges_at_fine_meshes(self, beta):
+        # the rounding of L @ w grows as n^2 and passes NEWTON_TOL near
+        # n = 8000; the per-row floor of damped_newton judges those rows
+        prob = ConicProblem("disk", points=((0.0,),), beta=(beta,),
+                            curvature=-1)
+        fine, coarse = (solve_liouville(prob, {"n": n})
+                        for n in (liouville.MAX_CELLS, 8000))
+        w = np.interp(coarse.mesh["r"], fine.mesh["r"], fine.w)
+        assert np.max(np.abs(w - coarse.w)) < 0.01 * np.max(np.abs(fine.w))
 
 
 class TestSolveDispatch:
