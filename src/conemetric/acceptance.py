@@ -331,7 +331,7 @@ def criterion_11(seed=DEFAULT_SEED):
         K, _, _ = direction_counts((beta, beta))
         direction = [direction_coeffs(
             tuple(1.0 + 0.5j for _ in eig.modes), beta)] * 2
-        Bvals = pairing_B(row, direction)
+        Bvals = pairing_B([row], direction)
         # coefficients are certified below 1e-8, so the matrix is zero
         kernel, report = solution_space(pairing_matrix([row]), atol=1e-8)
         ok = ok and float(np.max(np.abs(Bvals))) < 1e-8

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,28 +46,40 @@ __all__ = [
     "int_part",
     "is_integer",
     "is_weighted",
+    "finite_real",
 ]
 
 #: tolerance for angle comparisons: integer angles and the splitting checks
 INT_TOL = 1e-9
 
 
+def finite_real(x, what):
+    """x as a float, if x is a finite real number: an int or a float, but
+    not a bool, a str or an int beyond the float range."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool) \
+            and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise ValueError(f"{what} must be a finite real number, got {x!r}")
+
+
 @dataclass(frozen=True)
 class AngleVector:
-    """Cone-angle data: genus plus the ordered list of angle parameters."""
+    """Cone-angle data: the genus, an integer in [0, 2^53), plus the
+    ordered list of angle parameters, positive finite real numbers."""
 
     genus: int
     beta: tuple
 
     def __post_init__(self):
-        if self.genus < 0 or self.genus != int(self.genus):
-            raise ValueError("genus must be a nonnegative integer")
-        beta = tuple(float(b) for b in self.beta)
-        if not beta:
-            raise ValueError("angle list must be nonempty")
-        if not all(math.isfinite(b) and b > 0 for b in beta):
-            raise ValueError("all angle parameters must be positive and "
-                             "finite")
+        g = finite_real(self.genus, "genus")
+        if not (0 <= g < 2 ** 53 and g.is_integer()):
+            raise ValueError(f"genus must be an integer in [0, 2^53), got {g}")
+        if not isinstance(self.beta, (list, tuple)):
+            raise ValueError(f"malformed angle list {self.beta!r}")
+        beta = tuple(finite_real(b, "each angle parameter") for b in self.beta)
+        if not beta or not all(b > 0 for b in beta):
+            raise ValueError("need a nonempty list of positive angles")
+        object.__setattr__(self, "genus", int(g))
         object.__setattr__(self, "beta", beta)
 
     @property
@@ -302,7 +316,7 @@ def splitting_spec(av: AngleVector, B) -> SplitSpec:
     k0 = sum(1 for b in beta_sorted if is_weighted(b))
     sizes = tuple(max(int_part(b), 1) for b in beta_sorted)
     K = sum(sizes)
-    B = tuple(float(x) for x in B)
+    B = tuple(finite_real(x, "each split angle") for x in B)
     if len(B) != K:
         raise AdmissibilityError(
             f"expected {K} split angles (clusters {sizes}), got {len(B)}")

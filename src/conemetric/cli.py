@@ -28,10 +28,9 @@ import numpy as np
 
 from . import __version__
 from .acceptance import DEFAULT_SEED, run_acceptance
-from .angles import (AdmissibilityError, AngleVector, coaxial_check,
-                     conic_euler_char, int_part, is_integer, mp_distance,
-                     mp_membership, splitting_spec, subcritical_check,
-                     troyanov_check)
+from .angles import (AngleVector, coaxial_check, conic_euler_char, int_part,
+                     is_integer, mp_distance, mp_membership, splitting_spec,
+                     subcritical_check, troyanov_check)
 from .factorization import (CoeffVector, WeightVector, blowup_chart_J2,
                             expansion_coeffs, inverse_map)
 # unused here (inverse_map records each branch's condition number), but the
@@ -56,10 +55,6 @@ MAX_RAY_SAMPLES = 10_000
 MAX_FLOW_SAMPLES = 10_000
 #: most entries of an `angles` config's beta or B list
 MAX_ANGLES = 16
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +134,14 @@ def _parse_floats(text):
     try:
         return [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}: {exc}")
+        raise ValueError(f"bad numeric list {text!r}: {exc}")
 
 
 def _parse_complexes(text):
     try:
         return [complex(x.strip()) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad complex list {text!r}: {exc}")
+        raise ValueError(f"bad complex list {text!r}: {exc}")
 
 
 def _parse_points(text):
@@ -156,7 +151,7 @@ def _parse_points(text):
             continue
         pts.append(tuple(_parse_floats(chunk)))
     if not pts:
-        raise ConfigError("empty point list")
+        raise ValueError("empty point list")
     return pts
 
 
@@ -167,16 +162,14 @@ _ANGLES_KEYS = {"genus", "beta", "B"}
 
 
 def _angle_list(cfg, key):
-    """cfg[key] as at most MAX_ANGLES finite floats: the coaxial and
-    subcluster searches take time exponential in the count."""
+    """cfg[key], a list of at most MAX_ANGLES entries: the coaxial and
+    subcluster searches take time exponential in the count.  AngleVector
+    and splitting_spec check the entries."""
     value = cfg[key]
-    # the bound also fails nan, inf and integers beyond the float range
-    if type(value) is list and len(value) <= MAX_ANGLES and all(
-            type(x) in (int, float) and abs(x) <= sys.float_info.max
-            for x in value):
-        return tuple(float(x) for x in value)
-    raise ConfigError(f"{key!r} must be a list of at most {MAX_ANGLES} "
-                      "finite numbers")
+    if type(value) is list and len(value) <= MAX_ANGLES:
+        return value
+    raise ValueError(f"{key!r} must be a list of at most {MAX_ANGLES} "
+                     "numbers")
 
 
 def cmd_angles(args):
@@ -184,19 +177,15 @@ def cmd_angles(args):
         with open(args.config) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config!r}: {exc}")
+        raise ValueError(f"cannot read config {args.config!r}: {exc}")
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config {args.config!r} must hold a JSON object")
+        raise ValueError(f"config {args.config!r} must hold a JSON object")
     unknown = set(cfg) - _ANGLES_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
     if "beta" not in cfg:
-        raise ConfigError("config must provide 'beta'")
-    genus = cfg.get("genus", 0)
-    if type(genus) not in (int, float) or not 0 <= genus < 2 ** 53 \
-            or genus != int(genus):
-        raise ConfigError("'genus' must be a nonnegative integer")
-    av = AngleVector(int(genus), _angle_list(cfg, "beta"))
+        raise ValueError("config must provide 'beta'")
+    av = AngleVector(cfg.get("genus", 0), _angle_list(cfg, "beta"))
     B = _angle_list(cfg, "B") if "B" in cfg else None
     chi = conic_euler_char(av)
     # the lattice and coaxial tests are those of the sphere; the Troyanov
@@ -227,20 +216,15 @@ def cmd_angles(args):
 def cmd_split(args):
     weights = _parse_floats(args.weights)
     coeffs = _parse_complexes(args.coeffs)
-    if len(weights) != len(coeffs):
-        raise ConfigError("weights and coeffs must have equal length")
     if not 0 <= args.ray_samples <= MAX_RAY_SAMPLES:
-        raise ConfigError(f"--ray-samples must lie in [0, {MAX_RAY_SAMPLES}]")
-    try:
-        b = WeightVector(tuple(weights))
-        A = CoeffVector(tuple(coeffs))
-        Atilde = A.Atilde if args.ray_samples else None
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ValueError(f"--ray-samples must lie in [0, {MAX_RAY_SAMPLES}]")
+    b = WeightVector(tuple(weights))
+    A = CoeffVector(tuple(coeffs))
+    Atilde = A.Atilde if args.ray_samples else None
     # inverse_map returns one branch per ordering of the J split points
     if args.branch is not None \
             and not 0 <= args.branch < math.factorial(b.J):
-        raise ConfigError(f"branch must lie in [0, {math.factorial(b.J)})")
+        raise ValueError(f"branch must lie in [0, {math.factorial(b.J)})")
     branches = inverse_map(A, b)
     report = {
         "meta": _meta(subcommand="split"),
@@ -272,12 +256,12 @@ def cmd_spectrum(args):
             a, bnd, n = args.flow.split(":")
             a, bnd, n = float(a), float(bnd), int(n)
         except ValueError:
-            raise ConfigError("--flow expects start:stop:count")
+            raise ValueError("--flow expects start:stop:count")
         if n < 2 or not (0 < a < math.inf and 0 < bnd < math.inf):
-            raise ConfigError("flow path needs two positive finite endpoints")
+            raise ValueError("flow path needs two positive finite endpoints")
         if n > MAX_FLOW_SAMPLES:
-            raise ConfigError(f"--flow asks for {n} samples; the limit is "
-                              f"{MAX_FLOW_SAMPLES}")
+            raise ValueError(f"--flow asks for {n} samples; the limit is "
+                             f"{MAX_FLOW_SAMPLES}")
         path = list(np.linspace(a, bnd, n))
         flow = eigenvalue_flow(path)
         comments = [f"spectral flow {a}:{bnd}:{n}, version {__version__}"]
@@ -291,9 +275,7 @@ def cmd_spectrum(args):
                   comments)
         return EXIT_OK
     if args.beta is None:
-        raise ConfigError("provide --beta or --flow")
-    if args.beta <= 0 or args.lambda_max < 0:
-        raise ConfigError("beta must be positive and lambda-max nonnegative")
+        raise ValueError("provide --beta or --flow")
     modes = football_eigenvalues(args.beta, args.lambda_max)
     # one row per eigenvalue: doubled angular modes contribute two rows
     rows = [(m.j, m.ell, float(m.lam), m.multiplicity)
@@ -330,18 +312,10 @@ def _football_eigrows(beta):
 
 def cmd_solve(args):
     points = _parse_points(args.points)
-    betas = _parse_floats(args.beta)
-    if len(points) != len(betas):
-        raise ConfigError("need one point per angle parameter")
-    if args.mesh <= 0:
-        raise ConfigError("mesh size must be positive")
-    try:
-        av = AngleVector(0, tuple(betas))
-        problem = ConicProblem(args.background, points, av, args.curvature)
-    except (ValueError, AdmissibilityError) as exc:
-        raise ConfigError(str(exc))
+    av = AngleVector(0, _parse_floats(args.beta))
+    problem = ConicProblem(args.background, points, av, args.curvature)
     if args.axisym and not problem.is_football:
-        raise ConfigError("--axisym requires an antipodal equal-angle pair")
+        raise ValueError("--axisym requires an antipodal equal-angle pair")
     metric = solve_liouville(problem, {"n": args.mesh})
 
     diagnostics = {
@@ -392,49 +366,32 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _finite(x):
-    if not math.isfinite(x := float(x)):
-        raise ValueError(f"non-finite number {x}")
-    return x
-
-
 def cmd_pair(args):
     try:
         with open(args.diagnostics) as fh:
             diag = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read diagnostics {args.diagnostics!r}: "
-                          f"{exc}")
-    if not isinstance(diag, dict):
-        raise ConfigError(f"diagnostics {args.diagnostics!r} must hold a "
-                          "JSON object, as solve writes")
-    raw_rows = diag.get("eigen_coeffs")
-    betas = diag.get("beta")
-    if not betas:
-        raise ConfigError("diagnostics carry no cone angles")
-    if raw_rows is None:
-        raise ConfigError("diagnostics carry no eigenfunction coefficients")
-    try:
-        betas = AngleVector(genus=0, beta=betas).beta
-        rows = [[EigenCoeffs(
-            beta=_finite(e["beta"]), constant=_finite(e["constant"]),
-            modes=tuple((int(m), _finite(a), _finite(b))
-                        for m, a, b in e["modes"]),
-            residual=_finite(e["residual"]), reliable=bool(e["reliable"]))
-            for e in raw] for raw in raw_rows]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed diagnostics {args.diagnostics!r}: "
-                          f"{exc!r}")
+        raise ValueError(f"cannot read diagnostics {args.diagnostics!r}: "
+                         f"{exc}")
+    if not isinstance(diag, dict) or not {"beta", "eigen_coeffs"} <= set(diag):
+        raise ValueError(f"diagnostics {args.diagnostics!r} must hold a "
+                         "JSON object with beta and eigen_coeffs, as solve "
+                         "writes")
+    betas = AngleVector(0, diag["beta"]).beta
+    raw_rows = diag["eigen_coeffs"]
+    if type(raw_rows) is not list or not all(type(r) is list
+                                             for r in raw_rows):
+        raise ValueError("malformed eigen_coeffs: need a list of rows, each "
+                         "a list of entries")
+    rows = [[EigenCoeffs.from_report(e) for e in raw] for raw in raw_rows]
     if not 0 <= args.rank_atol < math.inf:
-        raise ConfigError("--rank-atol must be finite and nonnegative")
+        raise ValueError("--rank-atol must be finite and nonnegative")
 
     dir_groups = [_parse_complexes(chunk)
                   for chunk in args.direction.split(";") if chunk.strip()]
     if len(dir_groups) != len(betas):
-        raise ConfigError("need one direction coefficient group per cone "
-                          "point")
-    if not np.isfinite([c for g in dir_groups for c in g]).all():
-        raise ConfigError("direction coefficients must be finite")
+        raise ValueError("need one direction coefficient group per cone "
+                         "point")
     dirs = [direction_coeffs(g, b) for g, b in zip(dir_groups, betas)]
 
     ell = len(rows)
@@ -476,8 +433,8 @@ def cmd_verify(args):
         try:
             indices = [int(x) for x in args.criteria.split(",")]
         except ValueError:
-            raise ConfigError("--criteria expects a comma-separated list "
-                              "of indices")
+            raise ValueError("--criteria expects a comma-separated list "
+                             "of indices")
     results = run_acceptance(indices, seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -567,17 +524,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (AdmissibilityError, ValueError) as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         # SolverError, ContinuationError and ARPACK's ArpackError are all
-        # RuntimeErrors
+        # RuntimeErrors; LinAlgError is a ValueError, so it comes first
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except (ValueError, OSError) as exc:
+        # AdmissibilityError, every input rule's ValueError, and an output
+        # file that cannot be written
+        print(f"error: invalid input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

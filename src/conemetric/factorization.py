@@ -188,8 +188,6 @@ def forward_map(Z, b: WeightVector) -> CoeffVector:
     unit weights this reproduces the exact monic polynomial coefficients
     (signed elementary symmetric functions of the roots).
     """
-    if isinstance(Z, RootConfiguration):
-        Z = Z.z
     zs = [complex(z) for z in Z]
     J = b.J
     if len(zs) != J:

@@ -240,8 +240,11 @@ class ConicProblem:
         if not all(np.all(np.isfinite(p)) for p in self.points):
             raise ValueError("cone point coordinates must be finite")
         if len(self.points) != len(beta.beta):
-            raise ValueError("one position per cone angle required")
+            raise ValueError("need one point per angle parameter")
         if self.background == "sphere":
+            if any(len(p) != 2 for p in self.points):
+                raise ValueError("sphere points are (colatitude, longitude) "
+                                 "pairs")
             xs = [sphere_point(*p) for p in self.points]
             for i in range(len(xs)):
                 for k in range(i + 1, len(xs)):
@@ -462,7 +465,7 @@ def _grid2d(n_lat):
                                  np.sin(P) * np.sin(T), np.cos(P)], axis=-1)
 
 
-def _assemble_laplacian(n_lat):
+def _assemble_laplacian(form):
     """Symmetric flux form A (so that div grad w = -A w / M) and measure M.
 
     On the lat-lon grid (row-major, longitude fastest) A is the Kronecker
@@ -470,12 +473,12 @@ def _assemble_laplacian(n_lat):
 
         A = h^2 K (x) I_{2n} + diag(1 / sin phi) (x) C,
 
-    where K = FluxForm(n, 1).matrix() is the latitude stiffness
-    -(sin phi w')' and C the periodic second difference in longitude, so A
-    is circulant in longitude; M = sin phi h^2 is the cell area.
+    where K = form.matrix() is the latitude stiffness -(sin phi w')' of
+    ``form = FluxForm(n, 1)`` and C the periodic second difference in
+    longitude, so A is circulant in longitude; M = sin phi h^2 is the cell
+    area.
     """
-    n_lon = 2 * n_lat
-    form = FluxForm(n_lat, 1)
+    n_lon = 2 * len(form.weight)
     h = form.h
     shift = sparse.eye(n_lon, k=1) + sparse.eye(n_lon, k=1 - n_lon)
     C = 2.0 * sparse.eye(n_lon) - shift - shift.T
@@ -485,11 +488,12 @@ def _assemble_laplacian(n_lat):
     return A.tocsc(), M
 
 
-def _lon_fft_solver(n_lat):
-    """The bordered Newton step of the n x 2n grid, ``solve(J, cols, rows,
-    corner, rhs)``, by GMRES on the whole (N + k) system: one cycle of at
-    most KRYLOV_RESTART iterations, with no restart, since later cycles
-    gain little once the step nears the rounding floor of the residual.
+def _lon_fft_solver(form):
+    """The bordered Newton step of the n x 2n grid whose latitude stiffness
+    is ``form = FluxForm(n, 1)``, ``solve(J, cols, rows, corner, rhs)``, by
+    GMRES on the whole (N + k) system: one cycle of at most KRYLOV_RESTART
+    iterations, with no restart, since later cycles gain little once the
+    step nears the rounding floor of the residual.
 
     The preconditioner is the same bordered system with J = A - 2 diag(M
     rho) replaced by P = A - 2 diag(M rhobar), rhobar(phi) the longitude
@@ -505,8 +509,8 @@ def _lon_fft_solver(n_lat):
     Both the rfft and the row mean commute with rotations in longitude, so
     the iterates keep the symmetries of the grid.
     """
+    n_lat = len(form.weight)
     n_lon = 2 * n_lat
-    form = FluxForm(n_lat, 1)
     off = -form.h ** 2 * form.face[1:-1]
     # the tridiagonals side by side, with no coupling between modes
     sub = np.tile(np.append(off, 0.0), n_lat + 1)[:-1]
@@ -594,10 +598,11 @@ def _solve_sphere2d(problem, n_lat):
                 f"cone point {j} at ({colat!r}, {lon!r}) lies on the centre "
                 f"of cell {tuple(map(int, cell))} of the n = {n_lat} grid, "
                 "where its density is infinite; move it or change the mesh")
-    A, M = _assemble_laplacian(n_lat)
+    form = FluxForm(n_lat, 1)
+    A, M = _assemble_laplacian(form)
     w, coeffs, resid = _solve_closed(problem, A, M, dists, pair_dists,
                                      _interp_matrix(phi, theta, pts),
-                                     _lon_fft_solver(n_lat))
+                                     _lon_fft_solver(form))
     return DiscreteConicMetric(
         problem=problem, kind="sphere2d", n=n_lat, w=w, sing_coeffs=coeffs,
         residual=resid, mesh={"phi": phi, "theta": theta, "A": A, "M": M,
@@ -640,9 +645,11 @@ def _solve_disk(problem, n):
 def solve_liouville(problem, mesh_params=None):
     """Solve for the bounded conformal remainder; see the module docstring.
 
-    mesh_params: {"n": resolution}.
+    mesh_params: {"n": resolution}, n a positive integer.
     """
     n = int((mesh_params or {}).get("n", 256))
+    if n <= 0:
+        raise ValueError(f"mesh size must be positive, got n = {n}")
     football = problem.is_football
     cells = n if football or problem.background == "disk" else 2 * n * n
     if cells > MAX_CELLS:

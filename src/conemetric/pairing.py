@@ -21,11 +21,11 @@ conformal factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .angles import int_part, is_weighted
+from .angles import finite_real, int_part, is_weighted
 
 __all__ = [
     "EigenCoeffs",
@@ -70,6 +70,32 @@ class EigenCoeffs:
     modes: tuple
     residual: float
     reliable: bool
+
+    @classmethod
+    def from_report(cls, obj):
+        """The EigenCoeffs whose ``vars()`` a solve report holds as obj: the
+        field names as keys, finite real numbers, [m, cos, sin] triples with
+        an int m and a bool ``reliable``; else ValueError."""
+        keys = [f.name for f in fields(cls)]
+        if type(obj) is not dict or sorted(obj) != sorted(keys):
+            raise ValueError("malformed eigen_coeffs entry: need an object "
+                             f"with exactly the keys {keys}")
+        modes = obj["modes"]
+        if type(modes) is not list or not all(
+                type(t) is list and len(t) == 3 and type(t[0]) is int
+                for t in modes):
+            raise ValueError(f"malformed modes {modes!r}: need [m, cos, "
+                             "sin] triples with an integer m")
+        if type(obj["reliable"]) is not bool:
+            raise ValueError(f"malformed reliable {obj['reliable']!r}: "
+                             "need true or false")
+        return cls(beta=finite_real(obj["beta"], "beta"),
+                   constant=finite_real(obj["constant"], "constant"),
+                   modes=tuple((m, finite_real(a, "a mode coefficient"),
+                                finite_real(b, "a mode coefficient"))
+                               for m, a, b in modes),
+                   residual=finite_real(obj["residual"], "residual"),
+                   reliable=obj["reliable"])
 
 
 @dataclass(frozen=True)
@@ -139,7 +165,9 @@ def direction_coeffs(A, beta0):
     """
     if beta0 <= 0:
         raise ValueError("beta0 must be positive")
-    coeffs = tuple(complex(a) for a in getattr(A, "A", A))
+    coeffs = tuple(complex(a) for a in A)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("direction coefficients must be finite")
     modes = []
     for m, a in enumerate(coeffs, start=1):
         try:
@@ -151,20 +179,14 @@ def direction_coeffs(A, beta0):
     return DirectionCoeffs(beta=float(beta0), modes=tuple(modes))
 
 
-def _as_rows(eig):
-    rows = list(eig)
-    return [rows] if rows and isinstance(rows[0], EigenCoeffs) else rows
-
-
-def pairing_B(eig, direction):
+def pairing_B(rows, direction):
     """Pairing values B_i between eigenfunction rows and a direction.
 
-    ``eig`` is one row (a sequence of EigenCoeffs, one per cone point) or a
-    sequence of such rows, one per basis eigenfunction; ``direction`` is the
-    matching sequence of DirectionCoeffs.  Returns the vector (B_i), the
-    pairing matrix applied to the assembled direction vector.
+    ``rows`` holds one row per basis eigenfunction, each a sequence of
+    EigenCoeffs, one per cone point; ``direction`` is the matching sequence
+    of DirectionCoeffs.  Returns the vector (B_i), the pairing matrix
+    applied to the assembled direction vector.
     """
-    rows = _as_rows(eig)
     dirs = list(direction)
     for row in rows:
         if len(row) != len(dirs):
@@ -191,7 +213,7 @@ def pairing_matrix(rows):
     points; the kernel of this matrix is the solution space.
     """
     out = []
-    for row in _as_rows(rows):
+    for row in rows:
         entries = []
         for eig in row:
             for (m, ac, asn) in eig.modes:
@@ -363,7 +385,7 @@ def vdot_vanishing_check(A, J, k, h=1e-2):
     the central difference decays at rate h^2; at k = J it converges to
     J! * Re(sum_l A_l z^{-l}).
     """
-    coeffs = tuple(complex(a) for a in getattr(A, "A", A))
+    coeffs = tuple(complex(a) for a in A)
     if len(coeffs) != J:
         raise ValueError("need J polynomial coefficients")
     if not 1 <= k <= J:
@@ -378,7 +400,7 @@ def vdot_limit_residual(A, J):
     splitting conformal factor at rho = 0 with the analytic value
     J! * Re(sum_l A_l z^{-l}) on _CIRCLE and returns the sup misfit.
     """
-    coeffs = tuple(complex(a) for a in getattr(A, "A", A))
+    coeffs = tuple(complex(a) for a in A)
     if len(coeffs) != J:
         raise ValueError("need J polynomial coefficients")
     coarse = _vdot_fd(coeffs, J, J, 2e-2)

@@ -23,6 +23,7 @@ from conemetric import cli, liouville
 from conemetric.cli import (MAX_FLOW_SAMPLES, MAX_RAY_SAMPLES, canonical_json,
                             main)
 from conemetric.factorization import MAX_J
+from conemetric.pairing import EigenCoeffs
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -321,6 +322,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("argv,message", [
         (["--points", "0,0"], "one point per angle"),
+        (["--points", "0;3.141592653589793,0"], "longitude) pairs"),
+        (["--points", "0,0,0;3.141592653589793,0"], "longitude) pairs"),
         (["--mesh", "257"], "even n >= 4"),     # equator inside a cell
         (["--mesh", "2"], "even n >= 4"),       # one half-grid cell
         (["--beta", "nan,nan"], "finite"),
@@ -357,11 +360,12 @@ class TestSolve:
          "beta = [1e+300, 1e+300]: the background density"),
         (["--beta", "600,600", "--mesh", "64"],
          "beta = [600.0, 600.0]: the background density"),
-    ], ids=["point-count", "odd-mesh", "tiny-mesh", "nan-beta", "nan-point",
-            "near-coincident", "nonpositive-chi", "disk-off-centre",
-            "disk-two-points", "mesh-cap-2d", "mesh-cap-football",
-            "mesh-cap-disk", "point-on-cell-centre", "huge-beta",
-            "overflowing-beta"])
+    ], ids=["point-count", "point-one-coordinate",
+            "point-three-coordinates", "odd-mesh", "tiny-mesh", "nan-beta",
+            "nan-point", "near-coincident", "nonpositive-chi",
+            "disk-off-centre", "disk-two-points", "mesh-cap-2d",
+            "mesh-cap-football", "mesh-cap-disk", "point-on-cell-centre",
+            "huge-beta", "overflowing-beta"])
     def test_invalid_input_is_config_error(self, capsys, argv, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -378,6 +382,17 @@ class TestSolve:
         assert code == 3
         assert "solver failure" in err and "forced" in err
         assert "Traceback" not in err
+
+    def test_singular_system_is_solver_error(self, capsys, monkeypatch):
+        # LinAlgError is a ValueError, yet a singular system is no input
+        # error
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(liouville, "_border", singular)
+        code, out, err = run(capsys, self.FOOTBALL)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: solver failure: Singular matrix")
+        assert len(err.splitlines()) == 1
 
     def test_axisym_flag_requires_football(self, capsys, monkeypatch):
         def no_solve(*args):
@@ -541,6 +556,14 @@ class TestSplitFuzz:
         ends_cleanly(argv)
 
 
+def pair_payload(**entry):
+    """Diagnostics of one cone point with one eigen_coeffs row, whose entry
+    takes the given keys over a well-formed beta = 1.5 entry."""
+    good = {"beta": 1.5, "constant": 1.0, "modes": [[1, 0.5, -0.5]],
+            "residual": 0.0, "reliable": True}
+    return {"beta": [1.5], "eigen_coeffs": [[{**good, **entry}]]}
+
+
 class TestPairRoundtrip:
     @pytest.fixture()
     def diag_path(self, tmp_path, capsys):
@@ -596,6 +619,22 @@ class TestPairRoundtrip:
         assert code == 0
         assert json.loads(out)["unreliable_rows"] == []
 
+    # every (beta, mesh) whose solve report a test here hands to pair
+    @pytest.mark.parametrize("beta,mesh", [
+        ("1.7", 128), ("1.7", 64), ("2", 64), ("3", 64),
+        *((repr(b), 256) for b in (1 + 5e-10, 1.9999999995, 2.0,
+                                   2.0000000008, 2.5, 3 - 2e-10))])
+    def test_rows_read_back_byte_identical(self, tmp_path, beta, mesh):
+        path = tmp_path / "diag.json"
+        assert main(["solve", "--points", "0,0;3.141592653589793,0",
+                     "--beta", f"{beta},{beta}", "--mesh", str(mesh),
+                     "--output", str(path)]) == 0
+        text = path.read_text()
+        rows = [[vars(EigenCoeffs.from_report(e)) for e in row]
+                for row in json.loads(text)["eigen_coeffs"]]
+        assert '"eigen_coeffs": ' + canonical_json(rows, 2).lstrip() \
+            + ",\n" in text
+
     def test_direction_group_count_mismatch(self, diag_path, capsys):
         assert run(capsys, ["pair", "--diagnostics", diag_path,
                             "--direction", "0.1"])[0] == 2
@@ -612,8 +651,25 @@ class TestPairRoundtrip:
         ({"beta": 3, "eigen_coeffs": []}, "malformed"),
         ({"beta": [math.inf, math.inf], "eigen_coeffs": []}, "finite"),
         ({"beta": [math.nan, 1.5], "eigen_coeffs": []}, "finite"),
+        (pair_payload(modes=[[1.9, 0.0, 0.0]]), "with an integer m"),
+        (pair_payload(modes=[[True, 0.0, 0.0]]), "with an integer m"),
+        (pair_payload(modes=[[1, 0.0]]), "malformed modes"),
+        (pair_payload(reliable="false"), "malformed reliable"),
+        (pair_payload(reliable=1), "malformed reliable"),
+        (pair_payload(reliable=None), "malformed reliable"),
+        (pair_payload(constant="0.5"), "constant must be a finite real"),
+        (pair_payload(residual=False), "residual must be a finite real"),
+        (pair_payload(extra=0.0), "malformed eigen_coeffs entry"),
+        ({"beta": "17", "eigen_coeffs": []}, "malformed angle list"),
+        ({"beta": [True, True], "eigen_coeffs": []}, "finite real number"),
+        ({"beta": ["1.5", 1.5], "eigen_coeffs": []}, "finite real number"),
+        ({"beta": [1.5, 1.5], "eigen_coeffs": "[]"}, "malformed eigen_coeffs"),
+        ({"beta": [1.5, 1.5]}, "must hold a JSON object with beta and"),
     ], ids=["list", "row-not-object", "row-missing-keys", "beta-not-list",
-            "beta-inf", "beta-nan"])
+            "beta-inf", "beta-nan", "mode-index-fraction", "mode-index-bool",
+            "mode-pair", "reliable-str", "reliable-int", "reliable-null",
+            "constant-str", "residual-bool", "extra-key", "beta-str",
+            "beta-bools", "beta-entry-str", "rows-str", "no-rows"])
     def test_malformed_diagnostics(self, tmp_path, capsys, payload, message):
         code, _, err = run(capsys, ["pair", "--diagnostics",
                                     write_config(tmp_path, payload),
@@ -666,8 +722,10 @@ class TestReportSchema:
 
 
 PAIR_NUMBER = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
-                               0.0, 10 ** 400, "nan", None, [1.0]]) \
-    | st.floats(-2.0, 2.0)
+                               0.0, 10 ** 400, "nan", "0.5", None, True, 1.9,
+                               [1.0]]) | st.floats(-2.0, 2.0)
+PAIR_RELIABLE = st.sampled_from([True, False, "false", 1, 0, None])
+PAIR_ANGLES = st.sampled_from(["17", [True, True], ["1.7", "1.7"], 1.7, None])
 PAIR_DIRECTION = st.sampled_from([complex(1e308, 0.0), complex(math.inf, 0.0),
                                   complex(0.0, math.nan)]) | FUZZ_COEFF
 
@@ -676,24 +734,28 @@ PAIR_DIRECTION = st.sampled_from([complex(1e308, 0.0), complex(math.inf, 0.0),
 def pair_case(draw, diagnostics):
     """An edit of a football's diagnostics and `pair` arguments: numbers in
     the eigen_coeffs rows replaced by non-finite, huge or mistyped ones,
-    tiny or huge cone angles, and drawn direction groups and rank floor."""
+    mistyped mode indices and reliable flags, extra row keys, tiny, huge or
+    mistyped cone angles, and drawn direction groups and rank floor."""
     diag = json.loads(json.dumps(diagnostics[draw(st.sampled_from(
         sorted(diagnostics)))]))
     entries = [e for row in diag["eigen_coeffs"] for e in row]
     for _ in range(draw(st.integers(0, 3))):
         entry = draw(st.sampled_from(entries))
         key = draw(st.sampled_from(["beta", "constant", "residual",
-                                    "modes"]))
+                                    "modes", "reliable", "extra"]))
         if key == "modes":
             draw(st.sampled_from(entry["modes"]))[draw(st.integers(0, 2))] \
                 = draw(PAIR_NUMBER)
         else:
-            entry[key] = draw(PAIR_NUMBER)
+            entry[key] = draw(PAIR_RELIABLE if key == "reliable"
+                              else PAIR_NUMBER)
     if draw(st.integers(0, 3)) == 0:
         beta = draw(st.sampled_from([1e-3, 1e-5, 1e300]))
         diag["beta"] = [beta, beta]
         for entry in entries:
             entry["beta"] = beta
+    elif draw(st.integers(0, 7)) == 0:
+        diag["beta"] = draw(PAIR_ANGLES)
     size = len(entries[0]["modes"]) + draw(st.sampled_from([0, 0, 0, 1]))
     groups = [",".join(repr(draw(PAIR_DIRECTION)) for _ in range(size))
               for _ in range(2)]
@@ -721,8 +783,18 @@ class TestPairFuzz:
         ("2", "constant", math.nan, "0.1,0.2j;-0.05,0.1"),
         ("1.7", "modes", [[1, 1e308, 1e308]], "0.1+0.2j;-0.05"),
         ("2", None, None, "nan,0.3;0.1,0.1"),
+        ("1.7", "modes", [[1.9, 0.0, 0.0]], "0.1+0.2j;-0.05"),
+        ("1.7", "modes", [[True, 0.0, 0.0]], "0.1+0.2j;-0.05"),
+        ("1.7", "reliable", "false", "0.1+0.2j;-0.05"),
+        ("1.7", "reliable", 1, "0.1+0.2j;-0.05"),
+        ("1.7", "reliable", None, "0.1+0.2j;-0.05"),
+        ("1.7", "constant", "0.5", "0.1+0.2j;-0.05"),
+        ("1.7", "residual", True, "0.1+0.2j;-0.05"),
+        ("1.7", "extra", 0.0, "0.1+0.2j;-0.05"),
     ], ids=["mode-index-inf", "coefficient-nan", "coefficients-1e308",
-            "direction-nan"])
+            "direction-nan", "mode-index-fraction", "mode-index-bool",
+            "reliable-str", "reliable-int", "reliable-null", "constant-str",
+            "residual-bool", "extra-key"])
     def test_refused_with_one_line(self, diagnostics, tmp_path, capsys, beta,
                                    key, value, direction):
         diag = json.loads(json.dumps(diagnostics[beta]))
@@ -733,6 +805,16 @@ class TestPairFuzz:
             tmp_path, diag, ["--direction", direction]))
         assert code == 2
         assert out == ""
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("beta", ["17", [True, True], ["1.7", "1.7"]],
+                             ids=["str", "bools", "strs"])
+    def test_mistyped_angles_refused(self, diagnostics, tmp_path, capsys,
+                                     beta):
+        diag = {**diagnostics["1.7"], "beta": beta}
+        code, out, err = run(capsys, self.pair_argv(
+            tmp_path, diag, ["--direction", "0.1+0.2j;-0.05"]))
+        assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
 
     @given(st.data())
@@ -752,6 +834,24 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv", [
+        ["pair", "--diagnostics", "{tmp}/report.json", "--direction", "0.1"],
+        ["solve", "--points", "0,0;3.141592653589793,0", "--beta", "1.7,1.7",
+         "--mesh", "0"],
+        ["spectrum", "--beta", "2.5", "--output", "{tmp}/missing/out.csv"],
+    ], ids=["pair-malformed-report", "solve-mesh-0", "unwritable-output"])
+    def test_invalid_input_ends_with_one_line(self, tmp_path, argv):
+        write_config(tmp_path, pair_payload(reliable="false"), "report.json")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-m", "conemetric.cli", *argv],
+                             env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("error: ")
+        assert len(out.stderr.splitlines()) == 1
 
 
 class TestBenchSpans:

@@ -91,6 +91,21 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="even n >= 4"):
             solve_liouville(football_problem(1.7), {"n": n})
 
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("problem", [
+        ConicProblem("disk", points=((0.0,),), beta=(0.7,), curvature=-1),
+        football_problem(1.7),
+        ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8)),
+    ], ids=["disk", "football", "2d"])
+    def test_nonpositive_mesh_rejected(self, problem, n):
+        with pytest.raises(ValueError, match="mesh size must be positive"):
+            solve_liouville(problem, {"n": n})
+
+    def test_sphere_points_are_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            ConicProblem("sphere", points=((0.0,), (math.pi, 0.0)),
+                         beta=(1.7, 1.7))
+
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ConicProblem("sphere", points=ANTIPODAL, beta=(0.8,))
@@ -206,7 +221,7 @@ def newton_systems(monkeypatch, points, beta, n):
         systems.append(system)
         return _bordered_solve(*system)
 
-    monkeypatch.setattr(liouville, "_lon_fft_solver", lambda n_lat: direct)
+    monkeypatch.setattr(liouville, "_lon_fft_solver", lambda form: direct)
     solve_liouville(ConicProblem("sphere", points=points, beta=beta),
                     {"n": n})
     return systems
@@ -219,7 +234,7 @@ class TestKrylovStep:
     def test_matches_direct_step(self, monkeypatch, points, beta, n):
         systems = newton_systems(monkeypatch, points, beta, n)
         assert len(systems) >= 3
-        krylov = _lon_fft_solver(n)
+        krylov = _lon_fft_solver(FluxForm(n, 1))
         for system in systems:
             want = _bordered_solve(*system)
             got = krylov(*system)
@@ -236,7 +251,7 @@ class TestKrylovStep:
     def test_exact_for_longitude_constant_density(self, monkeypatch):
         # the preconditioner is J itself, bordered the same way
         n, k = 24, 3
-        A, M = _assemble_laplacian(n)
+        A, M = _assemble_laplacian(FluxForm(n, 1))
         phi = (np.arange(n) + 0.5) * (math.pi / n)
         J = A - sparse.diags(2.0 * M * np.repeat(0.3 + 0.2 * np.cos(phi) ** 2,
                                                  2 * n))
@@ -253,7 +268,7 @@ class TestKrylovStep:
                          callback_type="pr_norm", **kwargs)
 
         monkeypatch.setattr(liouville, "gmres", counted)
-        got = _lon_fft_solver(n)(J, cols, rows, corner, rhs)
+        got = _lon_fft_solver(FluxForm(n, 1))(J, cols, rows, corner, rhs)
         want = _bordered_solve(J, cols, rows, corner, rhs)
         assert 1 <= len(residuals) <= 2
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -343,7 +358,7 @@ class TestLinearizedOperator:
 
     def test_2d_laplacian_matches_football_on_axisymmetric_samples(self):
         n = 24
-        A, M = _assemble_laplacian(n)
+        A, M = _assemble_laplacian(FluxForm(n, 1))
         phi = (np.arange(n) + 0.5) * (math.pi / n)
         f = np.cos(phi) + phi ** 3
         want = _axisym_laplacian(FluxForm(n, 1)) @ f

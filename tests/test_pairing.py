@@ -98,7 +98,7 @@ class TestPairing:
         dirs = [DirectionCoeffs(2.5, ((1, 0.5, 0.0), (2, 0.0, 0.25))),
                 DirectionCoeffs(0.7, ((1, 4.0, 0.0),))]
         want = 1 * 1.0 * 0.5 + 2 * 3.0 * 0.25 + 2.0 * 4.0
-        assert pairing_B(row, dirs) == pytest.approx([want])
+        assert pairing_B([row], dirs) == pytest.approx([want])
 
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=50)
@@ -106,8 +106,8 @@ class TestPairing:
         row = [eig_row(1.5, [(1, ac, 0.3)])]
         dirs = [DirectionCoeffs(1.5, ((1, ec, -0.4),))]
         scaled = [eig_row(1.5, [(1, s * ac, s * 0.3)])]
-        assert pairing_B(scaled, dirs)[0] == pytest.approx(
-            s * pairing_B(row, dirs)[0], abs=1e-12)
+        assert pairing_B([scaled], dirs)[0] == pytest.approx(
+            s * pairing_B([row], dirs)[0], abs=1e-12)
 
     def test_matrix_action_matches_direct_value(self):
         rows = [[eig_row(2.5, [(1, 0.2, -0.1), (2, 0.4, 0.3)]),
@@ -125,7 +125,7 @@ class TestPairing:
         row = [eig_row(2.5, [(1, 1.0, 0.0)])]
         dirs = [DirectionCoeffs(2.5, ((1, 1.0, 0.0), (2, 0.0, 1.0)))]
         with pytest.raises(ValueError):
-            pairing_B(row, dirs)
+            pairing_B([row], dirs)
 
 
 class TestBoundaryIntegral:
