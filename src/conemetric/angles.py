@@ -14,10 +14,11 @@ the elementary membership tests used everywhere else in the package:
 * the coaxial (reducible monodromy) conditions, and
 * validation of cone-point splitting data: cluster sizes, split angles
   B_i and the associated weights, and
-* the integer arithmetic of a single angle: its integer part [beta],
-  whether it sits at an integer, and whether its point is weighted
-  (beta > 1), each to within INT_TOL.  The pairing, the spectral counts
-  and the command line take these rules from here.
+* the arithmetic of angles: when two angles count as equal, the integer
+  part [beta], whether it sits at an integer, and whether its point is
+  weighted (beta > 1), each to within INT_TOL.  The pairing, the spectral
+  counts, the football solve and the command line take these rules from
+  here.
 
 Everything is plain arithmetic on small vectors; all functions are pure.
 """
@@ -43,6 +44,7 @@ __all__ = [
     "subcritical_check",
     "coaxial_check",
     "splitting_spec",
+    "same_angle",
     "int_part",
     "is_integer",
     "is_weighted",
@@ -155,9 +157,9 @@ def troyanov_check(av: AngleVector) -> bool:
     beta = av.beta
     if len(beta) == 1:
         # a single cone point on the sphere is smooth only if beta = 1
-        return abs(beta[0] - 1.0) <= INT_TOL
+        return same_angle(beta[0], 1.0)
     if len(beta) == 2:
-        return abs(beta[0] - beta[1]) <= INT_TOL
+        return same_angle(*beta)
     total = sum(b - 1.0 for b in beta)
     return all((b - 1.0) > total - (b - 1.0) for b in beta)
 
@@ -193,9 +195,14 @@ def subcritical_check(av: AngleVector) -> bool:
     return conic_euler_char(av) < min(2.0, 2.0 * min(av.beta))
 
 
+def same_angle(a: float, b: float) -> bool:
+    """Whether two angle parameters count as equal: within INT_TOL."""
+    return abs(a - b) <= INT_TOL
+
+
 def is_integer(b: float) -> bool:
     """Whether b sits within INT_TOL of an integer."""
-    return abs(b - round(b)) <= INT_TOL
+    return same_angle(b, round(b))
 
 
 def int_part(b: float) -> int:
@@ -329,7 +336,7 @@ def splitting_spec(av: AngleVector, B) -> SplitSpec:
         cluster = B[pos:pos + Nj]
         pos += Nj
         if Nj == 1:
-            if abs(cluster[0] - bj) > INT_TOL:
+            if not same_angle(cluster[0], bj):
                 raise AdmissibilityError(
                     f"unsplit cluster {j} must keep its angle {bj}, "
                     f"got {cluster[0]}")
@@ -341,7 +348,7 @@ def splitting_spec(av: AngleVector, B) -> SplitSpec:
                 f"cluster {j}: sum of (B_i - 1) = {sum(excess)} does not "
                 f"match beta_j - 1 = {bj - 1}")
         for i, x in enumerate(cluster):
-            if abs(x - 1.0) <= INT_TOL:
+            if same_angle(x, 1.0):
                 raise AdmissibilityError(
                     f"cluster {j}: B_{i} = 1 (angle 2*pi) is forbidden in a "
                     "split cluster")

@@ -35,7 +35,8 @@ from scipy import sparse
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, eigsh, gmres, splu, spsolve
 
-from .angles import AngleVector, conic_euler_char, subcritical_check
+from .angles import (AngleVector, conic_euler_char, same_angle,
+                     subcritical_check)
 from .spectrum import FluxForm
 
 __all__ = [
@@ -75,11 +76,10 @@ def damped_newton(residual, step, x0, tol, floor):
     ``floor`` is the rounding floor of the residual evaluation per unit of
     x, one value for all rows or one per row.  Row i is converged once
     |F_i| < tol_i = max(tol, floor_i (1 + sup|x|)), and the iteration stops
-    when the merit max_i |F_i| / tol_i falls below 1.  Each correction is
-    halved up to 40 times until the merit decreases; trials that overflow
-    count as no decrease.  If no halving helps, x is accepted when the
-    merit is below 8, since the iteration has then stagnated at the
-    rounding floor.
+    when the merit max_i |F_i| / tol_i falls below 1, which is the only
+    way it converges.  Each correction is halved up to 40 times until the
+    merit decreases; trials that overflow count as no decrease, and a
+    correction that no halving helps is a SolverError.
     """
     def merit(x, F):
         return np.max(np.abs(F) / np.maximum(
@@ -102,8 +102,6 @@ def damped_newton(residual, step, x0, tol, floor):
                 break
             t *= 0.5
         else:
-            if res < 8.0:
-                return x, np.max(np.abs(F))
             raise SolverError("Newton line search stalled",
                               residual=np.max(np.abs(F)))
     raise SolverError("Newton did not converge", residual=np.max(np.abs(F)))
@@ -182,8 +180,13 @@ def _background_density(dists, betas):
     return out
 
 
+def _corrected(betas):
+    """The points that carry the local correction: those with beta_j < 1."""
+    return [j for j, b in enumerate(betas) if b < 1.0]
+
+
 def _correction(dists, betas):
-    """(sigma_j, div grad sigma_j) for each point with beta_j < 1.
+    """(sigma_j, div grad sigma_j) for each point of ``_corrected``.
 
     The local correction is s = sum_j A_j sigma_j, sigma_j = -m_j^{2 beta_j}
     / (4 beta_j^2); its div grad cancels the leading A_j m_j^{2 beta_j - 2}
@@ -192,28 +195,13 @@ def _correction(dists, betas):
     m^{2 beta - 2} - beta(beta+1) m^{2 beta} holds globally.
     """
     out = []
-    for d, b in zip(dists, betas):
-        if b < 1.0:
-            m = _chord(d)
-            f = m ** (2.0 * b)
-            with np.errstate(divide="ignore"):
-                lap = 4.0 * b * b * m ** (2.0 * b - 2.0) - b * (b + 1.0) * f
-            out.append((-f / (4.0 * b * b), -lap / (4.0 * b * b)))
+    for j in _corrected(betas):
+        b, m = betas[j], _chord(dists[j])
+        f = m ** (2.0 * b)
+        with np.errstate(divide="ignore"):
+            lap = 4.0 * b * b * m ** (2.0 * b - 2.0) - b * (b + 1.0) * f
+        out.append((-f / (4.0 * b * b), -lap / (4.0 * b * b)))
     return out
-
-
-def _area(rho, measure, dists, betas, coeffs):
-    """Gauss-Bonnet area sum(rho * measure) of the density rho.
-
-    The leading A_j m_j^{2 beta_j - 2} part of rho is integrated exactly:
-    int_{S^2} m^{2 beta - 2} dA = 2 pi 4^beta / (2 beta) (m dm substitution).
-    """
-    extra = 0.0
-    for d, b, A in zip(dists, betas, coeffs):
-        if b < 1.0:
-            rho = rho - A * _chord(d) ** (2.0 * b - 2.0)
-            extra += A * 2.0 * math.pi * 4.0 ** b / (2.0 * b)
-    return float(np.sum(rho * measure) + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +245,13 @@ class ConicProblem:
 
     @property
     def is_football(self):
-        """Two antipodal sphere points of equal angle: the axisymmetric
-        (football) solve applies."""
+        """Two antipodal sphere points of equal angle (``same_angle``): the
+        axisymmetric (football) solve applies."""
         if self.background != "sphere" or len(self.points) != 2:
             return False
-        b = self.beta.beta
-        if abs(b[0] - b[1]) > 1e-14:
-            return False
         x, y = self.unit_points()
-        return abs(_distance(x, y) - math.pi) < 1e-12
+        return same_angle(*self.beta.beta) \
+            and abs(_distance(x, y) - math.pi) < 1e-12
 
     def unit_points(self):
         return [sphere_point(*p) for p in self.points]
@@ -280,6 +266,7 @@ class DiscreteConicMetric:
     kind: str                       # "football" | "sphere2d" | "disk"
     n: int
     w: np.ndarray                   # bounded remainder at cell centres
+    rho: np.ndarray                 # e^{2u} there; None for disks
     sing_coeffs: tuple              # A_j of the local corrections
     residual: float
     mesh: dict = field(default_factory=dict)
@@ -289,33 +276,28 @@ class DiscreteConicMetric:
         return self.problem.beta.beta
 
     def area(self):
-        """Gauss-Bonnet area; the football measure counts its half grid
-        twice."""
-        g = self.mesh
-        return _area(self.density(), g["measure"], g["dists"], self.beta,
-                     self.sing_coeffs)
+        """Gauss-Bonnet area sum(rho * measure); the football measure
+        counts its half grid twice.  The leading A_j m_j^{2 beta_j - 2} part
+        of rho is integrated exactly: int_{S^2} m^{2 beta - 2} dA = 2 pi
+        4^beta / (2 beta) (m dm substitution).
+        """
+        rho, extra = self.density(), 0.0
+        for j in _corrected(self.beta):
+            b, A = self.beta[j], self.sing_coeffs[j]
+            rho = rho - A * _chord(self.mesh["dists"][j]) ** (2.0 * b - 2.0)
+            extra += A * 2.0 * math.pi * 4.0 ** b / (2.0 * b)
+        return float(np.sum(rho * self.mesh["measure"]) + extra)
 
     def density(self, full=False):
-        """e^{2u} relative to the round metric at cell centres.
-
-        Footballs are solved on the half grid (0, pi/2); ``full`` mirrors w
-        across the equator and evaluates on all n cells of (0, pi).
-        """
-        if self.kind == "disk":
+        """e^{2u} relative to the round metric at cell centres, as the solve
+        converged it; for footballs ``full`` mirrors the half grid (0, pi/2)
+        across the equator onto all n cells of (0, pi)."""
+        if self.rho is None:
             raise ValueError("density and area defined for closed solves "
                              "only")
-        w, dists = self.w, self.mesh["dists"]
         if full and self.kind == "football":
-            phi = _football_grid(self.n)
-            w, dists = np.concatenate([w, w[::-1]]), (phi, math.pi - phi)
-        return _background_density(dists, self.beta) \
-            * np.exp(2.0 * (self._correction_at(dists) + w))
-
-    def _correction_at(self, dists):
-        """The local correction s at the given distances to the points."""
-        coeffs = [A for A, b in zip(self.sing_coeffs, self.beta) if b < 1.0]
-        return sum(A * sig for A, (sig, _) in
-                   zip(coeffs, _correction(dists, self.beta)))
+            return np.concatenate([self.rho, self.rho[::-1]])
+        return self.rho
 
     def bounded_part(self, point_index, d, theta):
         """u - (beta_j - 1) log m_j at distance d, chart angle theta, by
@@ -330,9 +312,10 @@ class DiscreteConicMetric:
         logs = sum((b - 1.0) * np.log(_chord(d))
                    for i, (d, b) in enumerate(zip(dists, self.beta))
                    if i != point_index)
+        s = sum(self.sing_coeffs[j] * sig for j, (sig, _) in
+                zip(_corrected(self.beta), _correction(dists, self.beta)))
         w_interp = _interp_matrix(g["phi"], g["theta"], x) @ self.w.ravel()
-        return logs + self._correction_at(dists) \
-            + w_interp.reshape(x.shape[:-1])
+        return logs + s + w_interp.reshape(x.shape[:-1])
 
 
 @dataclass
@@ -347,8 +330,9 @@ class ObstructionBundleFiber:
 # closed-sphere solve: one Newton on w and the cone coefficients
 
 def _solve_closed(problem, K, W, dists, pair_dists, P, solve):
-    """One damped Newton for x = (w, A_j for beta_j < 1); returns (w shaped
-    like the distance fields, all A_j with 0 for beta_j >= 1, sup|F|).
+    """One damped Newton for x = (w, A_j of ``_corrected``); returns (w and
+    the density rho it converged, shaped like the distance fields, all A_j
+    with 0 for the other points, sup|F|).
 
     div grad w = -K w / W for the stiffness K and cell measure W; the rows
     of P map w to its value at each cone point.  The residual rows are
@@ -363,7 +347,7 @@ def _solve_closed(problem, K, W, dists, pair_dists, P, solve):
     ``_bordered_solve`` for footballs, ``_lon_fft_solver`` for 2-D solves.
     """
     betas = problem.beta.beta
-    idx = [j for j, b in enumerate(betas) if b < 1.0]
+    idx = _corrected(betas)
     shape, N, k = np.shape(dists[0]), len(W), len(idx)
     with np.errstate(over="ignore", invalid="ignore"):
         E = _background_density(dists, betas).ravel()
@@ -412,41 +396,30 @@ def _solve_closed(problem, K, W, dists, pair_dists, P, solve):
         NEWTON_TOL, floor)
     A = np.zeros(len(betas))
     A[idx] = x[N:]
-    return x[:N].reshape(shape), tuple(float(a) for a in A), float(resid)
+    return (x[:N].reshape(shape), fields(x)[0].reshape(shape),
+            tuple(float(a) for a in A), float(resid))
 
 
 # ---------------------------------------------------------------------------
 # football (axisymmetric) solver: half interval [0, pi/2], cell centred
 
-def _football_grid(n):
-    """Centres of the n cells of (0, pi); the solve keeps the first n/2.
-
-    n must be even, so that the equator is a cell face, and at least 4, so
-    that the half grid holds the two cells the pole extrapolation reads.
-    """
+def _solve_football(problem, n):
+    # n even puts the equator on a cell face; n >= 4 gives the half grid the
+    # two cells the pole extrapolation reads
     if n < 4 or n % 2:
         raise ValueError(f"football meshes need an even n >= 4, got {n}")
-    return (np.arange(n) + 0.5) * (math.pi / n)
-
-
-def _axisym_laplacian(form):
-    """Round div grad of axisymmetric samples: -K / sin at the cell centres."""
-    return (sparse.diags(-1.0 / form.weight) @ form.matrix()).tocsc()
-
-
-def _solve_football(problem, n):
-    phi = _football_grid(n)[:n // 2]
     form = FluxForm(n, 1, cells=n // 2)
+    phi = form.centre
     dists = (phi, math.pi - phi)
     # both poles see the even quadratic extrapolation (9 w_0 - w_1) / 8 of
     # the half grid, by the equatorial symmetry
     P = np.zeros((2, n // 2))
     P[:, :2] = (9.0 / 8.0, -1.0 / 8.0)
-    w, A, resid = _solve_closed(problem, form.matrix(), form.weight, dists,
-                                ((0.0, math.pi), (math.pi, 0.0)), P,
-                                _bordered_solve)
+    w, rho, A, resid = _solve_closed(
+        problem, form.matrix(), form.weight, dists,
+        ((0.0, math.pi), (math.pi, 0.0)), P, _bordered_solve)
     return DiscreteConicMetric(
-        problem=problem, kind="football", n=n, w=w, sing_coeffs=A,
+        problem=problem, kind="football", n=n, w=w, rho=rho, sing_coeffs=A,
         residual=resid, mesh={"phi": phi, "dists": dists,
                               "measure": 4.0 * math.pi * form.weight * form.h})
 
@@ -455,15 +428,6 @@ def _solve_football(problem, n):
 # full 2-D lat-lon solver (genus 0, all angles < 2 pi with the local
 # correction; cone points may sit anywhere: rotated, off-grid points
 # converge at the same order 2 as grid-aligned ones)
-
-def _grid2d(n_lat):
-    """Cell centres (phi, theta) of the n x 2n grid and their unit vectors."""
-    phi = (np.arange(n_lat) + 0.5) * (math.pi / n_lat)
-    theta = (np.arange(2 * n_lat) + 0.5) * (math.pi / n_lat)
-    P, T = np.meshgrid(phi, theta, indexing="ij")
-    return phi, theta, np.stack([np.sin(P) * np.cos(T),
-                                 np.sin(P) * np.sin(T), np.cos(P)], axis=-1)
-
 
 def _assemble_laplacian(form):
     """Symmetric flux form A (so that div grad w = -A w / M) and measure M.
@@ -588,7 +552,13 @@ def _solve_sphere2d(problem, n_lat):
             f"cone points {i} and {k} lie {pair_dists[i, k]:.3g} apart, "
             f"closer than 2h = 2 pi / n = {2.0 * math.pi / n_lat:.3g}; "
             "refine the mesh")
-    phi, theta, xyz = _grid2d(n_lat)
+    # the cell centres and their unit vectors; the longitude centres
+    # continue the colatitude ones of the latitude stiffness at spacing h
+    form = FluxForm(n_lat, 1)
+    phi, theta = form.centre, np.arange(0.5, 2 * n_lat) * form.h
+    P, T = np.meshgrid(phi, theta, indexing="ij")
+    xyz = np.stack([np.sin(P) * np.cos(T), np.sin(P) * np.sin(T), np.cos(P)],
+                   axis=-1)
     dists = [_distance(xyz, p) for p in pts]
     for j, d in enumerate(dists):
         cell = np.unravel_index(np.argmin(d), d.shape)
@@ -598,16 +568,15 @@ def _solve_sphere2d(problem, n_lat):
                 f"cone point {j} at ({colat!r}, {lon!r}) lies on the centre "
                 f"of cell {tuple(map(int, cell))} of the n = {n_lat} grid, "
                 "where its density is infinite; move it or change the mesh")
-    form = FluxForm(n_lat, 1)
     A, M = _assemble_laplacian(form)
-    w, coeffs, resid = _solve_closed(problem, A, M, dists, pair_dists,
-                                     _interp_matrix(phi, theta, pts),
-                                     _lon_fft_solver(form))
+    w, rho, coeffs, resid = _solve_closed(problem, A, M, dists, pair_dists,
+                                          _interp_matrix(phi, theta, pts),
+                                          _lon_fft_solver(form))
     return DiscreteConicMetric(
-        problem=problem, kind="sphere2d", n=n_lat, w=w, sing_coeffs=coeffs,
-        residual=resid, mesh={"phi": phi, "theta": theta, "A": A, "M": M,
-                              "measure": M.reshape(w.shape), "dists": dists,
-                              "points": pts})
+        problem=problem, kind="sphere2d", n=n_lat, w=w, rho=rho,
+        sing_coeffs=coeffs, residual=resid,
+        mesh={"phi": phi, "theta": theta, "A": A, "M": M, "dists": dists,
+              "measure": M.reshape(w.shape), "points": pts})
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +604,8 @@ def _solve_disk(problem, n):
                              -F),
         np.zeros(n), NEWTON_TOL, _row_floor(L))
     return DiscreteConicMetric(problem=problem, kind="disk", n=n, w=w,
-                               sing_coeffs=(0.0,), residual=float(resid),
-                               mesh={"r": r, "h": h})
+                               rho=None, sing_coeffs=(0.0,),
+                               residual=float(resid), mesh={"r": r, "h": h})
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +676,10 @@ def _pencils(metric):
 def spectrum_near_two(metric, window=0.5):
     """Eigenpairs of Delta_g with |lambda - 2| < window (shift-invert at 2).
 
-    One pass factors each pencil of ``_pencils`` once: A - 2B by a
-    symmetric-mode sparse LU (the ordering of A + A^T, diagonal pivots
-    preferred), which every ARPACK restart of that pencil reuses.  From a
+    One pass factors each pencil of ``_pencils`` once: A - 2B, or A - (2 +
+    1e-8) B where that is exactly singular, by a symmetric-mode sparse LU
+    (the ordering of A + A^T, diagonal pivots preferred), which every
+    ARPACK restart of that pencil reuses.  From a
     fixed start vector it asks for k = 2 eigenpairs and doubles k (up to
     N - 2) while every returned one has |lambda - 2| < 1.1 * 1.5 window,
     the outer edge of the band the widened-window check reads; so that
@@ -724,11 +694,19 @@ def spectrum_near_two(metric, window=0.5):
         N = A.shape[0]
         k = min(2, N - 2)
         v0 = np.random.default_rng(0).standard_normal(N)
-        lu = splu(sparse.csc_matrix(A - 2.0 * B), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+        for sigma in (2.0, 2.0 + 1e-8):
+            try:
+                lu = splu(sparse.csc_matrix(A - sigma * B),
+                          permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                          options=dict(SymmetricMode=True))
+                break
+            except RuntimeError:
+                # rho = 1 makes the constant a j = 1 eigenvector at 2
+                if sigma != 2.0:
+                    raise
         OPinv = LinearOperator(A.shape, lu.solve, dtype=float)
         while True:
-            vals, vecs = eigsh(A, k=k, M=B, sigma=2.0, which="LM", v0=v0,
+            vals, vecs = eigsh(A, k=k, M=B, sigma=sigma, which="LM", v0=v0,
                                OPinv=OPinv)
             if k == N - 2 or not np.all(np.abs(vals - 2.0) < 1.1 * wide):
                 break
@@ -765,48 +743,47 @@ def projected_solve(metric, fiber, density_perturbation=None):
                                   "reduction only")
     n = metric.n
     form = FluxForm(n, 1)
-    h, centers = form.h, form.weight
-    L = _axisym_laplacian(form)
-    rho0 = metric.density(full=True)
-    rho2 = rho0
+    h, K, W = form.h, form.matrix(), form.weight
+    # rho2 K_{g2} = 1 - div grad(log rho2)/2, with div grad u = -(K u) / W
+    # as in _solve_closed.  For the base solution that equals rho2_0 by its
+    # own discrete equation; a conformal perturbation delta adds
+    # -div grad delta.  This makes u = 0 an exact discrete solution when the
+    # input metric is the converged solve itself.
+    rho0 = rho2 = curv_term = metric.density(full=True)
     if density_perturbation is not None:
-        rho2 = rho0 * np.exp(2.0 * np.asarray(density_perturbation))
+        delta = np.asarray(density_perturbation, dtype=float)
+        rho2 = rho0 * np.exp(2.0 * delta)
+        curv_term = rho0 + (K @ delta) / W
 
     # axisymmetric fiber directions, normalized in L^2(g2)
     modes = []
     for lam, rep in zip(fiber.eigenvalues_near_2, fiber.eigenvectors):
         if rep["j"] == 0:
             v = rep["vector"]
-            nrm = math.sqrt(np.sum(v * v * rho2 * centers) * h * 2 * math.pi)
+            nrm = math.sqrt(np.sum(v * v * rho2 * W) * h * 2 * math.pi)
             modes.append(v / nrm)
     ell = len(modes)
 
-    # rho2 K_{g2} = 1 - div grad(log rho2)/2.  For the base solution that
-    # equals rho2_0 by its own discrete equation; a conformal perturbation
-    # delta_p adds -L delta_p.  This makes u = 0 an exact discrete solution
-    # when the input metric is the converged solve itself.
-    if density_perturbation is not None:
-        curv_term = rho0 - L @ np.asarray(density_perturbation, dtype=float)
-    else:
-        curv_term = rho0
-
     # unknowns x = (u, Lambda); the last ell residuals are the constraints
-    B = rho2 * centers * h * 2.0 * math.pi
+    B = rho2 * W * h * 2.0 * math.pi
     V = np.reshape(modes, (ell, n))
 
     def residual(x):
         u, lam_c = x[:n], x[n:]
         # div grad u + rho2 e^{2u} - rho2 K_{g2} in the round frame
-        F = L @ u + rho2 * np.exp(2.0 * u) - curv_term - rho2 * (lam_c @ V)
+        F = -(K @ u) / W + rho2 * np.exp(2.0 * u) - curv_term \
+            - rho2 * (lam_c @ V)
         return np.concatenate([F, V @ (u * B)])
 
     def step(x, F):
+        # the cell rows times -W, as in _solve_closed
         return _bordered_solve(
-            L + sparse.diags(2.0 * rho2 * np.exp(2.0 * x[:n])),
-            -(V * rho2).T, V * B, np.zeros((ell, ell)), -F)
+            K - sparse.diags(2.0 * W * rho2 * np.exp(2.0 * x[:n])),
+            (V * rho2 * W).T, V * B, np.zeros((ell, ell)),
+            np.concatenate([W * F[:n], -F[n:]]))
 
     x, _ = damped_newton(residual, step, np.zeros(n + ell), 1e-11,
-                         np.append(_row_floor(L), np.zeros(ell)))
+                         np.append(_row_floor(K) / W, np.zeros(ell)))
     return x[:n], x[n:]
 
 

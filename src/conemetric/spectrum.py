@@ -152,16 +152,18 @@ class FluxForm:
     Uses the first ``cells`` of the n cells of width h = pi/n (all of them
     by default).  The two end faces carry no flux: at r = 0 and r = pi that
     is the natural (Friedrichs) condition, at the equator of a half grid
-    (cells = n/2) the mirror symmetry.  ``weight`` holds sin^p at the cell
-    centres.  Every football operator -- the solver's axisymmetric
-    Laplacian, the mode pencils and the radial oracle -- is built here, and
-    so is the latitude part of the 2-D lat-lon Laplacian.
+    (cells = n/2) the mirror symmetry.  ``centre`` holds the cell-centre
+    colatitudes (k + 1/2) h, which the solvers read from here, and
+    ``weight`` sin^p there.  Every football operator -- the solver's
+    axisymmetric Laplacian, the mode pencils and the radial oracle -- is
+    built here, and so is the latitude part of the 2-D lat-lon Laplacian.
     """
 
     def __init__(self, n, p, cells=None):
         cells = n if cells is None else cells
         self.h = h = math.pi / n
-        self.weight = np.sin((np.arange(cells) + 0.5) * h) ** p
+        self.centre = (np.arange(cells) + 0.5) * h
+        self.weight = np.sin(self.centre) ** p
         self.face = np.zeros(cells + 1)
         self.face[1:-1] = np.sin(np.arange(1, cells) * h) ** p / h ** 2
 

@@ -313,6 +313,24 @@ class TestSolve:
         assert lines[1] == "colatitude,w,density"
         assert len(lines) == 2 + 64            # half-grid cell centres
 
+    @pytest.mark.parametrize("beta,same", [("1,1", "1,1"),
+                                           ("1.7,1.7000000001", "1.7,1.7"),
+                                           ("0.7,0.7000000001", "0.7,0.7")])
+    def test_round_and_nearly_equal_footballs(self, capsys, beta, same):
+        # the round sphere at a coarse mesh (an exactly singular A - 2B),
+        # and two angles equal within angles.INT_TOL
+        diags = []
+        for b in (beta, same):
+            code, out, _ = run(capsys, ["solve", "--points",
+                                        "0,0;3.141592653589793,0", "--beta",
+                                        b, "--mesh", "16"])
+            assert code == 0
+            diags.append(json.loads(out))
+        assert diags[0]["kind"] == "football"
+        assert diags[0]["ell"] == diags[1]["ell"]
+        assert diags[0]["eigenvalues_near_2"] == pytest.approx(
+            diags[1]["eigenvalues_near_2"], rel=1e-8)
+
     def test_supercritical_is_solver_failure(self, capsys):
         code, _, err = run(capsys, ["solve", "--points", "0,0;1,0;2,0",
                                     "--beta", "0.95,0.9,0.2",

@@ -11,8 +11,8 @@ from conemetric.liouville import (ConicProblem, SolverError,
                                   friedrichs_fit, projected_solve,
                                   solve_liouville, spectrum_near_two,
                                   sphere_point, _assemble_laplacian,
-                                  _axisym_laplacian, _background_density,
-                                  _bordered_solve, _distance,
+                                  _background_density, _bordered_solve,
+                                  _correction, _corrected, _distance,
                                   _lon_fft_solver, _pencils)
 from conemetric.spectrum import FluxForm, football_eigenvalues
 
@@ -134,12 +134,64 @@ class TestFootballSolve:
         m = solve_liouville(football_problem(0.8), {"n": 4096})
         assert m.residual < 8e-9
 
+    @pytest.mark.parametrize("beta", [1.7, 0.7])
+    def test_angles_equal_within_int_tol_solve_as_a_football(self, beta):
+        # the equal-angle rule of angles.same_angle, as troyanov_check reads
+        ref = solve_liouville(football_problem(beta), {"n": 256})
+        prob = ConicProblem("sphere", ANTIPODAL, (beta, beta + 1e-10))
+        assert prob.is_football
+        m = solve_liouville(prob, {"n": 256})
+        assert m.kind == "football"
+        assert m.area() == pytest.approx(ref.area(), rel=1e-8)
+        assert spectrum_near_two(m).eigenvalues_near_2 == pytest.approx(
+            spectrum_near_two(ref).eigenvalues_near_2, rel=1e-8)
+
     def test_gauss_bonnet_convergence(self):
         prob = football_problem(1.7)
         errs = [abs(solve_liouville(prob, {"n": n}).area()
                     - 2 * math.pi * prob.chi) for n in (128, 256)]
         assert errs[0] < 1e-3
         assert math.log2(errs[0] / errs[1]) >= 1.8
+
+
+class TestConvergedDensity:
+    @pytest.mark.parametrize("beta,n", [((1.7, 1.7), 256),
+                                        ((0.6, 0.7, 0.8), 48)])
+    def test_density_is_the_newton_density(self, beta, n):
+        # the stored density is e^{2v} e^{2(s + w)} of the returned w and
+        # A_j, with s = sum_j A_j sigma_j summed as the Newton residual sums
+        points = ANTIPODAL if len(beta) == 2 else EQUATOR3
+        m = solve_liouville(ConicProblem("sphere", points, beta), {"n": n})
+        dists = m.mesh["dists"]
+        sig = np.reshape([f.ravel() for f, _ in _correction(dists, beta)],
+                         (-1, m.w.size))
+        s = np.take(m.sing_coeffs, _corrected(beta)) @ sig
+        want = _background_density(dists, beta) \
+            * np.exp(2.0 * (s.reshape(m.w.shape) + m.w))
+        assert np.all(np.abs(m.density() - want) <= 4 * np.spacing(want))
+
+    def test_reports_evaluate_no_density_again(self, football17, sphere2d,
+                                               monkeypatch):
+        def again(*args):
+            raise AssertionError("the density was evaluated again")
+        monkeypatch.setattr(liouville, "_background_density", again)
+        monkeypatch.setattr(liouville, "_correction", again)
+        for m in (football17, sphere2d):
+            m.area()
+            spectrum_near_two(m)
+        projected_solve(football17, spectrum_near_two(football17))
+
+    def test_full_football_density_mirrors_the_solve(self, football17):
+        rho = football17.density(full=True)
+        assert np.array_equal(rho[:128], football17.density())
+        assert np.array_equal(rho[128:], football17.density()[::-1])
+
+    def test_disk_has_no_density(self):
+        m = solve_liouville(ConicProblem("disk", points=((0.0,),),
+                                         beta=(0.7,), curvature=-1),
+                            {"n": 16})
+        with pytest.raises(ValueError, match="closed solves only"):
+            m.density()
 
 
 class TestSphere2dSolve:
@@ -192,6 +244,16 @@ class TestSphere2dSolve:
         assert np.max(np.abs(m.w - ref.w)) < 1e-9
         assert np.max(np.abs(np.subtract(m.sing_coeffs, ref.sing_coeffs))) \
             < 1e-9
+
+
+class TestDampedNewton:
+    @pytest.mark.parametrize("merit", [1.5, 7.5])
+    def test_stalled_line_search_is_an_error(self, merit):
+        # no halving lowers a merit between 1 and 8: that is not convergence
+        with pytest.raises(SolverError, match="line search stalled"):
+            liouville.damped_newton(lambda x: np.full(3, merit * 1e-9),
+                                    lambda x, F: np.ones(3), np.zeros(3),
+                                    1e-9, 0.0)
 
 
 class TestBorderedSolve:
@@ -358,10 +420,10 @@ class TestLinearizedOperator:
 
     def test_2d_laplacian_matches_football_on_axisymmetric_samples(self):
         n = 24
-        A, M = _assemble_laplacian(FluxForm(n, 1))
-        phi = (np.arange(n) + 0.5) * (math.pi / n)
-        f = np.cos(phi) + phi ** 3
-        want = _axisym_laplacian(FluxForm(n, 1)) @ f
+        form = FluxForm(n, 1)
+        A, M = _assemble_laplacian(form)
+        f = np.cos(form.centre) + form.centre ** 3
+        want = -(form.matrix() @ f) / form.weight
         got = (-(A @ np.repeat(f, 2 * n)) / M).reshape(n, 2 * n)
         assert np.max(np.abs(got - want[:, None])) \
             <= 1e-12 * np.max(np.abs(want))
@@ -408,6 +470,16 @@ class TestSpectrumNearTwo:
         m = solve_liouville(football_problem(2.0), {"n": 128})
         fib = spectrum_near_two(m)
         assert fib.ell == 3
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_round_sphere_at_coarse_meshes(self, n):
+        # rho = 1 exactly makes A - 2B of the j = 1 pencil exactly singular
+        m = solve_liouville(football_problem(1.0), {"n": n})
+        assert np.max(np.abs(m.density() - 1.0)) == 0.0
+        fib = spectrum_near_two(m)
+        assert fib.ell == 3
+        assert np.all(np.abs(np.subtract(fib.eigenvalues_near_2, 2.0))
+                      < 2.0 * (math.pi / n) ** 2)
 
     def test_2d_ell_counts_the_whole_window(self):
         # the window holds more eigenvalues than the first eigsh call returns
