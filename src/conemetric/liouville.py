@@ -17,12 +17,15 @@ footballs are solved on a half interval with the equatorial symmetry,
 which removes the translation mode, and the general projected solve treats
 the eigenvalue-2 directions with a bordered system.
 
-A football step factors its tridiagonal Jacobian directly.  A 2-D step
-runs GMRES on the bordered system, preconditioned by the Jacobian with the
-density averaged in longitude: an FFT in longitude splits that operator
-into one latitude tridiagonal per Fourier mode (the separable structure of
-FISHPACK-style sphere solvers).  An iteration costs O(N log n) on the
-N = 2 n^2 cells, where sparse LU grows like n^3.
+Football and disk steps factor their tridiagonal Jacobians directly.  A
+2-D step runs GMRES on the bordered system, preconditioned by the Jacobian
+with the density averaged in longitude: an FFT in longitude splits that
+operator into one latitude tridiagonal per Fourier mode (the separable
+structure of FISHPACK-style sphere solvers), all factored by one LAPACK
+``tridiag_solver``.  An iteration costs O(N log n) on the N = 2 n^2 cells,
+where sparse LU grows like n^3.  The spectrum near 2 shift-inverts each
+football mode pencil with the same tridiagonal LU, the 2-D pencil with one
+sparse LU.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, eigsh, gmres, splu, spsolve
 
 from .angles import (AngleVector, conic_euler_char, same_angle,
                      subcritical_check)
-from .spectrum import FluxForm
+from .spectrum import FluxForm, tridiag_solver
 
 __all__ = [
     "ConicProblem",
@@ -486,16 +488,18 @@ def _lon_fft_solver(form):
     def solve(J, cols, rows, corner, rhs):
         N, k = cols.shape
         mean = J.diagonal().reshape(n_lat, n_lon).mean(axis=1)
-        *lu, info = dgttrf(sub, np.tile(mean, n_lat + 1) + shift, sub)
-        if info:
-            raise SolverError("the longitude-mean Jacobian is singular")
+        try:
+            modes = tridiag_solver(sub, np.tile(mean, n_lat + 1) + shift, sub)
+        except np.linalg.LinAlgError:
+            raise SolverError("the longitude-mean Jacobian is singular") \
+                from None
 
         def precond(B):
             """P^-1 B for an N x c block B."""
             c = B.shape[1]
             F = np.fft.rfft(B.reshape(n_lat, n_lon, c), axis=1)
             F = F.transpose(1, 0, 2).reshape(-1, c)
-            X, _ = dgttrs(*lu, np.hstack([F.real, F.imag]))
+            X = modes(np.hstack([F.real, F.imag]))
             F = (X[:, :c] + 1j * X[:, c:]).reshape(n_lat + 1, n_lat, c)
             return np.fft.irfft(F.transpose(1, 0, 2), n_lon,
                                 axis=1).reshape(N, c)
@@ -593,15 +597,15 @@ def _solve_disk(problem, n):
     diag = -(lo + hi) / r
     # w = 0 at r = 1, the exact flat-cone data, by the ghost value -w_{n-1}
     diag[-1] -= hi[-1] / r[-1]
-    L = sparse.diags([lo[1:] / r[1:], diag, hi[:-1] / r[:-1]], [-1, 0, 1],
-                     format="csc")
+    sub, sup = lo[1:] / r[1:], hi[:-1] / r[:-1]
+    L = sparse.diags([sub, diag, sup], [-1, 0, 1], format="csc")
     E = r ** (2.0 * b - 2.0)
 
     # div grad u = -K e^{2u} on a flat background
     w, resid = damped_newton(
         lambda w: L @ w + K * E * np.exp(2.0 * w),
-        lambda w, F: spsolve(L + sparse.diags(2.0 * K * E * np.exp(2.0 * w)),
-                             -F),
+        lambda w, F: tridiag_solver(
+            sub, diag + 2.0 * K * E * np.exp(2.0 * w), sup)(-F),
         np.zeros(n), NEWTON_TOL, _row_floor(L))
     return DiscreteConicMetric(problem=problem, kind="disk", n=n, w=w,
                                rho=None, sing_coeffs=(0.0,),
@@ -651,35 +655,54 @@ def solve_liouville(problem, mesh_params=None):
 # the spectrum of the Friedrichs Delta_g near 2, one pencil at a time
 
 def _pencils(metric):
-    """(j, multiplicity, A, B) with Delta_g = pencil(A, B) on each block.
+    """(j, multiplicity, A, b) with Delta_g = pencil(A, diag(b)) per block.
 
     A football splits into the angular modes j <= 2 ceil(beta) + 4: the
-    radial factor R = (sin phi)^j S gives A = -(p S')' + j(j+1) p S and
-    B = p e^{2u} with p = sin^{2j+1}, which builds the Friedrichs condition
-    (excluding the r^{-j/beta} branch) into the discretization.  A 2-D
-    solve is one pencil (j = None): the stiffness and the mass M e^{2u}.
+    radial factor R = (sin phi)^j S gives A = -(p S')' + j(j+1) p S, as its
+    (sub, diag, sup) bands, and b = p e^{2u} with p = sin^{2j+1}, which
+    builds the Friedrichs condition (excluding the r^{-j/beta} branch) into
+    the discretization.  A 2-D solve is one pencil (j = None): the sparse
+    stiffness and the mass M e^{2u}.
     """
     if metric.kind == "football":
         rho = metric.density(full=True)
         forms = [FluxForm(metric.n, 2 * j + 1)
                  for j in range(2 * math.ceil(metric.beta[0]) + 5)]
         return [(j, 1 if j == 0 else 2,
-                 form.matrix(potential=j * (j + 1.0) * form.weight),
-                 sparse.diags(form.weight * rho))
+                 form.bands(potential=j * (j + 1.0) * form.weight),
+                 form.weight * rho)
                 for j, form in enumerate(forms)]
     if metric.kind == "sphere2d":
         return [(None, 1, metric.mesh["A"],
-                 sparse.diags(metric.mesh["M"] * metric.density().ravel()))]
+                 metric.mesh["M"] * metric.density().ravel())]
     raise ValueError("the spectrum near 2 is defined for closed solves only")
+
+
+def _shift_solver(A, b):
+    """(sigma, the inverse of A - sigma diag(b)), factored once at sigma = 2,
+    or at 2 + 1e-8 where that is exactly singular: ``tridiag_solver`` for a
+    football mode's bands, a symmetric-mode sparse LU (the ordering of
+    A + A^T, diagonal pivots preferred) for the 2-D pencil."""
+    for sigma in (2.0, 2.0 + 1e-8):
+        try:
+            if isinstance(A, tuple):
+                return sigma, tridiag_solver(A[0], A[1] - sigma * b, A[2])
+            return sigma, splu(sparse.csc_matrix(A - sigma * sparse.diags(b)),
+                               permc_spec="MMD_AT_PLUS_A",
+                               diag_pivot_thresh=0.1,
+                               options=dict(SymmetricMode=True)).solve
+        except (RuntimeError, np.linalg.LinAlgError):
+            # rho = 1 makes the constant a j = 1 eigenvector at 2
+            if sigma != 2.0:
+                raise
 
 
 def spectrum_near_two(metric, window=0.5):
     """Eigenpairs of Delta_g with |lambda - 2| < window (shift-invert at 2).
 
-    One pass factors each pencil of ``_pencils`` once: A - 2B, or A - (2 +
-    1e-8) B where that is exactly singular, by a symmetric-mode sparse LU
-    (the ordering of A + A^T, diagonal pivots preferred), which every
-    ARPACK restart of that pencil reuses.  From a
+    One pass factors each pencil of ``_pencils`` once by ``_shift_solver``.
+    ARPACK applies that factor as OPinv and B as a product with its
+    diagonal, so a football mode builds no sparse matrix.  From a
     fixed start vector it asks for k = 2 eigenpairs and doubles k (up to
     N - 2) while every returned one has |lambda - 2| < 1.1 * 1.5 window,
     the outer edge of the band the widened-window check reads; so that
@@ -690,24 +713,17 @@ def spectrum_near_two(metric, window=0.5):
     """
     wide = 1.5 * window
     lams, reps = [], []
-    for j, mult, A, B in _pencils(metric):
-        N = A.shape[0]
+    for j, mult, A, b in _pencils(metric):
+        N = len(b)
         k = min(2, N - 2)
         v0 = np.random.default_rng(0).standard_normal(N)
-        for sigma in (2.0, 2.0 + 1e-8):
-            try:
-                lu = splu(sparse.csc_matrix(A - sigma * B),
-                          permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                          options=dict(SymmetricMode=True))
-                break
-            except RuntimeError:
-                # rho = 1 makes the constant a j = 1 eigenvector at 2
-                if sigma != 2.0:
-                    raise
-        OPinv = LinearOperator(A.shape, lu.solve, dtype=float)
+        sigma, solve = _shift_solver(A, b)
+        OPinv = LinearOperator((N, N), solve, dtype=float)
+        B = LinearOperator((N, N), b.__mul__, dtype=float)
         while True:
-            vals, vecs = eigsh(A, k=k, M=B, sigma=sigma, which="LM", v0=v0,
-                               OPinv=OPinv)
+            # with OPinv given, shift-invert eigsh reads only the shape of A
+            vals, vecs = eigsh(OPinv, k=k, M=B, sigma=sigma, which="LM",
+                               v0=v0, OPinv=OPinv)
             if k == N - 2 or not np.all(np.abs(vals - 2.0) < 1.1 * wide):
                 break
             k = min(2 * k, N - 2)

@@ -12,8 +12,9 @@ and radial eigenfunctions sin^{j/beta}(r) C_l^{(j/beta + 1/2)}(cos r)
 (Gegenbauer), which carry the Friedrichs behaviour r^{j/beta} at both
 poles.  This module provides the closed-form enumeration, the closed-form
 unit-norm radial eigenfunctions, an independent Sturm-Liouville
-finite-difference oracle, and the spectral-flow crossing report at
-eigenvalue 2 along paths of footballs.
+finite-difference oracle, the spectral-flow crossing report at
+eigenvalue 2 along paths of footballs, and the flux form with its LAPACK
+tridiagonal LU that every football operator and solver shares.
 
 Below 2 lie only (0, 0) and the doubled (j, 0) with 1 <= j < beta, so
 #{lambda < 2} = 1 + 2n with n = [beta] - 1 at an integer beta and [beta]
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
+from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import eval_gegenbauer, gammaln
 
 from .angles import int_part, is_integer
@@ -39,6 +41,7 @@ __all__ = [
     "FlowCrossing",
     "FluxForm",
     "football_eigenvalues",
+    "tridiag_solver",
     "eigenvalue_count",
     "football_eigenfunction",
     "radial_sturm_liouville",
@@ -167,12 +170,26 @@ class FluxForm:
         self.face = np.zeros(cells + 1)
         self.face[1:-1] = np.sin(np.arange(1, cells) * h) ** p / h ** 2
 
+    def bands(self, potential=0.0):
+        """The (sub, diag, sup) bands of the stiffness plus diag(potential),
+        in the order ``tridiag_solver`` takes them."""
+        f = self.face
+        return -f[1:-1], f[:-1] + f[1:] + potential, -f[1:-1]
+
     def matrix(self, potential=0.0):
         """The stiffness plus diag(potential) as a symmetric tridiagonal
         (csc) matrix."""
-        f = self.face
-        return sparse.diags([-f[1:-1], f[:-1] + f[1:] + potential, -f[1:-1]],
-                            [-1, 0, 1], format="csc")
+        return sparse.diags(self.bands(potential), [-1, 0, 1], format="csc")
+
+
+def tridiag_solver(sub, diag, sup):
+    """Factor a tridiagonal matrix once by LAPACK dgttrf (partial pivoting);
+    ``solve(b)`` applies its inverse to a vector or a block by dgttrs.  An
+    exactly singular matrix raises numpy.linalg.LinAlgError."""
+    *lu, info = dgttrf(sub, diag, sup)
+    if info:
+        raise np.linalg.LinAlgError("singular tridiagonal matrix")
+    return lambda b: dgttrs(*lu, b)[0]
 
 
 def _sl_eigs(alpha, n, k=5):
@@ -184,11 +201,17 @@ def _sl_eigs(alpha, n, k=5):
     form implement the Friedrichs choice at both poles.
     """
     form = FluxForm(n, 2 * alpha + 1)
-    # Generalized shift-invert: symmetrizing by B^{-1/2} instead loses
+    # Generalized shift-invert at -1 (A + B is the stiffness plus the
+    # weight), from a fixed start: symmetrizing by B^{-1/2} instead loses
     # ~eps * 2^{2 alpha + 1} / h^2 to roundoff near the poles, where the
     # weight varies by orders of magnitude across a single cell.
-    vals = eigsh(form.matrix(), k=k, M=sparse.diags(form.weight), sigma=-1.0,
-                 which="LM", return_eigenvectors=False)
+    OPinv = LinearOperator((n, n), tridiag_solver(*form.bands(form.weight)),
+                           dtype=float)
+    # with OPinv given, shift-invert eigsh reads only the shape of its A
+    vals = eigsh(OPinv, k=k, sigma=-1.0, which="LM", OPinv=OPinv,
+                 M=LinearOperator((n, n), form.weight.__mul__, dtype=float),
+                 v0=np.random.default_rng(0).standard_normal(n),
+                 return_eigenvectors=False)
     return np.sort(vals) + alpha * (alpha + 1.0)
 
 

@@ -6,14 +6,14 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh, gmres
 
-from conemetric import liouville
+from conemetric import liouville, spectrum
 from conemetric.liouville import (ConicProblem, SolverError,
                                   friedrichs_fit, projected_solve,
                                   solve_liouville, spectrum_near_two,
                                   sphere_point, _assemble_laplacian,
                                   _background_density, _bordered_solve,
                                   _correction, _corrected, _distance,
-                                  _lon_fft_solver, _pencils)
+                                  _lon_fft_solver, _pencils, _shift_solver)
 from conemetric.spectrum import FluxForm, football_eigenvalues
 
 ANTIPODAL = ((0.0, 0.0), (math.pi, 0.0))
@@ -44,6 +44,14 @@ def football17():
 def sphere2d():
     prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6))
     return solve_liouville(prob, {"n": 72})
+
+
+def pencil_matrices(A, b):
+    """A pencil of ``_pencils`` as the sparse matrices (A, diag(b)); a
+    football mode keeps A as its (sub, diag, sup) bands."""
+    if isinstance(A, tuple):
+        A = sparse.diags(A, [-1, 0, 1])
+    return A, sparse.diags(b)
 
 
 def background_density(points, beta, x):
@@ -392,7 +400,7 @@ class TestLinearizedOperator:
         pencils = _pencils(football17)
         beta = 1.7
         for j in (0, 1, 2):
-            _, _, A, B = pencils[j]
+            A, B = pencil_matrices(*pencils[j][2:])
             vals = sorted(eigsh(A, k=4, M=B, sigma=-0.1, which="LM")[0])
             exact = [(j / beta + ell) * (j / beta + ell + 1.0)
                      for ell in range(4)]
@@ -415,7 +423,7 @@ class TestLinearizedOperator:
         assert np.max(np.abs(out[interior])) < 1e-3
 
     def test_2d_stiffness_symmetric(self, sphere2d):
-        _, _, A, B = _pencils(sphere2d)[0]
+        _, _, A, _ = _pencils(sphere2d)[0]
         assert abs(A - A.T).max() < 1e-12
 
     def test_2d_laplacian_matches_football_on_axisymmetric_samples(self):
@@ -486,7 +494,7 @@ class TestSpectrumNearTwo:
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6))
         m = solve_liouville(prob, {"n": 24})
         fib = spectrum_near_two(m, window=36.0)
-        _, _, A, B = _pencils(m)[0]
+        A, B = pencil_matrices(*_pencils(m)[0][2:])
         vals = eigh(A.toarray(), B.toarray(), eigvals_only=True)
         assert fib.ell == np.sum(np.abs(vals - 2.0) < fib.window) > 12
 
@@ -501,17 +509,24 @@ class TestSpectrumNearTwo:
         assert fib.ell == want == 41
 
     @pytest.mark.parametrize("beta,n,window", [
-        ((0.6, 0.6, 0.6), 24, 36.0), ((0.5, 0.5), 256, 78.0)],
-        ids=["sphere2d", "football"])
+        ((0.6, 0.6, 0.6), 24, 36.0), ((0.5, 0.5), 256, 78.0),
+        ((2.0, 2.0), 512, 0.5), ((3.0, 3.0), 512, 0.5)],
+        ids=["sphere2d", "football", "obstructed2", "obstructed3"])
     def test_eigenvalues_match_dense_pencil(self, beta, n, window):
-        # both windows need several k doublings; the values, not only the
-        # count, must be those of a dense solve of each pencil
+        # the first two windows need several k doublings; at the obstructed
+        # footballs 2 is a triple eigenvalue, from j = 0 and j = beta.  The
+        # values, not only the count, must be those of a dense solve of
+        # each pencil
         points = ANTIPODAL if len(beta) == 2 else EQUATOR3
         m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
                             {"n": n})
         fib = spectrum_near_two(m, window=window)
-        for j, _, A, B in _pencils(m):
-            vals = eigh(A.toarray(), B.toarray(), eigvals_only=True)
+        for j, _, A, b in _pencils(m):
+            A, B = pencil_matrices(A, b)
+            # as the pencil (B, A + B), whose two sides share the grading
+            # of the mode weight sin^{2j+1} at the poles
+            vals = 1.0 / eigh(B.toarray(), (A + B).toarray(),
+                              eigvals_only=True) - 1.0
             want = np.sort(vals[np.abs(vals - 2.0) < fib.window])
             got = np.sort([lam for lam, rep in zip(fib.eigenvalues_near_2,
                                                    fib.eigenvectors)
@@ -530,26 +545,40 @@ class TestSpectrumNearTwo:
         # an eigenvalue sits within 0.05 of the edge of |lambda - 2| < 0.5
         # (2.5036 for the football's j = 4), so the window widens to 0.75
         # using the eigenvalues already computed; the doubling case asks
-        # eigsh for k = 2, 4, 8, 16 and 32 eigenpairs of one factorization
-        points = ANTIPODAL if len(beta) == 2 else EQUATOR3
+        # eigsh for k = 2, 4, 8, 16 and 32 eigenpairs of one factorization.
+        # Each football mode is factored by one dgttrf, the 2-D pencil by
+        # one splu
+        football = len(beta) == 2
+        points = ANTIPODAL if football else EQUATOR3
         m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
                             {"n": n})
-        calls = {"eigsh": 0, "splu": 0}
+        calls = {"eigsh": 0, "splu": 0, "dgttrf": 0}
 
-        def counted(name):
-            fn = getattr(liouville, name)
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def call(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
             return call
 
-        for name in calls:
-            monkeypatch.setattr(liouville, name, counted(name))
+        for module, name in ((liouville, "eigsh"), (liouville, "splu"),
+                             (spectrum, "dgttrf")):
+            monkeypatch.setattr(module, name, counted(module, name))
         fib = spectrum_near_two(m, window=window[0])
-        assert calls["splu"] == len(_pencils(m)) == pencils
+        assert len(_pencils(m)) == pencils
+        assert calls["dgttrf" if football else "splu"] == pencils
+        assert calls["splu" if football else "dgttrf"] == 0
         assert calls["eigsh"] == eigsh_calls
         assert (fib.window, fib.ell) == (window[1], ell)
+
+    def test_exactly_singular_shift_moves_off_two(self):
+        # A = 2B: the tridiagonal factor of A - 2B has a zero pivot
+        n = 6
+        sigma, solve = _shift_solver(
+            (np.zeros(n - 1), np.full(n, 2.0), np.zeros(n - 1)), np.ones(n))
+        assert sigma == 2.0 + 1e-8
+        assert np.allclose(solve(np.ones(n)), 1.0 / (2.0 - sigma))
 
     def test_reproducible(self):
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
@@ -563,7 +592,7 @@ class TestSpectrumNearTwo:
         assert fib.eigenvalues_near_2 == []
 
     def test_subcritical_first_eigenvalue_above_two(self, sphere2d):
-        _, _, A, B = _pencils(sphere2d)[0]
+        A, B = pencil_matrices(*_pencils(sphere2d)[0][2:])
         vals = sorted(eigsh(A, k=3, M=B, sigma=-0.1, which="LM")[0])
         assert vals[0] == pytest.approx(0.0, abs=1e-8)   # constants
         assert vals[1] > 2.0

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conemetric.spectrum import (eigenvalue_count, eigenvalue_flow,
-                                 football_eigenfunction,
+from conemetric.spectrum import (FluxForm, eigenvalue_count,
+                                 eigenvalue_flow, football_eigenfunction,
                                  football_eigenvalues,
                                  radial_sturm_liouville,
-                                 strict_count_below_two)
+                                 strict_count_below_two, tridiag_solver)
 
 
 class TestClosedForm:
@@ -81,6 +81,34 @@ class TestOracle:
         extrap = radial_sturm_liouville(beta, j, n_grid=512)
         assert np.max(np.abs(extrap - exact)) \
             < 0.1 * np.max(np.abs(raw - exact))
+
+    def test_independent_of_call_order(self):
+        # a fixed ARPACK start vector: no call leaves state for the next
+        first = radial_sturm_liouville(1.5, 1, n_grid=256)
+        radial_sturm_liouville(0.5, 2, n_grid=128)
+        assert np.array_equal(radial_sturm_liouville(1.5, 1, n_grid=256),
+                              first)
+
+
+class TestTridiagSolver:
+    def test_matches_dense_solve(self):
+        # the bands of a mode pencil shifted to 2, which is indefinite
+        form = FluxForm(64, 5)
+        sub, diag, sup = form.bands(potential=6.0 * form.weight)
+        diag = diag - 2.0 * form.weight
+        dense = np.diag(sub, -1) + np.diag(diag) + np.diag(sup, 1)
+        rhs = np.random.default_rng(0).standard_normal((64, 3))
+        solve = tridiag_solver(sub, diag, sup)
+        for b in (rhs[:, 0], rhs):
+            want = np.linalg.solve(dense, b)
+            got = solve(b)
+            assert got.shape == b.shape
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_singular_matrix_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            tridiag_solver(np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]),
+                           np.zeros(3))
 
 
 class TestEigenfunctions:
