@@ -3,9 +3,10 @@
 Twelve numbered checks certify the package against its closed-form anchors:
 spectral oracles, factorization roundtrips and expansions, constant-curvature
 solves with Gauss-Bonnet convergence, indicial-regularity fits, and the
-obstruction-pairing identities.  Each check returns a CriterionResult; the
+obstruction-pairing identities.  Each check returns (name, passed, detail);
+:func:`run_acceptance` numbers and times them into CriterionResults, and the
 ``conemetric verify`` subcommand and the acceptance test suite both run
-through :func:`run_acceptance`.
+through it.
 """
 
 from __future__ import annotations
@@ -42,39 +43,33 @@ class CriterionResult:
     elapsed: float
 
 
-def _result(index, name, passed, detail, t0):
-    return CriterionResult(index=index, name=name, passed=bool(passed),
-                           detail=detail, elapsed=time.perf_counter() - t0)
-
-
 def criterion_1(seed=DEFAULT_SEED):
     """Football radial eigenvalues match the Sturm-Liouville oracle."""
     t0 = time.perf_counter()
     worst = 0.0
     for beta in (0.5, 1.5, 2.7):
         for j in range(4):
-            oracle = radial_sturm_liouville(beta, j, k=5)
+            oracle = radial_sturm_liouville(beta, j)
             exact = [(j / beta + ell) * (j / beta + ell + 1.0)
                      for ell in range(5)]
             worst = max(worst, float(np.max(np.abs(oracle - exact))))
     elapsed = time.perf_counter() - t0
     passed = worst < 1e-6 and elapsed < 10.0
-    return _result(1, "football spectrum vs oracle", passed,
-                   f"max |oracle - closed form| = {worst:.3e} "
-                   f"(tol 1e-06), elapsed {elapsed:.2f}s (limit 10s)", t0)
+    return ("football spectrum vs oracle", passed,
+            f"max |oracle - closed form| = {worst:.3e} "
+            f"(tol 1e-06), elapsed {elapsed:.2f}s (limit 10s)")
 
 
 def criterion_2(seed=DEFAULT_SEED):
     """Count of eigenvalues <= 2 equals 2 + 2[beta]."""
-    t0 = time.perf_counter()
     rows = []
     ok = True
     for beta in (1.5, 2.5, 3.5):
-        got = eigenvalue_count(beta, threshold=2.0)
+        got = eigenvalue_count(beta)
         want = 2 + 2 * int(math.floor(beta))
         ok = ok and got == want
         rows.append(f"beta={beta}: {got} (expected {want})")
-    return _result(2, "eigenvalue count formula", ok, "; ".join(rows), t0)
+    return "eigenvalue count formula", ok, "; ".join(rows)
 
 
 def _random_weights(rng, J):
@@ -114,10 +109,10 @@ def criterion_3(seed=DEFAULT_SEED):
             worst = max(worst, err)
     elapsed = time.perf_counter() - t0
     passed = worst < 1e-9 and bad_counts == 0 and elapsed < 30.0
-    return _result(3, "factorization roundtrip", passed,
-                   f"200 cases, max relative error {worst:.3e} (tol 1e-09), "
-                   f"{bad_counts} wrong branch counts, elapsed "
-                   f"{elapsed:.2f}s (limit 30s)", t0)
+    return ("factorization roundtrip", passed,
+            f"200 cases, max relative error {worst:.3e} (tol 1e-09), "
+            f"{bad_counts} wrong branch counts, elapsed "
+            f"{elapsed:.2f}s (limit 30s)")
 
 
 def _closed_form_pair(A1, A2, b):
@@ -133,7 +128,6 @@ def _closed_form_pair(A1, A2, b):
 
 def criterion_4(seed=DEFAULT_SEED):
     """Two-point branches agree with the explicit radical formulas."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 4)
     worst = 0.0
     for _ in range(100):
@@ -147,13 +141,12 @@ def criterion_4(seed=DEFAULT_SEED):
                       for e in exact)
             worst = max(worst, err)
     passed = worst < 1e-12
-    return _result(4, "two-point radical formulas", passed,
-                   f"100 cases, max branch error {worst:.3e} (tol 1e-12)", t0)
+    return ("two-point radical formulas", passed,
+            f"100 cases, max branch error {worst:.3e} (tol 1e-12)")
 
 
 def criterion_5(seed=DEFAULT_SEED):
     """Three-point equal-weight expansion matches its displayed values."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 5)
     b = WeightVector((1.0, 1.0, 1.0))
     tau = (-1.0 + math.sqrt(3.0) * 1j) / 2.0
@@ -181,13 +174,12 @@ def criterion_5(seed=DEFAULT_SEED):
                 best = min(best, err)
         worst = max(worst, best)
     passed = worst < 1e-10
-    return _result(5, "three-point expansion coefficients", passed,
-                   f"max coefficient error {worst:.3e} (tol 1e-10)", t0)
+    return ("three-point expansion coefficients", passed,
+            f"max coefficient error {worst:.3e} (tol 1e-10)")
 
 
 def criterion_6(seed=DEFAULT_SEED):
     """Multiplicative error decays superlinearly along coefficient rays."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 6)
     slopes = []
     for _ in range(3):
@@ -206,14 +198,13 @@ def criterion_6(seed=DEFAULT_SEED):
         slope = float(np.polyfit(np.log(ts), np.log(errs), 1)[0])
         slopes.append(slope)
     passed = all(s >= 1.2 for s in slopes)
-    return _result(6, "multiplicative error law", passed,
-                   "ray slopes " + ", ".join(f"{s:.2f}" for s in slopes)
-                   + " (need >= 1.2)", t0)
+    return ("multiplicative error law", passed,
+            "ray slopes " + ", ".join(f"{s:.2f}" for s in slopes)
+                    + " (need >= 1.2)")
 
 
 def criterion_7(seed=DEFAULT_SEED):
     """Low derivatives of the splitting factor vanish; order J matches."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 7)
     ok = True
     notes = []
@@ -229,8 +220,7 @@ def criterion_7(seed=DEFAULT_SEED):
         lim = vdot_limit_residual(A, J)
         ok = ok and lim < 1e-6
         notes.append(f"J={J} k={J} limit misfit {lim:.2e}")
-    return _result(7, "splitting-factor derivative vanishing", ok,
-                   "; ".join(notes), t0)
+    return "splitting-factor derivative vanishing", ok, "; ".join(notes)
 
 
 def _equilateral():
@@ -246,7 +236,7 @@ def _gauss_bonnet_order(prob, meshes):
     errs, fast = [], True
     for n in meshes:
         s0 = time.perf_counter()
-        metric = solve_liouville(prob, {"n": n})
+        metric = solve_liouville(prob, n)
         fast = fast and time.perf_counter() - s0 < 60.0
         errs.append(abs(metric.area() - target))
     return math.log2(errs[0] / errs[1]), fast
@@ -254,7 +244,6 @@ def _gauss_bonnet_order(prob, meshes):
 
 def criterion_8(seed=DEFAULT_SEED):
     """Gauss-Bonnet areas converge at second order."""
-    t0 = time.perf_counter()
     runs = [(f"football beta={beta}",
              ConicProblem("sphere", [(0.0, 0.0), (math.pi, 0.0)],
                           AngleVector(0, (beta, beta)), 1), (200, 400))
@@ -266,24 +255,22 @@ def criterion_8(seed=DEFAULT_SEED):
         order, fast = _gauss_bonnet_order(prob, meshes)
         ok = ok and fast and order >= 1.8
         cases.append(f"{label}: order {order:.2f}")
-    return _result(8, "Gauss-Bonnet convergence", ok,
-                   "; ".join(cases) + " (need >= 1.8, each solve < 60s)", t0)
+    return ("Gauss-Bonnet convergence", ok,
+            "; ".join(cases) + " (need >= 1.8, each solve < 60s)")
 
 
 def criterion_9(seed=DEFAULT_SEED):
     """Indicial remainders decay at second order at every cone point."""
-    t0 = time.perf_counter()
-    metric = solve_liouville(_equilateral(), {"n": 144})
+    metric = solve_liouville(_equilateral(), 144)
     slopes = [friedrichs_fit(metric, i).slope for i in range(3)]
     passed = all(s >= 1.9 for s in slopes)
-    return _result(9, "indicial expansion regularity", passed,
-                   "remainder slopes " + ", ".join(f"{s:.2f}" for s in slopes)
-                   + " (need >= 1.9)", t0)
+    return ("indicial expansion regularity", passed,
+            "remainder slopes " + ", ".join(f"{s:.2f}" for s in slopes)
+                    + " (need >= 1.9)")
 
 
 def criterion_10(seed=DEFAULT_SEED):
     """Boundary pairing quadrature matches its closed form."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 10)
     eps = [0.3, 0.2, 0.1]
     worst = 0.0
@@ -312,15 +299,14 @@ def criterion_10(seed=DEFAULT_SEED):
             (vdot * dphi - phi * dvdot) * beta * e)))
     spread = max(vals) - min(vals)
     passed = worst < 1e-8 and spread < 1e-10
-    return _result(10, "pairing closed form", passed,
-                   f"20 random sets, max |quad - closed| = {worst:.3e} "
-                   f"(tol 1e-08); pure-mode eps spread {spread:.3e} "
-                   f"(tol 1e-10)", t0)
+    return ("pairing closed form", passed,
+            f"20 random sets, max |quad - closed| = {worst:.3e} "
+            f"(tol 1e-08); pure-mode eps spread {spread:.3e} "
+            f"(tol 1e-10)")
 
 
 def criterion_11(seed=DEFAULT_SEED):
     """Football pairing degenerates: cos r carries no indicial modes."""
-    t0 = time.perf_counter()
     ok = True
     notes = []
     for beta in (2.5, 3.3):
@@ -339,20 +325,18 @@ def criterion_11(seed=DEFAULT_SEED):
         notes.append(f"beta={beta}: max coeff {worst:.2e}, "
                      f"|B| {float(np.max(np.abs(Bvals))):.2e}, "
                      f"dim V = {report['dim']} (2K = {2 * K})")
-    return _result(11, "football pairing degeneracy", ok, "; ".join(notes),
-                   t0)
+    return "football pairing degeneracy", ok, "; ".join(notes)
 
 
 def criterion_12(seed=DEFAULT_SEED):
     """Spectral flow along beta: 1.5 -> 3.5 crosses exactly at 2 and 3."""
-    t0 = time.perf_counter()
     path = [round(1.5 + 0.1 * i, 10) for i in range(21)]
     report = eigenvalue_flow(path)
     got = sorted((c.beta, c.j) for c in report["crossings"])
     want = [(2.0, 2), (3.0, 3)]
     passed = got == want
-    return _result(12, "spectral flow crossings", passed,
-                   f"crossings {got} (expected {want})", t0)
+    return ("spectral flow crossings", passed,
+            f"crossings {got} (expected {want})")
 
 
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
@@ -368,5 +352,9 @@ def run_acceptance(indices=None, seed=DEFAULT_SEED):
     for i in indices:
         if not 1 <= i <= len(CRITERIA):
             raise ValueError(f"criterion index {i} out of range")
-        results.append(CRITERIA[i - 1](seed=seed))
+        t0 = time.perf_counter()
+        name, passed, detail = CRITERIA[i - 1](seed=seed)
+        results.append(CriterionResult(index=i, name=name, passed=bool(passed),
+                                       detail=detail,
+                                       elapsed=time.perf_counter() - t0))
     return results

@@ -130,18 +130,11 @@ def _meta(**extra):
 # ---------------------------------------------------------------------------
 # parsing helpers
 
-def _parse_floats(text):
+def _parse_list(text, kind):
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        return [kind(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise ValueError(f"bad numeric list {text!r}: {exc}")
-
-
-def _parse_complexes(text):
-    try:
-        return [complex(x.strip()) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad complex list {text!r}: {exc}")
+        raise ValueError(f"bad {kind.__name__} list {text!r}: {exc}")
 
 
 def _parse_points(text):
@@ -149,7 +142,7 @@ def _parse_points(text):
     for chunk in text.split(";"):
         if not chunk.strip():
             continue
-        pts.append(tuple(_parse_floats(chunk)))
+        pts.append(tuple(_parse_list(chunk, float)))
     if not pts:
         raise ValueError("empty point list")
     return pts
@@ -214,8 +207,8 @@ def cmd_angles(args):
 
 
 def cmd_split(args):
-    weights = _parse_floats(args.weights)
-    coeffs = _parse_complexes(args.coeffs)
+    weights = _parse_list(args.weights, float)
+    coeffs = _parse_list(args.coeffs, complex)
     if not 0 <= args.ray_samples <= MAX_RAY_SAMPLES:
         raise ValueError(f"--ray-samples must lie in [0, {MAX_RAY_SAMPLES}]")
     b = WeightVector(tuple(weights))
@@ -312,11 +305,11 @@ def _football_eigrows(beta):
 
 def cmd_solve(args):
     points = _parse_points(args.points)
-    av = AngleVector(0, _parse_floats(args.beta))
+    av = AngleVector(0, _parse_list(args.beta, float))
     problem = ConicProblem(args.background, points, av, args.curvature)
     if args.axisym and not problem.is_football:
         raise ValueError("--axisym requires an antipodal equal-angle pair")
-    metric = solve_liouville(problem, {"n": args.mesh})
+    metric = solve_liouville(problem, args.mesh)
 
     diagnostics = {
         "meta": _meta(subcommand="solve", mesh=args.mesh,
@@ -387,7 +380,7 @@ def cmd_pair(args):
     if not 0 <= args.rank_atol < math.inf:
         raise ValueError("--rank-atol must be finite and nonnegative")
 
-    dir_groups = [_parse_complexes(chunk)
+    dir_groups = [_parse_list(chunk, complex)
                   for chunk in args.direction.split(";") if chunk.strip()]
     if len(dir_groups) != len(betas):
         raise ValueError("need one direction coefficient group per cone "

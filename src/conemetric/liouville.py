@@ -37,9 +37,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, gmres, splu, spsolve
 
-from .angles import (AngleVector, conic_euler_char, same_angle,
-                     subcritical_check)
-from .spectrum import FluxForm, tridiag_solver
+from .angles import (AngleVector, conic_euler_char, int_part, is_integer,
+                     same_angle, subcritical_check)
+from .spectrum import FluxForm, mode_multiplicity, tridiag_solver
 
 __all__ = [
     "ConicProblem",
@@ -306,11 +306,10 @@ class DiscreteConicMetric:
         interpolation."""
         if self.kind != "sphere2d":
             raise ValueError("bounded part extraction for 2-D solves")
-        g = self.mesh
-        p = g["points"][point_index]
-        x = _exp_map(p, np.asarray(d, dtype=float),
+        g, pts = self.mesh, self.problem.unit_points()
+        x = _exp_map(pts[point_index], np.asarray(d, dtype=float),
                      np.asarray(theta, dtype=float))
-        dists = [_distance(x, q) for q in g["points"]]
+        dists = [_distance(x, q) for q in pts]
         logs = sum((b - 1.0) * np.log(_chord(d))
                    for i, (d, b) in enumerate(zip(dists, self.beta))
                    if i != point_index)
@@ -579,8 +578,8 @@ def _solve_sphere2d(problem, n_lat):
     return DiscreteConicMetric(
         problem=problem, kind="sphere2d", n=n_lat, w=w, rho=rho,
         sing_coeffs=coeffs, residual=resid,
-        mesh={"phi": phi, "theta": theta, "A": A, "M": M, "dists": dists,
-              "measure": M.reshape(w.shape), "points": pts})
+        mesh={"phi": phi, "theta": theta, "A": A, "dists": dists,
+              "measure": M.reshape(w.shape)})
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +608,17 @@ def _solve_disk(problem, n):
         np.zeros(n), NEWTON_TOL, _row_floor(L))
     return DiscreteConicMetric(problem=problem, kind="disk", n=n, w=w,
                                rho=None, sing_coeffs=(0.0,),
-                               residual=float(resid), mesh={"r": r, "h": h})
+                               residual=float(resid), mesh={"r": r})
 
 
 # ---------------------------------------------------------------------------
 # public solve dispatch
 
-def solve_liouville(problem, mesh_params=None):
-    """Solve for the bounded conformal remainder; see the module docstring.
-
-    mesh_params: {"n": resolution}, n a positive integer.
-    """
-    n = int((mesh_params or {}).get("n", 256))
+def solve_liouville(problem, n):
+    """Solve for the bounded conformal remainder at the mesh resolution n, a
+    positive integer (a bool is not one); see the module docstring."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"mesh size must be an integer, got {n!r}")
     if n <= 0:
         raise ValueError(f"mesh size must be positive, got n = {n}")
     football = problem.is_football
@@ -657,7 +655,8 @@ def solve_liouville(problem, mesh_params=None):
 def _pencils(metric):
     """(j, multiplicity, A, b) with Delta_g = pencil(A, diag(b)) per block.
 
-    A football splits into the angular modes j <= 2 ceil(beta) + 4: the
+    A football splits into the angular modes j < 2 ceil(beta) + 5, ceil in
+    the sense of ``angles.int_part`` and ``is_integer``: the
     radial factor R = (sin phi)^j S gives A = -(p S')' + j(j+1) p S, as its
     (sub, diag, sup) bands, and b = p e^{2u} with p = sin^{2j+1}, which
     builds the Friedrichs condition (excluding the r^{-j/beta} branch) into
@@ -665,16 +664,16 @@ def _pencils(metric):
     stiffness and the mass M e^{2u}.
     """
     if metric.kind == "football":
-        rho = metric.density(full=True)
+        rho, b = metric.density(full=True), metric.beta[0]
         forms = [FluxForm(metric.n, 2 * j + 1)
-                 for j in range(2 * math.ceil(metric.beta[0]) + 5)]
-        return [(j, 1 if j == 0 else 2,
+                 for j in range(2 * (int_part(b) - is_integer(b)) + 7)]
+        return [(j, mode_multiplicity(j),
                  form.bands(potential=j * (j + 1.0) * form.weight),
                  form.weight * rho)
                 for j, form in enumerate(forms)]
     if metric.kind == "sphere2d":
         return [(None, 1, metric.mesh["A"],
-                 metric.mesh["M"] * metric.density().ravel())]
+                 (metric.mesh["measure"] * metric.density()).ravel())]
     raise ValueError("the spectrum near 2 is defined for closed solves only")
 
 
@@ -705,11 +704,11 @@ def spectrum_near_two(metric, window=0.5):
     diagonal, so a football mode builds no sparse matrix.  From a
     fixed start vector it asks for k = 2 eigenpairs and doubles k (up to
     N - 2) while every returned one has |lambda - 2| < 1.1 * 1.5 window,
-    the outer edge of the band the widened-window check reads; so that
-    check sees every eigenvalue in its band, whatever k the pass ends at.
-    The window widens to 1.5 window if an eigenvalue sits within
-    0.1 window of its edge; one as close to the widened edge is a
-    SolverError.
+    the outer edge of the band the window checks read; so those checks see
+    every eigenvalue in their band, whatever k the pass ends at.  The
+    reported window is the first of window, 1.5 window and window / 1.5
+    whose edges every eigenvalue clears by a tenth of that window; if none
+    does, SolverError.
     """
     wide = 1.5 * window
     lams, reps = [], []
@@ -731,11 +730,12 @@ def spectrum_near_two(metric, window=0.5):
         reps.extend({"j": j, "vector": vec, "multiplicity": mult}
                     for vec in vecs.T)
     dist = np.abs(np.array(lams) - 2.0)
-    if np.min(np.abs(dist - window)) < 0.1 * window:
-        window = wide
-        if np.min(np.abs(dist - window)) < 0.1 * window:
-            raise SolverError("spectral window boundary too close to an "
-                              "eigenvalue")
+    for window in (window, wide, window / 1.5):
+        if np.min(np.abs(dist - window)) >= 0.1 * window:
+            break
+    else:
+        raise SolverError("spectral window boundary too close to an "
+                          "eigenvalue")
     inside = [i for i in np.argsort(dist, kind="stable") if dist[i] < window]
     return ObstructionBundleFiber(
         eigenvalues_near_2=[float(lams[i]) for i in inside],
@@ -819,29 +819,23 @@ class FriedrichsFit:
 def friedrichs_fit(metric, point_index):
     """Fit a0 + sum r^{j/beta}(a cos + b sin) near a cone point.
 
-    J is the largest integer strictly below 2 beta; the remainder must
-    decay like r^2 in the uniformized radial variable.
+    J is the largest integer strictly below 2 beta, in the sense of
+    ``angles.int_part`` and ``is_integer``; the remainder must decay like
+    r^2 in the uniformized radial variable.
     """
     b = metric.beta[point_index]
     radii = np.geomspace(0.45, 1.0, 8)
-    J = math.ceil(2.0 * b) - 1
+    J = int_part(2.0 * b) - is_integer(2.0 * b)
     theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    cols, samples = [], []
-    for r in radii:
-        m = (b * r) ** (1.0 / b)
-        d = 2.0 * math.asin(min(m / 2.0, 1.0))
-        vals = metric.bounded_part(point_index, np.full_like(theta, d), theta)
-        samples.append(vals)
-        row = [np.ones_like(theta)]
-        for j in range(1, J + 1):
-            row.append(r ** (j / b) * np.cos(j * theta))
-            row.append(r ** (j / b) * np.sin(j * theta))
-        # nuisance r^2 column: decorrelates a0 from the quadratic tail so
-        # the remainder below isolates the claimed O(r^2) decay
-        row.append(np.full_like(theta, r * r))
-        cols.append(np.stack(row, axis=1))
-    X = np.concatenate(cols, axis=0)
-    y = np.concatenate(samples)
+    # all 8 x 64 samples, radius by radius, in one bounded_part call
+    r, t = np.repeat(radii, len(theta)), np.tile(theta, len(radii))
+    d = 2.0 * np.arcsin(np.minimum((b * r) ** (1.0 / b) / 2.0, 1.0))
+    y = metric.bounded_part(point_index, d, t)
+    # nuisance r^2 column last: decorrelates a0 from the quadratic tail so
+    # the remainder below isolates the claimed O(r^2) decay
+    X = np.column_stack([np.ones_like(r)]
+                        + [r ** (j / b) * f(j * t) for j in range(1, J + 1)
+                           for f in (np.cos, np.sin)] + [r * r])
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     model_wo_tail = X[:, :-1] @ coef[:-1]
     resid = np.abs(y - model_wo_tail).reshape(len(radii), -1).max(axis=1)

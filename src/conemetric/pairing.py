@@ -51,8 +51,8 @@ RANK_TOL = 1e-8
 #: kernel-basis pivots whose norms agree to this relative level count as tied
 _PIVOT_TIE = 1e-6
 
-#: default extraction annuli in the cone chart, [inner, outer] radii
-DEFAULT_ANNULI = ((0.05, 0.1), (0.1, 0.2))
+#: the two extraction annuli in the cone chart, [inner, outer] radii
+ANNULI = ((0.05, 0.1), (0.1, 0.2))
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ class DirectionCoeffs:
         return np.array([c for (_, ec, es) in self.modes for c in (ec, es)])
 
 
-def extract_eigf_coeffs(phi, beta, annuli=DEFAULT_ANNULI):
+def extract_eigf_coeffs(phi, beta):
     """Least-squares indicial coefficients of phi(r, theta) at a cone point.
 
     phi is a callable on the cone chart (r = geodesic distance, theta with
@@ -121,8 +121,8 @@ def extract_eigf_coeffs(phi, beta, annuli=DEFAULT_ANNULI):
     keeps the constant and the indicial coefficients from soaking up those
     trends; at integer beta the r^{m/beta + 2} terms of the j = beta
     eigenfunctions would otherwise exceed FIT_TOL.
-    The fit is run on each annulus separately and the coefficient
-    disagreement between annuli is folded into the reported residual.
+    The fit is run on each annulus of ANNULI separately and the coefficient
+    disagreement between the two is folded into the reported residual.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -130,9 +130,7 @@ def extract_eigf_coeffs(phi, beta, annuli=DEFAULT_ANNULI):
     results = []
     residuals = []
     theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    for lo, hi in annuli:
-        if not 0 < lo < hi:
-            raise ValueError("annulus radii must satisfy 0 < lo < hi")
+    for lo, hi in ANNULI:
         radii = np.geomspace(lo, hi, 8)
         rr, tt = np.meshgrid(radii, theta, indexing="ij")
         rr, tt = rr.ravel(), tt.ravel()
@@ -147,11 +145,8 @@ def extract_eigf_coeffs(phi, beta, annuli=DEFAULT_ANNULI):
         misfit = design @ coef - rhs
         residuals.append(math.sqrt(float(np.mean(misfit ** 2))))
         results.append(coef[:len(cols)])  # drop the nuisance columns
-    results = np.array(results)
-    disagreement = float(np.max(np.abs(results[0] - results[1]))) \
-        if len(results) > 1 else 0.0
     coef = results[0]
-    residual = max(max(residuals), disagreement)
+    residual = max(*residuals, float(np.max(np.abs(coef - results[1]))))
     modes = tuple((m, float(coef[2 * m - 1]), float(coef[2 * m]))
                   for m in range(1, mmax + 1))
     return EigenCoeffs(beta=float(beta), constant=float(coef[0]), modes=modes,

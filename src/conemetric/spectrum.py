@@ -41,6 +41,7 @@ __all__ = [
     "FlowCrossing",
     "FluxForm",
     "football_eigenvalues",
+    "mode_multiplicity",
     "tridiag_solver",
     "eigenvalue_count",
     "football_eigenfunction",
@@ -53,16 +54,21 @@ __all__ = [
 MAX_MODES = 100_000
 
 
+def mode_multiplicity(j):
+    """Multiplicity of an eigenvalue of angular mode j: the cos and sin
+    eigenfunctions of j > 0 share it."""
+    return 1 if j == 0 else 2
+
+
 @dataclass(frozen=True)
 class EigenMode:
     j: int
     ell: int
     lam: float
-    multiplicity: int
 
-    def __post_init__(self):
-        if self.multiplicity != (1 if self.j == 0 else 2):
-            raise ValueError("multiplicity is 1 for j = 0 and 2 otherwise")
+    @property
+    def multiplicity(self):
+        return mode_multiplicity(self.j)
 
 
 @dataclass(frozen=True)
@@ -102,20 +108,19 @@ def football_eigenvalues(beta, lambda_max):
             lam = _mode_lambda(beta, j, ell)
             if lam > top:
                 break
-            out.append(EigenMode(j=j, ell=ell, lam=lam,
-                                 multiplicity=1 if j == 0 else 2))
+            out.append(EigenMode(j=j, ell=ell, lam=lam))
             ell += 1
         j += 1
     out.sort(key=lambda m: (m.lam, m.j))
     return out
 
 
-def eigenvalue_count(beta, threshold=2.0):
-    """Number of football eigenvalues lambda <= threshold, with multiplicity.
+def eigenvalue_count(beta):
+    """Number of football eigenvalues lambda <= 2, with multiplicity.
 
-    Counts the closed-form ladder; at threshold 2 this is 2 + 2*[beta].
+    Counts the closed-form ladder; this is 2 + 2*[beta].
     """
-    return sum(m.multiplicity for m in football_eigenvalues(beta, threshold))
+    return sum(m.multiplicity for m in football_eigenvalues(beta, 2.0))
 
 
 def football_eigenfunction(beta, j, ell):
@@ -192,8 +197,8 @@ def tridiag_solver(sub, diag, sup):
     return lambda b: dgttrs(*lu, b)[0]
 
 
-def _sl_eigs(alpha, n, k=5):
-    """Lowest k eigenvalues of the substituted radial problem at n cells.
+def _sl_eigs(alpha, n):
+    """Lowest five eigenvalues of the substituted radial problem at n cells.
 
     With R = (sin r)^alpha S the radial operator becomes the degenerate
     Sturm-Liouville problem -(w S')' = (lambda - alpha(alpha+1)) w S with
@@ -208,27 +213,23 @@ def _sl_eigs(alpha, n, k=5):
     OPinv = LinearOperator((n, n), tridiag_solver(*form.bands(form.weight)),
                            dtype=float)
     # with OPinv given, shift-invert eigsh reads only the shape of its A
-    vals = eigsh(OPinv, k=k, sigma=-1.0, which="LM", OPinv=OPinv,
+    vals = eigsh(OPinv, k=5, sigma=-1.0, which="LM", OPinv=OPinv,
                  M=LinearOperator((n, n), form.weight.__mul__, dtype=float),
                  v0=np.random.default_rng(0).standard_normal(n),
                  return_eigenvectors=False)
     return np.sort(vals) + alpha * (alpha + 1.0)
 
 
-def radial_sturm_liouville(beta, j, n_grid=2048, k=5, richardson=True):
-    """Numeric oracle: lowest k radial eigenvalues for angular mode j.
+def radial_sturm_liouville(beta, j, n_grid=2048):
+    """Numeric oracle: lowest five radial eigenvalues for angular mode j.
 
     Second-order flux finite differences on a cell-centered grid, with
-    Richardson extrapolation across n_grid and 2*n_grid when requested.
+    Richardson extrapolation across n_grid and 2*n_grid.
     """
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
-    alpha = j / beta
-    coarse = _sl_eigs(alpha, n_grid, k)
-    if not richardson:
-        return coarse
-    fine = _sl_eigs(alpha, 2 * n_grid, k)
-    return (4.0 * fine - coarse) / 3.0
+    coarse = _sl_eigs(j / beta, n_grid)
+    return (4.0 * _sl_eigs(j / beta, 2 * n_grid) - coarse) / 3.0
 
 
 def strict_count_below_two(beta):

@@ -20,6 +20,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import conemetric
 from conemetric import cli, liouville
+from conemetric.acceptance import run_acceptance
 from conemetric.cli import (MAX_FLOW_SAMPLES, MAX_RAY_SAMPLES, canonical_json,
                             main)
 from conemetric.factorization import MAX_J
@@ -330,6 +331,15 @@ class TestSolve:
         assert diags[0]["ell"] == diags[1]["ell"]
         assert diags[0]["eigenvalues_near_2"] == pytest.approx(
             diags[1]["eigenvalues_near_2"], rel=1e-8)
+
+    def test_football_beyond_both_wider_windows(self, capsys):
+        # exited 3 "spectral window boundary too close to an eigenvalue"
+        # while only |lambda - 2| < 0.5 and 0.75 were tried
+        code, out, _ = run(capsys, ["solve", "--points",
+                                    "0,0;3.141592653589793,0", "--beta",
+                                    "2.4,2.4", "--mesh", "512"])
+        assert code == 0
+        assert json.loads(out)["ell"] == 1
 
     def test_supercritical_is_solver_failure(self, capsys):
         code, _, err = run(capsys, ["solve", "--points", "0,0;1,0;2,0",
@@ -891,6 +901,12 @@ class TestVerify:
         assert code == 0
         assert "[PASS] criterion  2" in out
         assert "all 1 criteria passed" in out
+
+    def test_runner_numbers_and_times_the_criteria(self):
+        results = run_acceptance([2, 12])
+        assert [(r.index, r.name) for r in results] == [
+            (2, "eigenvalue count formula"), (12, "spectral flow crossings")]
+        assert all(r.passed and r.elapsed > 0.0 for r in results)
 
     def test_bad_criteria_list(self, capsys):
         assert run(capsys, ["verify", "--criteria", "two"])[0] == 2

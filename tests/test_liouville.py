@@ -37,13 +37,13 @@ def stereographic_density(beta, phi):
 
 @pytest.fixture(scope="module")
 def football17():
-    return solve_liouville(football_problem(1.7), {"n": 256})
+    return solve_liouville(football_problem(1.7), 256)
 
 
 @pytest.fixture(scope="module")
 def sphere2d():
     prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6))
-    return solve_liouville(prob, {"n": 72})
+    return solve_liouville(prob, 72)
 
 
 def pencil_matrices(A, b):
@@ -97,7 +97,7 @@ class TestProblemValidation:
     def test_football_mesh_rule(self, n):
         # the equator must be a cell face of a grid with >= 2 half cells
         with pytest.raises(ValueError, match="even n >= 4"):
-            solve_liouville(football_problem(1.7), {"n": n})
+            solve_liouville(football_problem(1.7), n)
 
     @pytest.mark.parametrize("n", [0, -3])
     @pytest.mark.parametrize("problem", [
@@ -107,7 +107,13 @@ class TestProblemValidation:
     ], ids=["disk", "football", "2d"])
     def test_nonpositive_mesh_rejected(self, problem, n):
         with pytest.raises(ValueError, match="mesh size must be positive"):
-            solve_liouville(problem, {"n": n})
+            solve_liouville(problem, n)
+
+    @pytest.mark.parametrize("n", [100.7, 96.0, True, "96", None])
+    def test_non_integer_mesh_rejected(self, n):
+        # no rounding, no parsing, and no default mesh
+        with pytest.raises(ValueError, match="mesh size must be an integer"):
+            solve_liouville(football_problem(1.7), n)
 
     def test_sphere_points_are_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
@@ -132,23 +138,23 @@ class TestFootballSolve:
         assert np.max(np.abs(football17.density() / exact - 1.0)) < 5e-4
 
     def test_small_angle_oracle(self):
-        m = solve_liouville(football_problem(0.8), {"n": 256})
+        m = solve_liouville(football_problem(0.8), 256)
         phi = m.mesh["phi"]
         exact = stereographic_density(0.8, phi)
         assert np.max(np.abs(m.density() / exact - 1.0)) < 1e-5
 
     def test_fine_mesh_small_angle_converges(self):
         # at n = 4096 the residual stagnates near 1e-9, the rounding floor
-        m = solve_liouville(football_problem(0.8), {"n": 4096})
+        m = solve_liouville(football_problem(0.8), 4096)
         assert m.residual < 8e-9
 
     @pytest.mark.parametrize("beta", [1.7, 0.7])
     def test_angles_equal_within_int_tol_solve_as_a_football(self, beta):
         # the equal-angle rule of angles.same_angle, as troyanov_check reads
-        ref = solve_liouville(football_problem(beta), {"n": 256})
+        ref = solve_liouville(football_problem(beta), 256)
         prob = ConicProblem("sphere", ANTIPODAL, (beta, beta + 1e-10))
         assert prob.is_football
-        m = solve_liouville(prob, {"n": 256})
+        m = solve_liouville(prob, 256)
         assert m.kind == "football"
         assert m.area() == pytest.approx(ref.area(), rel=1e-8)
         assert spectrum_near_two(m).eigenvalues_near_2 == pytest.approx(
@@ -156,7 +162,7 @@ class TestFootballSolve:
 
     def test_gauss_bonnet_convergence(self):
         prob = football_problem(1.7)
-        errs = [abs(solve_liouville(prob, {"n": n}).area()
+        errs = [abs(solve_liouville(prob, n).area()
                     - 2 * math.pi * prob.chi) for n in (128, 256)]
         assert errs[0] < 1e-3
         assert math.log2(errs[0] / errs[1]) >= 1.8
@@ -169,7 +175,7 @@ class TestConvergedDensity:
         # the stored density is e^{2v} e^{2(s + w)} of the returned w and
         # A_j, with s = sum_j A_j sigma_j summed as the Newton residual sums
         points = ANTIPODAL if len(beta) == 2 else EQUATOR3
-        m = solve_liouville(ConicProblem("sphere", points, beta), {"n": n})
+        m = solve_liouville(ConicProblem("sphere", points, beta), n)
         dists = m.mesh["dists"]
         sig = np.reshape([f.ravel() for f, _ in _correction(dists, beta)],
                          (-1, m.w.size))
@@ -197,7 +203,7 @@ class TestConvergedDensity:
     def test_disk_has_no_density(self):
         m = solve_liouville(ConicProblem("disk", points=((0.0,),),
                                          beta=(0.7,), curvature=-1),
-                            {"n": 16})
+                            16)
         with pytest.raises(ValueError, match="closed solves only"):
             m.density()
 
@@ -213,7 +219,7 @@ class TestSphere2dSolve:
 
     def test_gauss_bonnet_order(self):
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6))
-        errs = [abs(solve_liouville(prob, {"n": n}).area()
+        errs = [abs(solve_liouville(prob, n).area()
                     - 2 * math.pi * prob.chi) for n in (48, 96)]
         assert math.log2(errs[0] / errs[1]) >= 1.8
 
@@ -223,13 +229,13 @@ class TestSphere2dSolve:
             (1.718030815583588, 6.135759968549558),
             (0.5563455250063225, 3.763055441353943),
             (2.3496830622891625, 2.4520539537246813)), beta=(0.6, 0.6, 0.6))
-        m = solve_liouville(prob, {"n": 96})
+        m = solve_liouville(prob, 96)
         assert m.sing_coeffs == pytest.approx([0.27745] * 3, abs=1e-5)
         assert abs(m.area() - 2 * math.pi * prob.chi) < 1e-3
 
     def test_unequal_angles(self):
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
-        errs = [abs(solve_liouville(prob, {"n": n}).area()
+        errs = [abs(solve_liouville(prob, n).area()
                     - 2 * math.pi * prob.chi) for n in (48, 96)]
         assert errs[0] < 3e-3
         assert math.log2(errs[0] / errs[1]) >= 1.8
@@ -246,9 +252,9 @@ class TestSphere2dSolve:
             return x, res
 
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6))
-        m = solve_liouville(prob, {"n": n})
+        m = solve_liouville(prob, n)
         monkeypatch.setattr(liouville, "damped_newton", continued)
-        ref = solve_liouville(prob, {"n": n})
+        ref = solve_liouville(prob, n)
         assert np.max(np.abs(m.w - ref.w)) < 1e-9
         assert np.max(np.abs(np.subtract(m.sing_coeffs, ref.sing_coeffs))) \
             < 1e-9
@@ -292,8 +298,7 @@ def newton_systems(monkeypatch, points, beta, n):
         return _bordered_solve(*system)
 
     monkeypatch.setattr(liouville, "_lon_fft_solver", lambda form: direct)
-    solve_liouville(ConicProblem("sphere", points=points, beta=beta),
-                    {"n": n})
+    solve_liouville(ConicProblem("sphere", points=points, beta=beta), n)
     return systems
 
 
@@ -316,7 +321,7 @@ class TestKrylovStep:
             raise AssertionError("a 2-D Newton step called spsolve")
         monkeypatch.setattr(liouville, "spsolve", no_lu)
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
-        assert solve_liouville(prob, {"n": 24}).residual < 1e-9
+        assert solve_liouville(prob, 24).residual < 1e-9
 
     def test_exact_for_longitude_constant_density(self, monkeypatch):
         # the preconditioner is J itself, bordered the same way
@@ -349,13 +354,13 @@ class TestDiskSolve:
         # Dirichlet data from the exact flat cone makes w = 0 a fixed point
         prob = ConicProblem("disk", points=((0.0,),), beta=(0.7,),
                             curvature=0)
-        m = solve_liouville(prob, {"n": 64})
+        m = solve_liouville(prob, 64)
         assert np.max(np.abs(m.w)) == 0.0
 
     def test_hyperbolic_disk_converges(self):
         prob = ConicProblem("disk", points=((0.0,),), beta=(0.7,),
                             curvature=-1)
-        m = solve_liouville(prob, {"n": 64})
+        m = solve_liouville(prob, 64)
         assert m.residual < 1e-9
         assert np.max(np.abs(m.w)) > 0.2
 
@@ -365,7 +370,7 @@ class TestDiskSolve:
         # n = 8000; the per-row floor of damped_newton judges those rows
         prob = ConicProblem("disk", points=((0.0,),), beta=(beta,),
                             curvature=-1)
-        fine, coarse = (solve_liouville(prob, {"n": n})
+        fine, coarse = (solve_liouville(prob, n)
                         for n in (liouville.MAX_CELLS, 8000))
         w = np.interp(coarse.mesh["r"], fine.mesh["r"], fine.w)
         assert np.max(np.abs(w - coarse.w)) < 0.01 * np.max(np.abs(fine.w))
@@ -376,23 +381,23 @@ class TestSolveDispatch:
         prob = ConicProblem("disk", points=((0.0,),), beta=(0.7,),
                             curvature=1)
         with pytest.raises(SolverError):
-            solve_liouville(prob)
+            solve_liouville(prob, 24)
 
     def test_sphere_requires_unit_curvature(self):
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6),
                             curvature=0)
         with pytest.raises(SolverError):
-            solve_liouville(prob)
+            solve_liouville(prob, 24)
 
     def test_large_angle_nonfootball_rejected(self):
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(1.5, 0.6, 0.6))
         with pytest.raises(SolverError):
-            solve_liouville(prob)
+            solve_liouville(prob, 24)
 
     def test_supercritical_rejected(self):
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.95, 0.9, 0.2))
         with pytest.raises(SolverError):
-            solve_liouville(prob)
+            solve_liouville(prob, 24)
 
 
 class TestLinearizedOperator:
@@ -465,7 +470,7 @@ class TestLinearizedOperator:
         prob = ConicProblem("disk", points=((0.0,),), beta=(0.7,),
                             curvature=0)
         with pytest.raises(ValueError):
-            _pencils(solve_liouville(prob, {"n": 16}))
+            _pencils(solve_liouville(prob, 16))
 
 
 class TestSpectrumNearTwo:
@@ -475,14 +480,14 @@ class TestSpectrumNearTwo:
         assert abs(fib.eigenvalues_near_2[0] - 2.0) < 1e-3
 
     def test_integer_football(self):
-        m = solve_liouville(football_problem(2.0), {"n": 128})
+        m = solve_liouville(football_problem(2.0), 128)
         fib = spectrum_near_two(m)
         assert fib.ell == 3
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_round_sphere_at_coarse_meshes(self, n):
         # rho = 1 exactly makes A - 2B of the j = 1 pencil exactly singular
-        m = solve_liouville(football_problem(1.0), {"n": n})
+        m = solve_liouville(football_problem(1.0), n)
         assert np.max(np.abs(m.density() - 1.0)) == 0.0
         fib = spectrum_near_two(m)
         assert fib.ell == 3
@@ -492,7 +497,7 @@ class TestSpectrumNearTwo:
     def test_2d_ell_counts_the_whole_window(self):
         # the window holds more eigenvalues than the first eigsh call returns
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6))
-        m = solve_liouville(prob, {"n": 24})
+        m = solve_liouville(prob, 24)
         fib = spectrum_near_two(m, window=36.0)
         A, B = pencil_matrices(*_pencils(m)[0][2:])
         vals = eigh(A.toarray(), B.toarray(), eigvals_only=True)
@@ -501,7 +506,7 @@ class TestSpectrumNearTwo:
     def test_football_ell_counts_the_whole_window(self):
         # the j = 0 pencil holds nine eigenvalues in the window, more than
         # the first eigsh call returns
-        m = solve_liouville(football_problem(0.5), {"n": 256})
+        m = solve_liouville(football_problem(0.5), 256)
         fib = spectrum_near_two(m, window=78.0)
         want = sum(mode.multiplicity for mode in
                    football_eigenvalues(0.5, 2.0 + fib.window)
@@ -519,7 +524,7 @@ class TestSpectrumNearTwo:
         # each pencil
         points = ANTIPODAL if len(beta) == 2 else EQUATOR3
         m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
-                            {"n": n})
+                            n)
         fib = spectrum_near_two(m, window=window)
         for j, _, A, b in _pencils(m):
             A, B = pencil_matrices(A, b)
@@ -551,7 +556,7 @@ class TestSpectrumNearTwo:
         football = len(beta) == 2
         points = ANTIPODAL if football else EQUATOR3
         m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
-                            {"n": n})
+                            n)
         calls = {"eigsh": 0, "splu": 0, "dgttrf": 0}
 
         def counted(module, name):
@@ -572,6 +577,13 @@ class TestSpectrumNearTwo:
         assert calls["eigsh"] == eigsh_calls
         assert (fib.window, fib.ell) == (window[1], ell)
 
+    def test_narrower_window_when_both_wider_fail(self):
+        # j = 2 sits 0.028 inside |lambda - 2| < 0.5 and j = 3 (2.8125) 0.0625
+        # from the edge of 0.75; every eigenvalue clears 1/3 by a tenth of it
+        fib = spectrum_near_two(solve_liouville(football_problem(2.4), 512))
+        assert (fib.window, fib.ell) == (0.5 / 1.5, 1)
+        assert abs(fib.eigenvalues_near_2[0] - 2.0) < 1e-4
+
     def test_exactly_singular_shift_moves_off_two(self):
         # A = 2B: the tridiagonal factor of A - 2B has a zero pivot
         n = 6
@@ -582,7 +594,7 @@ class TestSpectrumNearTwo:
 
     def test_reproducible(self):
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
-        m = solve_liouville(prob, {"n": 48})
+        m = solve_liouville(prob, 48)
         evs = [spectrum_near_two(m).eigenvalues_near_2 for _ in range(3)]
         assert evs[0] == evs[1] == evs[2]
 
@@ -653,3 +665,12 @@ class TestFriedrichsFit:
         # 2 beta = 1.2, so a single indicial pair with exponent 1/beta
         assert len(fit.indicial) == 1
         assert fit.indicial[0][0] == pytest.approx(1.0 / 0.6)
+
+    def test_integer_two_beta_counts_as_angles_does(self):
+        # at 2 beta = 1 the r^{1/beta} = r^2 column would repeat the fit's
+        # nuisance r^2 column; 2 beta = 1 + 2e-12 is the integer 1 too
+        prob = ConicProblem("sphere", points=EQUATOR3,
+                            beta=(0.5, 0.5 + 1e-12, 0.5))
+        m = solve_liouville(prob, 48)
+        assert [len(friedrichs_fit(m, i).indicial) for i in range(3)] \
+            == [0, 0, 0]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conemetric.angles import AngleVector, int_part, splitting_spec
-from conemetric.pairing import (DEFAULT_ANNULI, FIT_TOL, DirectionCoeffs,
+from conemetric.pairing import (FIT_TOL, DirectionCoeffs,
                                 EigenCoeffs, boundary_pairing_integral,
                                 classify_case, direction_coeffs,
                                 direction_counts, extract_eigf_coeffs,
@@ -71,8 +71,6 @@ class TestExtraction:
     def test_validation(self):
         with pytest.raises(ValueError):
             extract_eigf_coeffs(lambda r, t: r, 0.0)
-        with pytest.raises(ValueError):
-            extract_eigf_coeffs(lambda r, t: r, 1.5, annuli=((0.2, 0.1),))
 
 
 class TestDirectionCoeffs:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conemetric.spectrum import (FluxForm, eigenvalue_count,
+from conemetric.spectrum import (FluxForm, _sl_eigs, eigenvalue_count,
                                  eigenvalue_flow, football_eigenfunction,
                                  football_eigenvalues,
                                  radial_sturm_liouville,
@@ -53,22 +53,22 @@ class TestClosedForm:
 class TestCounts:
     @pytest.mark.parametrize("beta", [0.3, 0.5, 1.5, 2.5, 3.5, 4.2])
     def test_count_formula(self, beta):
-        assert eigenvalue_count(beta, 2.0) == 2 + 2 * math.floor(beta)
+        assert eigenvalue_count(beta) == 2 + 2 * math.floor(beta)
 
     def test_strict_vs_inclusive(self):
         # at lambda = 2 the (0, 1) mode always sits exactly on the threshold
-        assert eigenvalue_count(1.7, 2.0) - strict_count_below_two(1.7) == 1
+        assert eigenvalue_count(1.7) - strict_count_below_two(1.7) == 1
 
     def test_integer_beta_gains_double_mode(self):
         # j = beta contributes a double eigenvalue exactly at 2
-        assert eigenvalue_count(2.0, 2.0) - strict_count_below_two(2.0) == 3
+        assert eigenvalue_count(2.0) - strict_count_below_two(2.0) == 3
 
 
 class TestOracle:
     @pytest.mark.parametrize("beta,j", [(0.5, 0), (0.5, 2), (1.5, 1),
                                         (2.7, 3)])
     def test_sturm_liouville_matches(self, beta, j):
-        vals = radial_sturm_liouville(beta, j, k=5)
+        vals = radial_sturm_liouville(beta, j)
         exact = [(j / beta + ell) * (j / beta + ell + 1.0)
                  for ell in range(5)]
         assert np.max(np.abs(vals - exact)) < 1e-6
@@ -77,7 +77,7 @@ class TestOracle:
         beta, j = 2.7, 2
         exact = [(j / beta + ell) * (j / beta + ell + 1.0)
                  for ell in range(5)]
-        raw = radial_sturm_liouville(beta, j, n_grid=512, richardson=False)
+        raw = _sl_eigs(j / beta, 512)
         extrap = radial_sturm_liouville(beta, j, n_grid=512)
         assert np.max(np.abs(extrap - exact)) \
             < 0.1 * np.max(np.abs(raw - exact))
