@@ -193,7 +193,7 @@ def criterion_6(seed=DEFAULT_SEED):
         for t in ts:
             A = CoeffVector(tuple(t * a for a in A0))
             branches = inverse_map(A, b)
-            errs.append(max(multiplicative_error(A, br, b, samples)
+            errs.append(max(multiplicative_error(A, br.z, b, samples)
                             for br in branches))
         slope = float(np.polyfit(np.log(ts), np.log(errs), 1)[0])
         slopes.append(slope)
@@ -348,10 +348,11 @@ def run_acceptance(indices=None, seed=DEFAULT_SEED):
     """Run the selected criteria (all by default); returns the results."""
     if indices is None:
         indices = range(1, len(CRITERIA) + 1)
-    results = []
     for i in indices:
         if not 1 <= i <= len(CRITERIA):
             raise ValueError(f"criterion index {i} out of range")
+    results = []
+    for i in indices:
         t0 = time.perf_counter()
         name, passed, detail = CRITERIA[i - 1](seed=seed)
         results.append(CriterionResult(index=i, name=name, passed=bool(passed),

@@ -323,8 +323,7 @@ def cmd_solve(args):
         "sing_coeffs": metric.sing_coeffs,
     }
     if args.curvature == 1:
-        chi = conic_euler_char(av)
-        diagnostics["chi"] = chi
+        diagnostics["chi"] = chi = problem.chi
         diagnostics["area"] = metric.area()
         diagnostics["area_target"] = 2.0 * math.pi * chi
         fiber = spectrum_near_two(metric)
@@ -421,13 +420,12 @@ def cmd_pair(args):
 
 
 def cmd_verify(args):
-    indices = None
-    if args.criteria:
-        try:
-            indices = [int(x) for x in args.criteria.split(",")]
-        except ValueError:
-            raise ValueError("--criteria expects a comma-separated list "
-                             "of indices")
+    indices = _parse_list(args.criteria, int) if args.criteria else None
+    if indices == []:
+        raise ValueError(f"--criteria {args.criteria!r} names no criterion")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got "
+                         f"{args.seed}")
     results = run_acceptance(indices, seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -478,7 +476,8 @@ def build_parser():
 
     p = sub.add_parser("solve", help="constant-curvature solve")
     p.add_argument("--points", required=True,
-                   help="semicolon-separated points, e.g. '0,0;3.14159,0' "
+                   help="semicolon-separated points, e.g. "
+                        "'0,0;3.141592653589793,0' "
                         "(colatitude,longitude) or '0' on the disk")
     p.add_argument("--beta", required=True,
                    help="comma-separated angle parameters")

@@ -199,18 +199,15 @@ def forward_map(Z, b: WeightVector) -> CoeffVector:
     return CoeffVector(tuple(prod[1:]))
 
 
-def power_sums(A) -> tuple:
+def power_sums(A: CoeffVector) -> tuple:
     """Newton power sums R_l of the roots of P(A; .), from coefficients only.
 
     R_l = -sum_{i<l} A_i R_{l-i} - l*A_l, so R_1 = -A_1,
     R_2 = A_1^2 - 2 A_2, R_3 = -A_1^3 + 3 A_1 A_2 - 3 A_3, ...
     """
-    if isinstance(A, CoeffVector):
-        A = A.A
-    A = [complex(a) for a in A]
-    J = len(A)
+    A = A.A
     R = []
-    for ell in range(1, J + 1):
+    for ell in range(1, len(A) + 1):
         s = -ell * A[ell - 1]
         for i in range(1, ell):
             s -= A[i - 1] * R[ell - i - 1]
@@ -228,12 +225,10 @@ def jacobian(Z, b: WeightVector):
     """Jacobian [l * b_j * z_j^{l-1}] of the weighted power-sum map.
 
     Factors as diag(1..J) . Vandermonde(z)^T . diag(b); singular exactly
-    when two points coincide.  Returns (matrix, condition number); Z may
-    stack configurations along leading axes, and both results then carry
-    the same leading axes.
+    when two points coincide.  Returns (matrix, condition number); the
+    positions Z may stack configurations along leading axes, and both
+    results then carry the same leading axes.
     """
-    if isinstance(Z, RootConfiguration):
-        Z = Z.z
     M = _power_jacobian(np.asarray(Z, dtype=complex), np.asarray(b.b))
     try:
         cond = np.linalg.cond(M)
@@ -321,7 +316,7 @@ def _track(z, b: WeightVector, R):
     return z
 
 
-def inverse_map(A, b: WeightVector):
+def inverse_map(A: CoeffVector, b: WeightVector):
     """All J! inverse branches of the weighted factorization map.
 
     Solves sum_j b_j z_j^l = R_l(A), l = 1..J.  For unit weights the
@@ -330,8 +325,6 @@ def inverse_map(A, b: WeightVector):
     Branches whose Jacobian condition number exceeds COND_THRESHOLD are
     marked near-discriminant.
     """
-    if not isinstance(A, CoeffVector):
-        A = CoeffVector(tuple(A))
     J = b.J
     if A.J != J:
         raise ValueError("coefficient and weight dimensions disagree")
@@ -349,15 +342,13 @@ def inverse_map(A, b: WeightVector):
             for i, (zi, c) in enumerate(zip(z, conds))]
 
 
-def multiplicative_error(A, Z, b: WeightVector, samples) -> float:
-    """Sup over samples of | log|P(A;z)| - sum_j b_j log|z - z_j| |.
+def multiplicative_error(A: CoeffVector, Z, b: WeightVector,
+                         samples) -> float:
+    """Sup over samples of | log|P(A;z)| - sum_j b_j log|z - z_j| | for the
+    positions Z.
 
     Samples must lie in the annulus max|z_j| < |z| < 1.
     """
-    if not isinstance(A, CoeffVector):
-        A = CoeffVector(tuple(A))
-    if isinstance(Z, RootConfiguration):
-        Z = Z.z
     zs = np.asarray(Z, dtype=complex)
     rmax = float(np.max(np.abs(zs))) if len(zs) else 0.0
     worst = 0.0
@@ -397,12 +388,9 @@ def expansion_coeffs(theta, Atilde, b: WeightVector, branch: int = 0,
     otherwise; c_k enters that coefficient only through T.
     """
     J = b.J
-    Atilde = [complex(a) for a in Atilde]
-    if len(Atilde) == J:
-        Atilde = Atilde[:J - 1]
     if len(Atilde) != J - 1:
         raise ValueError("need the J-1 normalized coefficients A~_1..A~_{J-1}")
-    Afull = Atilde + [np.exp(1j * theta)]
+    Afull = [complex(a) for a in Atilde] + [np.exp(1j * theta)]
     if not 0 <= branch < math.factorial(J):
         raise ValueError(f"branch index must lie in [0, {math.factorial(J)})")
 
@@ -439,7 +427,7 @@ def expansion_coeffs(theta, Atilde, b: WeightVector, branch: int = 0,
     return ExpansionData(c=Z[:, 1:J + 1], theta=float(theta), branch_id=branch)
 
 
-def blowup_chart_J2(A, b: WeightVector,
+def blowup_chart_J2(A: CoeffVector, b: WeightVector,
                     branch: RootConfiguration) -> BlowupChart:
     """Projective (blown-up) coordinates of one two-point inverse branch.
 
@@ -453,8 +441,6 @@ def blowup_chart_J2(A, b: WeightVector,
     this branch as rho -> 0.  The returned leading terms are
     (c' rho, arg s0, -Atilde_1/2).
     """
-    if not isinstance(A, CoeffVector):
-        A = CoeffVector(tuple(A))
     if A.J != 2 or b.J != 2:
         raise ValueError("blowup chart is implemented for J = 2")
     A1, A2 = A.A

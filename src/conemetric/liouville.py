@@ -63,6 +63,8 @@ MAX_CELLS = 200_000
 #: other, by the merit of damped_newton.
 KRYLOV_RTOL = 1e-12
 KRYLOV_RESTART = 40
+#: the first spectral window |lambda - 2| < WINDOW spectrum_near_two tries
+WINDOW = 0.5
 
 
 class SolverError(RuntimeError):
@@ -696,21 +698,21 @@ def _shift_solver(A, b):
                 raise
 
 
-def spectrum_near_two(metric, window=0.5):
+def spectrum_near_two(metric):
     """Eigenpairs of Delta_g with |lambda - 2| < window (shift-invert at 2).
 
     One pass factors each pencil of ``_pencils`` once by ``_shift_solver``.
     ARPACK applies that factor as OPinv and B as a product with its
     diagonal, so a football mode builds no sparse matrix.  From a
     fixed start vector it asks for k = 2 eigenpairs and doubles k (up to
-    N - 2) while every returned one has |lambda - 2| < 1.1 * 1.5 window,
+    N - 2) while every returned one has |lambda - 2| < 1.1 * 1.5 WINDOW,
     the outer edge of the band the window checks read; so those checks see
     every eigenvalue in their band, whatever k the pass ends at.  The
-    reported window is the first of window, 1.5 window and window / 1.5
+    reported window is the first of WINDOW, 1.5 WINDOW and WINDOW / 1.5
     whose edges every eigenvalue clears by a tenth of that window; if none
     does, SolverError.
     """
-    wide = 1.5 * window
+    wide = 1.5 * WINDOW
     lams, reps = [], []
     for j, mult, A, b in _pencils(metric):
         N = len(b)
@@ -730,7 +732,7 @@ def spectrum_near_two(metric, window=0.5):
         reps.extend({"j": j, "vector": vec, "multiplicity": mult}
                     for vec in vecs.T)
     dist = np.abs(np.array(lams) - 2.0)
-    for window in (window, wide, window / 1.5):
+    for window in (WINDOW, wide, WINDOW / 1.5):
         if np.min(np.abs(dist - window)) >= 0.1 * window:
             break
     else:

@@ -52,6 +52,8 @@ __all__ = [
 #: most modes a closed-form ladder may hold, so that every request ends in
 #: bounded time and memory
 MAX_MODES = 100_000
+#: the coarser of the two grids ``radial_sturm_liouville`` extrapolates from
+N_GRID = 2048
 
 
 def mode_multiplicity(j):
@@ -181,10 +183,9 @@ class FluxForm:
         f = self.face
         return -f[1:-1], f[:-1] + f[1:] + potential, -f[1:-1]
 
-    def matrix(self, potential=0.0):
-        """The stiffness plus diag(potential) as a symmetric tridiagonal
-        (csc) matrix."""
-        return sparse.diags(self.bands(potential), [-1, 0, 1], format="csc")
+    def matrix(self):
+        """The stiffness as a symmetric tridiagonal (csc) matrix."""
+        return sparse.diags(self.bands(), [-1, 0, 1], format="csc")
 
 
 def tridiag_solver(sub, diag, sup):
@@ -220,16 +221,14 @@ def _sl_eigs(alpha, n):
     return np.sort(vals) + alpha * (alpha + 1.0)
 
 
-def radial_sturm_liouville(beta, j, n_grid=2048):
+def radial_sturm_liouville(beta, j):
     """Numeric oracle: lowest five radial eigenvalues for angular mode j.
 
     Second-order flux finite differences on a cell-centered grid, with
-    Richardson extrapolation across n_grid and 2*n_grid.
+    Richardson extrapolation across N_GRID and 2*N_GRID cells.
     """
-    if n_grid < 64:
-        raise ValueError("n_grid must be at least 64")
-    coarse = _sl_eigs(j / beta, n_grid)
-    return (4.0 * _sl_eigs(j / beta, 2 * n_grid) - coarse) / 3.0
+    coarse = _sl_eigs(j / beta, N_GRID)
+    return (4.0 * _sl_eigs(j / beta, 2 * N_GRID) - coarse) / 3.0
 
 
 def strict_count_below_two(beta):

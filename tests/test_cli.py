@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import conemetric
-from conemetric import cli, liouville
+from conemetric import acceptance, cli, liouville
 from conemetric.acceptance import run_acceptance
 from conemetric.cli import (MAX_FLOW_SAMPLES, MAX_RAY_SAMPLES, canonical_json,
                             main)
@@ -340,6 +341,18 @@ class TestSolve:
                                     "2.4,2.4", "--mesh", "512"])
         assert code == 0
         assert json.loads(out)["ell"] == 1
+
+    def test_help_example_solves_as_football(self, capsys):
+        # the --points example of `solve --help` must be antipodal within
+        # is_football's 1e-12, or it solves as a 2-D problem
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        example = re.search(r"e\.g\.\s+'([^']+)'",
+                            capsys.readouterr().out)[1]
+        code, out, _ = run(capsys, ["solve", "--points", example,
+                                    "--beta", "1.7,1.7", "--mesh", "64"])
+        assert code == 0
+        assert json.loads(out)["kind"] == "football"
 
     def test_supercritical_is_solver_failure(self, capsys):
         code, _, err = run(capsys, ["solve", "--points", "0,0;1,0;2,0",
@@ -910,3 +923,46 @@ class TestVerify:
 
     def test_bad_criteria_list(self, capsys):
         assert run(capsys, ["verify", "--criteria", "two"])[0] == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--criteria", "1,99"], "criterion index 99 out of range"),
+        (["--criteria", ","], "names no criterion"),
+        (["--seed", "-100"], "--seed must be a non-negative integer")],
+        ids=["index-99", "empty-list", "negative-seed"])
+    def test_input_checked_before_any_criterion(self, capsys, monkeypatch,
+                                                argv, message):
+        ran = []
+
+        def recorder(i):
+            def criterion(seed):
+                ran.append(i)
+                return "recorded", True, ""
+            return criterion
+        monkeypatch.setattr(acceptance, "CRITERIA",
+                            tuple(recorder(i) for i in range(1, 13)))
+        code, out, err = run(capsys, ["verify", *argv])
+        assert (code, out, ran) == (2, "", [])
+        assert err.startswith("error: invalid input: ") and message in err
+        # the recorders stand in for the criteria
+        assert run(capsys, ["verify", "--criteria", "1,12"])[0] == 0
+        assert ran == [1, 12]
+
+
+class TestReportCorpus:
+    def test_two_runs_byte_identical(self, tmp_path, monkeypatch):
+        # tests/report_corpus.py sets CONEMETRIC_THREADS and sys.path on
+        # import; both are restored afterwards
+        monkeypatch.setenv("CONEMETRIC_THREADS", "1")
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        path = Path(__file__).resolve().parent / "report_corpus.py"
+        spec = importlib.util.spec_from_file_location("report_corpus", path)
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        codes = [corpus.main_corpus(tmp_path / side) for side in ("a", "b")]
+        assert codes[0] == codes[1] and set(codes[0].values()) == {0}
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert len(files) == 28
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() \
+                == (tmp_path / "b" / name).read_bytes(), name

@@ -61,7 +61,7 @@ class TestPowerSums:
 
     def test_first_three_closed_forms(self):
         A1, A2, A3 = 0.3 + 0.1j, -0.2j, 0.05
-        R = power_sums((A1, A2, A3))
+        R = power_sums(CoeffVector((A1, A2, A3)))
         assert R[0] == pytest.approx(-A1)
         assert R[1] == pytest.approx(A1 * A1 - 2 * A2)
         assert R[2] == pytest.approx(-A1 ** 3 + 3 * A1 * A2 - 3 * A3)
@@ -118,8 +118,8 @@ class TestForwardInverse:
         Ms, conds = jacobian(np.array([br.z for br in branches]), b)
         assert conds.shape == (6,)
         for br, M, cond in zip(branches, Ms, conds):
-            assert np.array_equal(M, jacobian(br, b)[0])
-            assert cond == jacobian(br, b)[1] == br.condition
+            assert np.array_equal(M, jacobian(br.z, b)[0])
+            assert cond == jacobian(br.z, b)[1] == br.condition
 
 
 class TestTwoPointRadicals:
@@ -232,6 +232,12 @@ class TestExpansion:
                 assert np.max(np.abs(data.c[:, 0]
                                      - np.array(branches[i].z))) <= 1e-12
 
+    def test_takes_exactly_j_minus_one_coefficients(self):
+        b = WeightVector((0.8, 1.2, 1.0))
+        for Atilde in ((0.1,), (0.1, 0.2, 1.0)):
+            with pytest.raises(ValueError, match="J-1 normalized"):
+                expansion_coeffs(0.3, Atilde, b)
+
     def test_tracks_one_path(self, monkeypatch):
         stacks = []
         newton = factorization._newton_correct
@@ -260,7 +266,7 @@ class TestMultiplicativeError:
         A = CoeffVector((0.1 + 0.05j, 0.04))
         br = inverse_map(A, b)[0]
         samples = [0.6 * cmath.exp(2j * math.pi * k / 8) for k in range(8)]
-        assert multiplicative_error(A, br, b, samples) < 1e-12
+        assert multiplicative_error(A, br.z, b, samples) < 1e-12
 
     def test_superlinear_decay_along_ray(self):
         rng = np.random.default_rng(11)
@@ -272,7 +278,7 @@ class TestMultiplicativeError:
         errs = []
         for t in ts:
             A = CoeffVector(tuple(t * a for a in A0))
-            errs.append(max(multiplicative_error(A, br, b, samples)
+            errs.append(max(multiplicative_error(A, br.z, b, samples)
                             for br in inverse_map(A, b)))
         slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
         assert slope >= 1.2
@@ -282,7 +288,7 @@ class TestMultiplicativeError:
         A = CoeffVector((0.1, 0.04))
         br = inverse_map(A, b)[0]
         with pytest.raises(ValueError):
-            multiplicative_error(A, br, b, [1.5])
+            multiplicative_error(A, br.z, b, [1.5])
 
 
 class TestBlowupChart:

@@ -494,20 +494,22 @@ class TestSpectrumNearTwo:
         assert np.all(np.abs(np.subtract(fib.eigenvalues_near_2, 2.0))
                       < 2.0 * (math.pi / n) ** 2)
 
-    def test_2d_ell_counts_the_whole_window(self):
+    def test_2d_ell_counts_the_whole_window(self, monkeypatch):
         # the window holds more eigenvalues than the first eigsh call returns
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6))
         m = solve_liouville(prob, 24)
-        fib = spectrum_near_two(m, window=36.0)
+        monkeypatch.setattr(liouville, "WINDOW", 36.0)
+        fib = spectrum_near_two(m)
         A, B = pencil_matrices(*_pencils(m)[0][2:])
         vals = eigh(A.toarray(), B.toarray(), eigvals_only=True)
         assert fib.ell == np.sum(np.abs(vals - 2.0) < fib.window) > 12
 
-    def test_football_ell_counts_the_whole_window(self):
+    def test_football_ell_counts_the_whole_window(self, monkeypatch):
         # the j = 0 pencil holds nine eigenvalues in the window, more than
         # the first eigsh call returns
         m = solve_liouville(football_problem(0.5), 256)
-        fib = spectrum_near_two(m, window=78.0)
+        monkeypatch.setattr(liouville, "WINDOW", 78.0)
+        fib = spectrum_near_two(m)
         want = sum(mode.multiplicity for mode in
                    football_eigenvalues(0.5, 2.0 + fib.window)
                    if abs(mode.lam - 2.0) < fib.window)
@@ -517,7 +519,8 @@ class TestSpectrumNearTwo:
         ((0.6, 0.6, 0.6), 24, 36.0), ((0.5, 0.5), 256, 78.0),
         ((2.0, 2.0), 512, 0.5), ((3.0, 3.0), 512, 0.5)],
         ids=["sphere2d", "football", "obstructed2", "obstructed3"])
-    def test_eigenvalues_match_dense_pencil(self, beta, n, window):
+    def test_eigenvalues_match_dense_pencil(self, beta, n, window,
+                                            monkeypatch):
         # the first two windows need several k doublings; at the obstructed
         # footballs 2 is a triple eigenvalue, from j = 0 and j = beta.  The
         # values, not only the count, must be those of a dense solve of
@@ -525,7 +528,8 @@ class TestSpectrumNearTwo:
         points = ANTIPODAL if len(beta) == 2 else EQUATOR3
         m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
                             n)
-        fib = spectrum_near_two(m, window=window)
+        monkeypatch.setattr(liouville, "WINDOW", window)
+        fib = spectrum_near_two(m)
         for j, _, A, b in _pencils(m):
             A, B = pencil_matrices(A, b)
             # as the pencil (B, A + B), whose two sides share the grading
@@ -570,7 +574,8 @@ class TestSpectrumNearTwo:
         for module, name in ((liouville, "eigsh"), (liouville, "splu"),
                              (spectrum, "dgttrf")):
             monkeypatch.setattr(module, name, counted(module, name))
-        fib = spectrum_near_two(m, window=window[0])
+        monkeypatch.setattr(liouville, "WINDOW", window[0])
+        fib = spectrum_near_two(m)
         assert len(_pencils(m)) == pencils
         assert calls["dgttrf" if football else "splu"] == pencils
         assert calls["splu" if football else "dgttrf"] == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conemetric import spectrum
 from conemetric.spectrum import (FluxForm, _sl_eigs, eigenvalue_count,
                                  eigenvalue_flow, football_eigenfunction,
                                  football_eigenvalues,
@@ -73,21 +74,21 @@ class TestOracle:
                  for ell in range(5)]
         assert np.max(np.abs(vals - exact)) < 1e-6
 
-    def test_richardson_improves(self):
+    def test_richardson_improves(self, monkeypatch):
         beta, j = 2.7, 2
         exact = [(j / beta + ell) * (j / beta + ell + 1.0)
                  for ell in range(5)]
         raw = _sl_eigs(j / beta, 512)
-        extrap = radial_sturm_liouville(beta, j, n_grid=512)
+        monkeypatch.setattr(spectrum, "N_GRID", 512)
+        extrap = radial_sturm_liouville(beta, j)
         assert np.max(np.abs(extrap - exact)) \
             < 0.1 * np.max(np.abs(raw - exact))
 
     def test_independent_of_call_order(self):
         # a fixed ARPACK start vector: no call leaves state for the next
-        first = radial_sturm_liouville(1.5, 1, n_grid=256)
-        radial_sturm_liouville(0.5, 2, n_grid=128)
-        assert np.array_equal(radial_sturm_liouville(1.5, 1, n_grid=256),
-                              first)
+        first = _sl_eigs(1 / 1.5, 256)
+        _sl_eigs(2 / 0.5, 128)
+        assert np.array_equal(_sl_eigs(1 / 1.5, 256), first)
 
 
 class TestTridiagSolver:
