@@ -18,6 +18,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -345,13 +346,18 @@ def cmd_solve(args):
                                   (g["phi"], w, metric.density()),
                                   "axisymmetric solve")
         elif metric.kind == "sphere2d":
+            # each of the n colatitudes and 2n longitudes formatted once,
+            # not once per row
+            lat, lon = (["%.17g" % x for x in g[k].tolist()]
+                        for k in ("phi", "theta"))
             header, cols, what = (("colatitude", "longitude", "w", "density"),
-                                  (*np.meshgrid(g["phi"], g["theta"],
-                                                indexing="ij"),
-                                   w, metric.density()), "2d solve")
+                                  ([s for s in lat for _ in lon],
+                                   lon * len(lat), w, metric.density()),
+                                  "2d solve")
         else:
             header, cols, what = ("r", "w"), (g["r"], w), "disk solve"
-        rows = zip(*(np.ravel(c).tolist() for c in cols))
+        rows = zip(*(c if isinstance(c, list) else np.ravel(c).tolist()
+                     for c in cols))
         _emit_csv(header, rows, args.samples,
                   [f"{what}, version {__version__}"])
     _emit(diagnostics, args.output)
@@ -441,7 +447,9 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call of the process."""
     parser = argparse.ArgumentParser(
         prog="conemetric",
         description="numerics for spherical cone metrics")

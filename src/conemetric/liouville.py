@@ -657,18 +657,24 @@ def solve_liouville(problem, n):
 def _pencils(metric):
     """(j, multiplicity, A, b) with Delta_g = pencil(A, diag(b)) per block.
 
-    A football splits into the angular modes j < 2 ceil(beta) + 5, ceil in
-    the sense of ``angles.int_part`` and ``is_integer``: the
-    radial factor R = (sin phi)^j S gives A = -(p S')' + j(j+1) p S, as its
+    A football splits into the angular modes j: the radial factor
+    R = (sin phi)^j S gives A = -(p S')' + j(j+1) p S, as its
     (sub, diag, sup) bands, and b = p e^{2u} with p = sin^{2j+1}, which
     builds the Friedrichs condition (excluding the r^{-j/beta} branch) into
-    the discretization.  A 2-D solve is one pencil (j = None): the sparse
+    the discretization.  The flux part of A is positive semidefinite and
+    b <= max(rho) p, so no eigenvalue of mode j lies below j(j+1) / max(rho)
+    (Rayleigh); only the modes with j(j+1) <= 1.1 (2 + 1.5 WINDOW) max(rho)
+    can reach the band ``spectrum_near_two`` reads, and only those below
+    2 ceil(beta) + 5 are kept (ceil in the sense of ``angles.int_part`` and
+    ``is_integer``).  A 2-D solve is one pencil (j = None): the sparse
     stiffness and the mass M e^{2u}.
     """
     if metric.kind == "football":
         rho, b = metric.density(full=True), metric.beta[0]
+        reach = 1.1 * (2.0 + 1.5 * WINDOW) * np.max(rho)
         forms = [FluxForm(metric.n, 2 * j + 1)
-                 for j in range(2 * (int_part(b) - is_integer(b)) + 7)]
+                 for j in range(2 * (int_part(b) - is_integer(b)) + 7)
+                 if j * (j + 1) <= reach]
         return [(j, mode_multiplicity(j),
                  form.bands(potential=j * (j + 1.0) * form.weight),
                  form.weight * rho)

@@ -545,7 +545,7 @@ class TestSpectrumNearTwo:
                           <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("beta,n,window,pencils,eigsh_calls,ell", [
-        ((3.45, 3.45), 512, (0.5, 0.75), 13, 13, 5),
+        ((3.45, 3.45), 512, (0.5, 0.75), 6, 6, 5),
         ((0.6, 0.7, 0.8), 48, (0.5, 0.75), 1, 1, 1),
         ((0.6, 0.6, 0.6), 24, (36.0, 36.0), 1, 5, 16)],
         ids=["football", "sphere2d", "doubling"])
@@ -556,7 +556,8 @@ class TestSpectrumNearTwo:
         # using the eigenvalues already computed; the doubling case asks
         # eigsh for k = 2, 4, 8, 16 and 32 eigenpairs of one factorization.
         # Each football mode is factored by one dgttrf, the 2-D pencil by
-        # one splu
+        # one splu; the Rayleigh bound leaves the football modes j <= 5 of
+        # the 13 below 2 ceil(beta) + 5
         football = len(beta) == 2
         points = ANTIPODAL if football else EQUATOR3
         m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
@@ -581,6 +582,32 @@ class TestSpectrumNearTwo:
         assert calls["splu" if football else "dgttrf"] == 0
         assert calls["eigsh"] == eigsh_calls
         assert (fib.window, fib.ell) == (window[1], ell)
+
+    @pytest.mark.parametrize("beta", [1.3, 2.0, 2.4, 3.0, 3.45])
+    def test_dropped_modes_clear_the_band(self, beta):
+        # every mode below 2 ceil(beta) + 5 that _pencils leaves out has its
+        # least eigenvalue, in a dense solve, above the Rayleigh bound
+        # j(j+1) / max rho and outside the band the window checks read
+        m = solve_liouville(football_problem(beta), 256)
+        rho = m.density(full=True)
+        kept = [j for j, _, _, _ in _pencils(m)]
+        limit = 2 * math.ceil(beta) + 5
+        assert kept == list(range(len(kept))) and 0 < len(kept) < limit
+        for j in range(len(kept), limit):
+            form = FluxForm(m.n, 2 * j + 1)
+            A, B = pencil_matrices(
+                form.bands(potential=j * (j + 1.0) * form.weight),
+                form.weight * rho)
+            least = 1.0 / np.max(eigh(B.toarray(), (A + B).toarray(),
+                                      eigvals_only=True)) - 1.0
+            assert least >= j * (j + 1) / np.max(rho) * (1.0 - 1e-12)
+            assert least > 2.0 + 1.1 * 1.5 * liouville.WINDOW
+
+    def test_cutoff_keeps_every_mode_below_one(self):
+        # max rho = 24 lets j <= 8 pass the Rayleigh bound here; the limit
+        # 2 ceil(beta) + 5 keeps the count at 7
+        m = solve_liouville(football_problem(0.7), 512)
+        assert [j for j, _, _, _ in _pencils(m)] == list(range(7))
 
     def test_narrower_window_when_both_wider_fail(self):
         # j = 2 sits 0.028 inside |lambda - 2| < 0.5 and j = 3 (2.8125) 0.0625
