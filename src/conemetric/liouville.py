@@ -23,9 +23,9 @@ with the density averaged in longitude: an FFT in longitude splits that
 operator into one latitude tridiagonal per Fourier mode (the separable
 structure of FISHPACK-style sphere solvers), all factored by one LAPACK
 ``tridiag_solver``.  An iteration costs O(N log n) on the N = 2 n^2 cells,
-where sparse LU grows like n^3.  The spectrum near 2 shift-inverts each
-football mode pencil with the same tridiagonal LU, the 2-D pencil with one
-sparse LU.
+where sparse LU grows like n^3.  The spectrum near 2 bisects each football
+mode pencil by its Sturm count and polishes every eigenvalue on the same
+tridiagonal LU; the 2-D pencil is shift-inverted on one sparse LU.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh, gmres, splu, spsolve
 
 from .angles import (AngleVector, conic_euler_char, int_part, is_integer,
                      same_angle, subcritical_check)
-from .spectrum import FluxForm, mode_multiplicity, tridiag_solver
+from .spectrum import (FluxForm, mode_multiplicity, tridiag_pencil_eigs,
+                       tridiag_solver)
 
 __all__ = [
     "ConicProblem",
@@ -686,60 +687,67 @@ def _pencils(metric):
 
 
 def _shift_solver(A, b):
-    """(sigma, the inverse of A - sigma diag(b)), factored once at sigma = 2,
-    or at 2 + 1e-8 where that is exactly singular: ``tridiag_solver`` for a
-    football mode's bands, a symmetric-mode sparse LU (the ordering of
-    A + A^T, diagonal pivots preferred) for the 2-D pencil."""
+    """(sigma, the inverse of A - sigma diag(b)) for the 2-D pencil, a
+    symmetric-mode sparse LU (the ordering of A + A^T, diagonal pivots
+    preferred) factored once at sigma = 2, or at 2 + 1e-8 where that is
+    exactly singular."""
     for sigma in (2.0, 2.0 + 1e-8):
         try:
-            if isinstance(A, tuple):
-                return sigma, tridiag_solver(A[0], A[1] - sigma * b, A[2])
             return sigma, splu(sparse.csc_matrix(A - sigma * sparse.diags(b)),
                                permc_spec="MMD_AT_PLUS_A",
                                diag_pivot_thresh=0.1,
                                options=dict(SymmetricMode=True)).solve
-        except (RuntimeError, np.linalg.LinAlgError):
-            # rho = 1 makes the constant a j = 1 eigenvector at 2
+        except RuntimeError:
             if sigma != 2.0:
                 raise
 
 
 def spectrum_near_two(metric):
-    """Eigenpairs of Delta_g with |lambda - 2| < window (shift-invert at 2).
+    """Eigenpairs of Delta_g with |lambda - 2| < window.
 
-    One pass factors each pencil of ``_pencils`` once by ``_shift_solver``.
-    ARPACK applies that factor as OPinv and B as a product with its
-    diagonal, so a football mode builds no sparse matrix.  From a
-    fixed start vector it asks for k = 2 eigenpairs and doubles k (up to
-    N - 2) while every returned one has |lambda - 2| < 1.1 * 1.5 WINDOW,
-    the outer edge of the band the window checks read; so those checks see
-    every eigenvalue in their band, whatever k the pass ends at.  The
-    reported window is the first of WINDOW, 1.5 WINDOW and WINDOW / 1.5
-    whose edges every eigenvalue clears by a tenth of that window; if none
-    does, SolverError.
+    Every pencil of ``_pencils`` yields at least the eigenvalues of the band
+    |lambda - 2| < 1.1 * 1.5 WINDOW, the outer edge of the band the window
+    checks read, so those checks see every eigenvalue in their band.  A
+    football mode's are exactly those: ``tridiag_pencil_eigs`` brackets them
+    by Sturm bisection and polishes each by one inverse-iteration step.  The
+    2-D pencil is factored once by ``_shift_solver``, and ARPACK applies
+    that factor as OPinv and B as a product with its diagonal: from a fixed
+    start vector it asks for k = 2 eigenpairs and doubles k (up to N - 2)
+    while every returned one lies in the band.  The reported window is the
+    first of WINDOW, 1.5 WINDOW and WINDOW / 1.5 whose edges every
+    eigenvalue clears by a tenth of that window; if none does, SolverError.
     """
     wide = 1.5 * WINDOW
     lams, reps = [], []
     for j, mult, A, b in _pencils(metric):
         N = len(b)
-        k = min(2, N - 2)
         v0 = np.random.default_rng(0).standard_normal(N)
-        sigma, solve = _shift_solver(A, b)
-        OPinv = LinearOperator((N, N), solve, dtype=float)
-        B = LinearOperator((N, N), b.__mul__, dtype=float)
-        while True:
-            # with OPinv given, shift-invert eigsh reads only the shape of A
-            vals, vecs = eigsh(OPinv, k=k, M=B, sigma=sigma, which="LM",
-                               v0=v0, OPinv=OPinv)
-            if k == N - 2 or not np.all(np.abs(vals - 2.0) < 1.1 * wide):
-                break
-            k = min(2 * k, N - 2)
+        if j is not None:
+            try:
+                vals, vecs = tridiag_pencil_eigs(A, b, 2.0 - 1.1 * wide,
+                                                 2.0 + 1.1 * wide, v0)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(str(exc)) from exc
+        else:
+            k = min(2, N - 2)
+            sigma, solve = _shift_solver(A, b)
+            OPinv = LinearOperator((N, N), solve, dtype=float)
+            B = LinearOperator((N, N), b.__mul__, dtype=float)
+            while True:
+                # with OPinv given, shift-invert eigsh reads only the shape
+                # of A
+                vals, vecs = eigsh(OPinv, k=k, M=B, sigma=sigma, which="LM",
+                                   v0=v0, OPinv=OPinv)
+                if k == N - 2 or not np.all(np.abs(vals - 2.0) < 1.1 * wide):
+                    break
+                k = min(2 * k, N - 2)
         lams.extend(vals)
         reps.extend({"j": j, "vector": vec, "multiplicity": mult}
                     for vec in vecs.T)
     dist = np.abs(np.array(lams) - 2.0)
     for window in (WINDOW, wide, WINDOW / 1.5):
-        if np.min(np.abs(dist - window)) >= 0.1 * window:
+        # a band with no eigenvalue at all clears every edge
+        if np.all(np.abs(dist - window) >= 0.1 * window):
             break
     else:
         raise SolverError("spectral window boundary too close to an "

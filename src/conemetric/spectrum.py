@@ -13,8 +13,9 @@ and radial eigenfunctions sin^{j/beta}(r) C_l^{(j/beta + 1/2)}(cos r)
 poles.  This module provides the closed-form enumeration, the closed-form
 unit-norm radial eigenfunctions, an independent Sturm-Liouville
 finite-difference oracle, the spectral-flow crossing report at
-eigenvalue 2 along paths of footballs, and the flux form with its LAPACK
-tridiagonal LU that every football operator and solver shares.
+eigenvalue 2 along paths of footballs, the flux form with its LAPACK
+tridiagonal LU that every football operator and solver shares, and the
+eigenpairs of a tridiagonal pencil in a band by Sturm bisection.
 
 Below 2 lie only (0, 0) and the doubled (j, 0) with 1 <= j < beta, so
 #{lambda < 2} = 1 + 2n with n = [beta] - 1 at an integer beta and [beta]
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import eval_gegenbauer, gammaln
 
@@ -43,6 +44,7 @@ __all__ = [
     "football_eigenvalues",
     "mode_multiplicity",
     "tridiag_solver",
+    "tridiag_pencil_eigs",
     "eigenvalue_count",
     "football_eigenfunction",
     "radial_sturm_liouville",
@@ -196,6 +198,44 @@ def tridiag_solver(sub, diag, sup):
     if info:
         raise np.linalg.LinAlgError("singular tridiagonal matrix")
     return lambda b: dgttrs(*lu, b)[0]
+
+
+def tridiag_pencil_eigs(bands, b, lo, hi, v0):
+    """Eigenpairs (values, b-unit vectors as columns) of the pencil
+    (A, diag(b)) with lo < lambda <= hi, in ascending order; A is symmetric
+    tridiagonal, given as its (sub, diag, sup) bands, and b > 0.
+
+    LAPACK dstebz brackets each eigenvalue by Sturm bisection on the scaled
+    tridiagonal b^{-1/2} A b^{-1/2}.  Its tolerance 2 tiny asks for full
+    relative accuracy: 0 would stop at ulp |T|, about 1e48 where b falls to
+    1e-64 at the poles.  The scaled bisection still lands up to ~2e-11
+    relative off the pencil's eigenvalue, so one inverse-iteration step from
+    the fixed start v0 polishes each bracket mu: with S = A - mu diag(b)
+    (moved to mu (1 + 1e-13) where it is exactly singular),
+    x = S^{-1}(b v0) normalized in the b-norm and y = S^{-1}(b x) give
+    lambda = mu + 1 / (x^T b y) and the eigenvector y / |y|_b.  A failed
+    bisection raises numpy.linalg.LinAlgError.
+    """
+    sub, diag, sup = bands
+    root = np.sqrt(b)
+    m, mus, *_, info = dstebz(diag / b, sub / (root[:-1] * root[1:]), 1,
+                              lo, hi, 0, 0, 2.0 * np.finfo(float).tiny, "E")
+    if info:
+        raise np.linalg.LinAlgError(f"Sturm bisection failed (dstebz info "
+                                    f"{info})")
+    vals, vecs = np.empty(m), np.empty((len(b), m))
+    for i, mu in enumerate(mus[:m]):
+        try:
+            solve = tridiag_solver(sub, diag - mu * b, sup)
+        except np.linalg.LinAlgError:
+            mu *= 1.0 + 1e-13
+            solve = tridiag_solver(sub, diag - mu * b, sup)
+        x = solve(b * v0)
+        x /= math.sqrt(x @ (b * x))
+        y = solve(b * x)
+        vals[i] = mu + 1.0 / (x @ (b * y))
+        vecs[:, i] = y / math.sqrt(y @ (b * y))
+    return vals, vecs
 
 
 def _sl_eigs(alpha, n):

@@ -1,18 +1,22 @@
-"""Write every report of a fixed list of CLI runs to one directory.
+"""Write every report of a fixed list of CLI runs to one directory, or
+compare two such directories leaf by leaf.
 
     python tests/report_corpus.py OUTDIR
+    python tests/report_corpus.py --compare REF OUT
 
 Runs ``conemetric.cli.main`` in-process, with ``CONEMETRIC_THREADS=1``,
 over the README examples, footballs at n = 512 with a ``pair`` each, a 2-D
 solve with samples, and ``split`` on four fixed unequal-weight inputs.
 Every ``--output`` and ``--samples`` file lands in OUTDIR, with
 ``exit_codes.json``.  Two checkouts give byte-identical reports exactly
-when ``diff -r`` of their two OUTDIRs is empty.  The package is imported
+when ``diff -r`` of their two OUTDIRs is empty.  ``--compare`` tells a
+round-off change from a real one: see ``compare``.  The package is imported
 from the ``src`` directory next to this file.  pytest does not collect this
 file.
 """
 
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,9 +25,15 @@ os.environ["CONEMETRIC_THREADS"] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from conemetric.cli import main  # noqa: E402
+from conemetric.liouville import NEWTON_TOL  # noqa: E402
 
 ANTIPODAL = "0,0;3.141592653589793,0"
 EQUATOR3 = "1.5708,0;1.5708,2.0944;1.5708,4.1888"
+
+#: a float leaf passes within ATOL + RTOL |a|, a its reference value
+ATOL, RTOL = 1e-14, 1e-10
+#: a Lambda coefficient at most this large is a zero of the projected solve
+LAMBDA_ZERO = 1e-12
 
 #: the unequal-weight inputs the splitting benchmark runs at J = 4, 5, 6
 SPLIT_FIXED = (
@@ -114,7 +124,117 @@ def main_corpus(outdir):
     return codes
 
 
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _load(path):
+    """A JSON report as parsed, any other file as rows of typed cells."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)
+    return [[_cell(c) for c in line.split(",")] for line in text.splitlines()]
+
+
+def _number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _within(path, a, b):
+    """Whether leaf b at path passes against the reference leaf a.
+
+    Numbers of which either is a float compare within ATOL + RTOL |a|
+    (``%.17g`` writes an integral float as an integer); Lambda coefficients
+    both at most LAMBDA_ZERO, and Newton residuals both at most NEWTON_TOL,
+    pass whatever their change.  Every other leaf must match exactly.
+    """
+    if not (_number(a) and _number(b)):
+        return type(a) is type(b) and a == b
+    if path.startswith("Lambda[") and max(abs(a), abs(b)) <= LAMBDA_ZERO:
+        return True
+    if path in ("residual", "meta.tolerance") \
+            and max(abs(a), abs(b)) <= NEWTON_TOL:
+        return True
+    if isinstance(a, int) and isinstance(b, int):
+        return a == b
+    return abs(a - b) <= ATOL + RTOL * abs(a)
+
+
+def _leaves(ref, out, path=""):
+    """(path, ref leaf, out leaf, within tolerance) of every leaf; a key or
+    item present on one side only is a leaf out of tolerance.  CSV paths
+    read [row][column], from 0."""
+    if isinstance(ref, dict) and isinstance(out, dict):
+        for key in sorted(ref.keys() | out.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in ref and key in out:
+                yield from _leaves(ref[key], out[key], sub)
+            else:
+                yield sub, ref.get(key, "<absent>"), \
+                    out.get(key, "<absent>"), False
+    elif isinstance(ref, list) and isinstance(out, list):
+        for i in range(max(len(ref), len(out))):
+            sub = f"{path}[{i}]"
+            if i < min(len(ref), len(out)):
+                yield from _leaves(ref[i], out[i], sub)
+            else:
+                yield sub, ref[i] if i < len(ref) else "<absent>", \
+                    out[i] if i < len(out) else "<absent>", False
+    else:
+        yield path, ref, out, _within(path, ref, out)
+
+
+def compare(ref_dir, out_dir, stream=None):
+    """Compare every file of two corpus directories leaf by leaf.
+
+    Prints to stream (stdout by default) each leaf out of tolerance (see
+    ``_within``) and, per file with any change, the largest absolute and
+    relative change of a number with its path.  Returns 1 if any leaf, or
+    a whole file, is out of tolerance, else 0.
+    """
+    ref_dir, out_dir = Path(ref_dir), Path(out_dir)
+    names = sorted({p.name for d in (ref_dir, out_dir) for p in d.iterdir()
+                    if p.is_file()})
+    failed = changed = 0
+    for name in names:
+        if not (ref_dir / name).is_file() or not (out_dir / name).is_file():
+            print(f"{name}: present on one side only", file=stream)
+            failed += 1
+            continue
+        worst_abs, worst_rel = (0.0, ""), (0.0, "")
+        differs = False
+        for path, a, b, ok in _leaves(_load(ref_dir / name),
+                                      _load(out_dir / name)):
+            if not ok:
+                print(f"{name}: {path}: {a!r} -> {b!r}", file=stream)
+                failed += 1
+            if a == b and type(a) is type(b):
+                continue
+            differs = True
+            if _number(a) and _number(b):
+                change = abs(a - b)
+                rel = change / abs(a) if a else math.inf
+                worst_abs = max(worst_abs, (change, path))
+                worst_rel = max(worst_rel, (rel, path))
+        if differs:
+            changed += 1
+            print(f"{name}: largest change {worst_abs[0]:.3g} at "
+                  f"{worst_abs[1] or '-'}, relative {worst_rel[0]:.3g} at "
+                  f"{worst_rel[1] or '-'}", file=stream)
+    print(f"{len(names)} files, {changed} changed, {failed} out of tolerance",
+          file=stream)
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        sys.exit("usage: python tests/report_corpus.py OUTDIR")
+        sys.exit("usage: python tests/report_corpus.py OUTDIR\n"
+                 "       python tests/report_corpus.py --compare REF OUT")
     main_corpus(sys.argv[1])

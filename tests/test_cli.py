@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import conemetric
-from conemetric import acceptance, cli, liouville
+from conemetric import acceptance, cli, liouville, spectrum
 from conemetric.acceptance import run_acceptance
 from conemetric.cli import (MAX_FLOW_SAMPLES, MAX_RAY_SAMPLES, canonical_json,
                             main)
@@ -285,6 +285,7 @@ class TestSpectrum:
 class TestSolve:
     FOOTBALL = ["solve", "--points", "0,0;3.141592653589793,0",
                 "--beta", "1.7,1.7", "--mesh", "128"]
+    EQUATOR3 = "1.5708,0;1.5708,2.0944;1.5708,4.1888"
 
     def test_football_diagnostics(self, tmp_path, capsys):
         out_path = tmp_path / "diag.json"
@@ -416,12 +417,31 @@ class TestSolve:
         assert len(err.splitlines()) == 1
 
     def test_eigensolver_failure_is_solver_error(self, capsys, monkeypatch):
+        # ARPACK serves the 2-D pencil only
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("forced", [], [])
         monkeypatch.setattr(liouville, "eigsh", no_convergence)
-        code, _, err = run(capsys, self.FOOTBALL)
+        code, _, err = run(capsys, ["solve", "--points", self.EQUATOR3,
+                                    "--beta", "0.6,0.7,0.8", "--mesh", "24"])
         assert code == 3
         assert "solver failure" in err and "forced" in err
+        assert "Traceback" not in err
+
+    def test_bisection_failure_is_solver_error(self, capsys, monkeypatch):
+        def failed(d, e, *args):
+            n = len(d)
+            return 0, np.zeros(n), np.zeros(n, dtype=np.int32), \
+                np.zeros(n, dtype=np.int32), 1
+        monkeypatch.setattr(spectrum, "dstebz", failed)
+        with pytest.raises(liouville.SolverError, match="dstebz info 1"):
+            liouville.spectrum_near_two(liouville.solve_liouville(
+                liouville.ConicProblem("sphere", points=((0.0, 0.0),
+                                                         (math.pi, 0.0)),
+                                       beta=(1.7, 1.7)), 128))
+        code, out, err = run(capsys, self.FOOTBALL)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: solver failure: Sturm bisection failed")
+        assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
     def test_singular_system_is_solver_error(self, capsys, monkeypatch):
@@ -949,7 +969,8 @@ class TestVerify:
 
 
 class TestReportCorpus:
-    def test_two_runs_byte_identical(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def corpus(self, monkeypatch):
         # tests/report_corpus.py sets CONEMETRIC_THREADS and sys.path on
         # import; both are restored afterwards
         monkeypatch.setenv("CONEMETRIC_THREADS", "1")
@@ -958,6 +979,63 @@ class TestReportCorpus:
         spec = importlib.util.spec_from_file_location("report_corpus", path)
         corpus = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(corpus)
+        return corpus
+
+    REFERENCE = {"eigenvalues_near_2": [1.9999943332765493], "ell": 3,
+                 "kind": "football", "Lambda": [0], "residual": 2e-11,
+                 "meta": {"tolerance": 2e-11, "uneven": False}}
+
+    @pytest.mark.parametrize("change,bad", [
+        ({}, []),
+        ({"eigenvalues_near_2": [1.999994333276345]}, []),
+        ({"Lambda": [3e-13], "residual": 5e-10,
+          "meta": {"tolerance": 5e-10, "uneven": False}}, []),
+        ({"eigenvalues_near_2": [1.99999433]}, ["eigenvalues_near_2[0]"]),
+        ({"eigenvalues_near_2": []}, ["eigenvalues_near_2[0]"]),
+        ({"ell": 5}, ["ell"]),
+        ({"kind": "sphere2d"}, ["kind"]),
+        ({"Lambda": [2e-12]}, ["Lambda[0]"]),
+        ({"residual": 2e-9}, ["residual"]),
+        ({"meta": {"tolerance": 2e-11, "uneven": 0}}, ["meta.uneven"]),
+        ({"meta": {"tolerance": 2e-11}}, ["meta.uneven"]),
+        ({"area": 1.0}, ["area"])],
+        ids=["same", "round-off", "zero-Lambda-and-converged-residual",
+             "moved-float", "dropped-item", "integer", "string",
+             "nonzero-Lambda", "unconverged-residual", "bool-as-integer",
+             "missing-key", "extra-key"])
+    def test_compare(self, corpus, tmp_path, change, bad):
+        sides = {"ref": self.REFERENCE, "out": {**self.REFERENCE, **change}}
+        for side, report in sides.items():
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "solve.json").write_text(
+                canonical_json(report))
+            (tmp_path / side / "flow.csv").write_text(
+                "# flow\nsample,beta\n0,1.5\n")
+        text = io.StringIO()
+        code = corpus.compare(tmp_path / "ref", tmp_path / "out", text)
+        lines = text.getvalue().splitlines()
+        assert code == (1 if bad else 0)
+        assert [line.split(": ")[1] for line in lines[:-1]
+                if ": largest" not in line] == bad
+        assert lines[-1] == (f"2 files, {int(bool(change))} changed, "
+                             f"{len(bad)} out of tolerance")
+
+    def test_compare_csv_cells_and_missing_files(self, corpus, tmp_path):
+        for side, row in (("ref", "0,1.5,3"),
+                          ("out", "0,1.5000000000000002,4")):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "flow.csv").write_text(
+                f"# flow\nsample,beta,count\n{row}\n")
+        (tmp_path / "out" / "extra.json").write_text("{}")
+        text = io.StringIO()
+        assert corpus.compare(tmp_path / "ref", tmp_path / "out", text) == 1
+        assert text.getvalue().splitlines() == [
+            "extra.json: present on one side only",
+            "flow.csv: [2][2]: 3 -> 4",
+            "flow.csv: largest change 1 at [2][2], relative 0.333 at [2][2]",
+            "2 files, 1 changed, 2 out of tolerance"]
+
+    def test_two_runs_byte_identical(self, corpus, tmp_path):
         codes = [corpus.main_corpus(tmp_path / side) for side in ("a", "b")]
         assert codes[0] == codes[1] and set(codes[0].values()) == {0}
         files = sorted(p.name for p in (tmp_path / "a").iterdir())

@@ -14,7 +14,8 @@ from conemetric.liouville import (ConicProblem, SolverError,
                                   _background_density, _bordered_solve,
                                   _correction, _corrected, _distance,
                                   _lon_fft_solver, _pencils, _shift_solver)
-from conemetric.spectrum import FluxForm, football_eigenvalues
+from conemetric.spectrum import (FluxForm, football_eigenvalues,
+                                 tridiag_pencil_eigs)
 
 ANTIPODAL = ((0.0, 0.0), (math.pi, 0.0))
 EQUATOR3 = ((math.pi / 2, 0.0), (math.pi / 2, 2 * math.pi / 3),
@@ -515,6 +516,24 @@ class TestSpectrumNearTwo:
                    if abs(mode.lam - 2.0) < fib.window)
         assert fib.ell == want == 41
 
+    @pytest.mark.parametrize("beta", np.arange(0.5, 6.01, 0.25).tolist())
+    def test_football_count_is_the_closed_form_count(self, beta):
+        # ell is a Sturm count of each mode pencil; it must equal the
+        # closed-form count, with multiplicity, of the reported window,
+        # integer beta (2 a triple or higher eigenvalue) included
+        fib = spectrum_near_two(solve_liouville(football_problem(beta), 512))
+        assert fib.ell == sum(
+            mode.multiplicity
+            for mode in football_eigenvalues(beta, 2.0 + fib.window)
+            if abs(mode.lam - 2.0) < fib.window)
+
+    def test_empty_band(self, monkeypatch):
+        # no eigenvalue within 1.65e-9 of 2: the window checks see none
+        m = solve_liouville(football_problem(1.7), 128)
+        monkeypatch.setattr(liouville, "WINDOW", 1e-9)
+        fib = spectrum_near_two(m)
+        assert (fib.ell, fib.eigenvalues_near_2, fib.window) == (0, [], 1e-9)
+
     @pytest.mark.parametrize("beta,n,window", [
         ((0.6, 0.6, 0.6), 24, 36.0), ((0.5, 0.5), 256, 78.0),
         ((2.0, 2.0), 512, 0.5), ((3.0, 3.0), 512, 0.5)],
@@ -544,25 +563,29 @@ class TestSpectrumNearTwo:
             assert np.all(np.abs(got - want)
                           <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
-    @pytest.mark.parametrize("beta,n,window,pencils,eigsh_calls,ell", [
-        ((3.45, 3.45), 512, (0.5, 0.75), 6, 6, 5),
-        ((0.6, 0.7, 0.8), 48, (0.5, 0.75), 1, 1, 1),
-        ((0.6, 0.6, 0.6), 24, (36.0, 36.0), 1, 5, 16)],
+    @pytest.mark.parametrize("beta,n,window,pencils,want,ell", [
+        ((3.45, 3.45), 512, (0.5, 0.75), 6,
+         {"eigsh": 0, "splu": 0, "dstebz": 6, "dgttrf": 3}, 5),
+        ((0.6, 0.7, 0.8), 48, (0.5, 0.75), 1,
+         {"eigsh": 1, "splu": 1, "dstebz": 0, "dgttrf": 0}, 1),
+        ((0.6, 0.6, 0.6), 24, (36.0, 36.0), 1,
+         {"eigsh": 5, "splu": 1, "dstebz": 0, "dgttrf": 0}, 16)],
         ids=["football", "sphere2d", "doubling"])
-    def test_each_pencil_solved_once(self, beta, n, window, pencils,
-                                     eigsh_calls, ell, monkeypatch):
+    def test_each_pencil_solved_once(self, beta, n, window, pencils, want,
+                                     ell, monkeypatch):
         # an eigenvalue sits within 0.05 of the edge of |lambda - 2| < 0.5
         # (2.5036 for the football's j = 4), so the window widens to 0.75
         # using the eigenvalues already computed; the doubling case asks
         # eigsh for k = 2, 4, 8, 16 and 32 eigenpairs of one factorization.
-        # Each football mode is factored by one dgttrf, the 2-D pencil by
-        # one splu; the Rayleigh bound leaves the football modes j <= 5 of
-        # the 13 below 2 ceil(beta) + 5
-        football = len(beta) == 2
-        points = ANTIPODAL if football else EQUATOR3
+        # Each football mode is bisected by one dstebz, and each of its
+        # eigenvalues in |lambda - 2| < 1.1 * 0.75 -- (j, l) = (0, 1),
+        # (3, 0) and (4, 0) -- polished on one dgttrf; the 2-D pencil is
+        # factored by one splu.  The Rayleigh bound leaves the football
+        # modes j <= 5 of the 13 below 2 ceil(beta) + 5
+        points = ANTIPODAL if len(beta) == 2 else EQUATOR3
         m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
                             n)
-        calls = {"eigsh": 0, "splu": 0, "dgttrf": 0}
+        calls = dict.fromkeys(want, 0)
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -573,14 +596,12 @@ class TestSpectrumNearTwo:
             return call
 
         for module, name in ((liouville, "eigsh"), (liouville, "splu"),
-                             (spectrum, "dgttrf")):
+                             (spectrum, "dstebz"), (spectrum, "dgttrf")):
             monkeypatch.setattr(module, name, counted(module, name))
         monkeypatch.setattr(liouville, "WINDOW", window[0])
         fib = spectrum_near_two(m)
         assert len(_pencils(m)) == pencils
-        assert calls["dgttrf" if football else "splu"] == pencils
-        assert calls["splu" if football else "dgttrf"] == 0
-        assert calls["eigsh"] == eigsh_calls
+        assert calls == want
         assert (fib.window, fib.ell) == (window[1], ell)
 
     @pytest.mark.parametrize("beta", [1.3, 2.0, 2.4, 3.0, 3.45])
@@ -617,12 +638,23 @@ class TestSpectrumNearTwo:
         assert abs(fib.eigenvalues_near_2[0] - 2.0) < 1e-4
 
     def test_exactly_singular_shift_moves_off_two(self):
-        # A = 2B: the tridiagonal factor of A - 2B has a zero pivot
+        # A = 2B: bisection brackets 2 exactly, where the tridiagonal factor
+        # of A - 2B has a zero pivot; the polish factors at 2 (1 + 1e-13)
+        # and lands back on 2
         n = 6
-        sigma, solve = _shift_solver(
-            (np.zeros(n - 1), np.full(n, 2.0), np.zeros(n - 1)), np.ones(n))
+        b = np.linspace(1.0, 2.0, n)
+        vals, vecs = tridiag_pencil_eigs(
+            (np.zeros(n - 1), 2.0 * b, np.zeros(n - 1)), b, 1.0, 3.0,
+            np.ones(n))
+        assert np.all(np.abs(vals - 2.0) <= 4.0 * np.finfo(float).eps)
+        assert np.allclose(np.sum(vecs * vecs * b[:, None], axis=0), 1.0)
+
+    def test_exactly_singular_2d_shift_moves_off_two(self):
+        n = 6
+        b = np.linspace(1.0, 2.0, n)
+        sigma, solve = _shift_solver(sparse.diags(2.0 * b, format="csc"), b)
         assert sigma == 2.0 + 1e-8
-        assert np.allclose(solve(np.ones(n)), 1.0 / (2.0 - sigma))
+        assert np.allclose(solve(np.ones(n)), 1.0 / ((2.0 - sigma) * b))
 
     def test_reproducible(self):
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
