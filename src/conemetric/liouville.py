@@ -17,30 +17,39 @@ footballs are solved on a half interval with the equatorial symmetry,
 which removes the translation mode, and the general projected solve treats
 the eigenvalue-2 directions with a bordered system.
 
-Football and disk steps factor their tridiagonal Jacobians directly.  A
-2-D step runs GMRES on the bordered system, preconditioned by the Jacobian
-with the density averaged in longitude: an FFT in longitude splits that
-operator into one latitude tridiagonal per Fourier mode (the separable
-structure of FISHPACK-style sphere solvers), all factored by one LAPACK
-``tridiag_solver``.  An iteration costs O(N log n) on the N = 2 n^2 cells,
-where sparse LU grows like n^3.  The spectrum near 2 bisects each football
-mode pencil by its Sturm count and polishes every eigenvalue on the same
-tridiagonal LU; the 2-D pencil is shift-inverted on one sparse LU.
+A closed solve keeps its stiffness K in a ``_Stiffness``, which applies
+K, knows its rounding floor and solves the bordered Newton step; a step
+hands it the shift 2 W rho of the Jacobian K - diag(2 W rho) and the scale
+of the border rows as vectors.  Football, projected and disk steps factor
+their tridiagonal Jacobians once by LAPACK (dgttrf) and solve every
+right-hand side of the step on that factor (dgttrs), with no sparse matrix
+built.  A 2-D step runs GMRES on the bordered system, preconditioned by
+the Jacobian with the density averaged in longitude: an FFT in longitude
+splits that operator into one latitude tridiagonal per Fourier mode (the
+separable structure of FISHPACK-style sphere solvers), all factored by one
+LAPACK ``tridiag_solver``.  An iteration costs O(N log n) on the N = 2 n^2
+cells, where sparse LU grows like n^3.  The spectrum near 2 bisects each
+football mode pencil by its Sturm count and polishes every eigenvalue on
+the same tridiagonal LU; the 2-D pencil is shift-inverted on one sparse
+LU.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, eigsh, gmres, splu, spsolve
+from scipy.sparse.linalg import LinearOperator, eigsh, gmres, splu
+# bench/spans.py counts linear solves by wrapping liouville.spsolve
+from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from .angles import (AngleVector, conic_euler_char, int_part, is_integer,
                      same_angle, subcritical_check)
-from .spectrum import (FluxForm, mode_multiplicity, tridiag_pencil_eigs,
-                       tridiag_solver)
+from .spectrum import (FluxForm, mode_multiplicity, tridiag_matvec,
+                       tridiag_pencil_eigs, tridiag_solver)
 
 __all__ = [
     "ConicProblem",
@@ -112,10 +121,21 @@ def damped_newton(residual, step, x0, tol, floor):
     raise SolverError("Newton did not converge", residual=np.max(np.abs(F)))
 
 
-def _row_floor(L):
-    """eps times the row sums of |L|: the rounding floor of L @ x per unit
-    of sup|x|, for the ``floor`` of damped_newton."""
-    return np.finfo(float).eps * np.asarray(abs(L).sum(axis=1)).ravel()
+class _Stiffness(NamedTuple):
+    """A stiffness matrix K, held by the solve it belongs to.
+
+    ``apply(w)`` is K w.  ``floor`` is eps times the row sums of |K|, the
+    rounding floor of K w per unit of sup|w|, for the ``floor`` of
+    damped_newton.  ``solve(shift, cols, scale, P, corner, rhs)`` solves
+    the bordered Newton system
+
+        [[K - diag(shift), cols], [diag(scale) P, corner]] x = rhs
+
+    for k border unknowns, so a step hands over vectors, not matrices.
+    """
+    apply: Callable
+    floor: np.ndarray
+    solve: Callable
 
 
 def _border(x0, Z, rows, corner, rhs):
@@ -126,12 +146,22 @@ def _border(x0, Z, rows, corner, rhs):
     return np.concatenate([x0 - Z @ y, y])
 
 
-def _bordered_solve(J, cols, rows, corner, rhs):
-    """Solve [[J, cols], [rows, corner]] x = rhs for sparse J and k border
-    unknowns: one factorization of J serves k + 1 right-hand sides."""
-    n = J.shape[0]
-    X = spsolve(J, np.column_stack([rhs[:n], cols])).reshape(n, -1)
-    return _border(X[:, 0], X[:, 1:], rows, corner, rhs)
+def _band_stiffness(bands):
+    """The _Stiffness of the tridiagonal K with these (sub, diag, sup)
+    bands.  Its solve factors K - diag(shift) once by ``tridiag_solver``
+    for all k + 1 right-hand sides and takes the border rows P dense."""
+    sub, diag, sup = bands
+
+    def solve(shift, cols, scale, P, corner, rhs):
+        X = tridiag_solver(sub, diag - shift, sup)(
+            np.column_stack([rhs[:len(diag)], cols]))
+        return _border(X[:, 0], X[:, 1:], scale[:, None] * P, corner, rhs)
+
+    return _Stiffness(
+        lambda w: tridiag_matvec(bands, w),
+        np.finfo(float).eps * tridiag_matvec([abs(b) for b in bands],
+                                             np.ones(len(diag))),
+        solve)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +363,7 @@ class ObstructionBundleFiber:
 # ---------------------------------------------------------------------------
 # closed-sphere solve: one Newton on w and the cone coefficients
 
-def _solve_closed(problem, K, W, dists, pair_dists, P, solve):
+def _solve_closed(problem, K, W, dists, pair_dists, P):
     """One damped Newton for x = (w, A_j of ``_corrected``); returns (w and
     the density rho it converged, shaped like the distance fields, all A_j
     with 0 for the other points, sup|F|).
@@ -346,9 +376,11 @@ def _solve_closed(problem, K, W, dists, pair_dists, P, solve):
 
     A_j is the limit of the density over m_j^{2 beta_j - 2} at p_j, and
     e_reg,j the other points' background density there.  s is linear in
-    A, so the Jacobian is J = K - 2 W rho bordered by the A_j, and a step
-    is one ``solve(J, cols, rows, corner, rhs)`` of that bordered system:
-    ``_bordered_solve`` for footballs, ``_lon_fft_solver`` for 2-D solves.
+    A, so the Jacobian is J = K - diag(2 W rho) bordered by the A_j, with
+    the rows diag(-2 g) P for g the A_j rule.  K is a ``_Stiffness``, which
+    owns its matrix, and a step hands its ``solve`` the shift 2 W rho and
+    the row scale -2 g: ``_band_stiffness`` for footballs, whose step is a
+    LAPACK tridiagonal LU, and ``_lon_fft_stiffness`` for 2-D solves.
     """
     betas = problem.beta.beta
     idx = _corrected(betas)
@@ -371,7 +403,7 @@ def _solve_closed(problem, K, W, dists, pair_dists, P, solve):
     # rounding floor of each cell row: the stiffness amplifies eps |w| by
     # its row sum over the cell measure (~ h^-2 for the football and at the
     # equator, ~ h^-4 at the grid poles of the 2-D solve)
-    floor = np.append(_row_floor(K) / W, np.zeros(k))
+    floor = np.append(K.floor / W, np.zeros(k))
 
     def fields(x):
         """The density rho and the A_j rule g at x."""
@@ -381,16 +413,14 @@ def _solve_closed(problem, K, W, dists, pair_dists, P, solve):
 
     def residual(x):
         rho, g = fields(x)
-        return np.concatenate([-(K @ x[:N]) / W + x[N:] @ lap + c_v + rho
+        return np.concatenate([-K.apply(x[:N]) / W + x[N:] @ lap + c_v + rho
                                - 1.0, x[N:] - g])
 
     def step(x, F):
         rho, g = fields(x)
-        return solve(K - sparse.diags(2.0 * W * rho),
-                     -(W * (lap + 2.0 * rho * sig)).T,
-                     sparse.diags(-2.0 * g) @ P,
-                     np.eye(k) - 2.0 * g[:, None] * at_pts,
-                     np.concatenate([W * F[:N], -F[N:]]))
+        return K.solve(2.0 * W * rho, -(W * (lap + 2.0 * rho * sig)).T,
+                       -2.0 * g, P, np.eye(k) - 2.0 * g[:, None] * at_pts,
+                       np.concatenate([W * F[:N], -F[N:]]))
 
     # constant w balancing the mean of the equation, and the A_j rule at it
     w0 = 0.5 * math.log(max((1.0 - c_v) * np.sum(W) / np.sum(E * W), 1e-6))
@@ -420,8 +450,8 @@ def _solve_football(problem, n):
     P = np.zeros((2, n // 2))
     P[:, :2] = (9.0 / 8.0, -1.0 / 8.0)
     w, rho, A, resid = _solve_closed(
-        problem, form.matrix(), form.weight, dists,
-        ((0.0, math.pi), (math.pi, 0.0)), P, _bordered_solve)
+        problem, _band_stiffness(form.bands()), form.weight, dists,
+        ((0.0, math.pi), (math.pi, 0.0)), P)
     return DiscreteConicMetric(
         problem=problem, kind="football", n=n, w=w, rho=rho, sing_coeffs=A,
         residual=resid, mesh={"phi": phi, "dists": dists,
@@ -441,39 +471,41 @@ def _assemble_laplacian(form):
 
         A = h^2 K (x) I_{2n} + diag(1 / sin phi) (x) C,
 
-    where K = form.matrix() is the latitude stiffness -(sin phi w')' of
-    ``form = FluxForm(n, 1)`` and C the periodic second difference in
-    longitude, so A is circulant in longitude; M = sin phi h^2 is the cell
-    area.
+    where K is the latitude stiffness -(sin phi w')' of ``form =
+    FluxForm(n, 1)`` and C the periodic second difference in longitude, so
+    A is circulant in longitude; M = sin phi h^2 is the cell area.
     """
     n_lon = 2 * len(form.weight)
     h = form.h
     shift = sparse.eye(n_lon, k=1) + sparse.eye(n_lon, k=1 - n_lon)
     C = 2.0 * sparse.eye(n_lon) - shift - shift.T
-    A = sparse.kron(h * h * form.matrix(), sparse.eye(n_lon)) \
+    K = sparse.diags(form.bands(), [-1, 0, 1], format="csc")
+    A = sparse.kron(h * h * K, sparse.eye(n_lon)) \
         + sparse.kron(sparse.diags(1.0 / form.weight), C)
     M = np.repeat(form.weight, n_lon) * h * h
     return A.tocsc(), M
 
 
-def _lon_fft_solver(form):
-    """The bordered Newton step of the n x 2n grid whose latitude stiffness
-    is ``form = FluxForm(n, 1)``, ``solve(J, cols, rows, corner, rhs)``, by
-    GMRES on the whole (N + k) system: one cycle of at most KRYLOV_RESTART
-    iterations, with no restart, since later cycles gain little once the
-    step nears the rounding floor of the residual.
+def _lon_fft_stiffness(form, A):
+    """The _Stiffness of the flux form A of the n x 2n grid whose latitude
+    stiffness is ``form = FluxForm(n, 1)`` (``_assemble_laplacian``).  Its
+    ``solve`` builds J = A - diag(shift) and the rows diag(scale) P as
+    sparse matrices and runs GMRES on the whole (N + k) system: one cycle
+    of at most KRYLOV_RESTART iterations, with no restart, since later
+    cycles gain little once the step nears the rounding floor of the
+    residual.
 
     The preconditioner is the same bordered system with J = A - 2 diag(M
-    rho) replaced by P = A - 2 diag(M rhobar), rhobar(phi) the longitude
-    mean of the density; P is J with its diagonal averaged over each
-    latitude row.  P is circulant in longitude like A, so an rfft in
+    rho) replaced by Q = A - 2 diag(M rhobar), rhobar(phi) the longitude
+    mean of the density; Q is J with its diagonal averaged over each
+    latitude row.  Q is circulant in longitude like A, so an rfft in
     longitude splits it into n + 1 real symmetric latitude tridiagonals,
     one per Fourier mode m,
 
         h^2 K + diag((2 - 2 cos(pi m / n)) / sin phi - 2 M rhobar),
 
     which are stacked mode-major and factored once per step.  The border
-    goes through ``_border`` with P^-1 cols, also computed once per step.
+    goes through ``_border`` with Q^-1 cols, also computed once per step.
     Both the rfft and the row mean commute with rotations in longitude, so
     the iterates keep the symmetries of the grid.
     """
@@ -484,20 +516,22 @@ def _lon_fft_solver(form):
     sub = np.tile(np.append(off, 0.0), n_lat + 1)[:-1]
     # C contributes 2 - 2 cos(pi m / n) on mode m; the row mean of J's
     # diagonal already holds the 2
-    shift = (-2.0 * np.cos(np.pi * np.arange(n_lat + 1) / n_lat)[:, None]
+    modal = (-2.0 * np.cos(np.pi * np.arange(n_lat + 1) / n_lat)[:, None]
              / form.weight).ravel()
 
-    def solve(J, cols, rows, corner, rhs):
+    def solve(shift, cols, scale, P, corner, rhs):
         N, k = cols.shape
+        J = A - sparse.diags(shift)
+        rows = sparse.diags(scale) @ P
         mean = J.diagonal().reshape(n_lat, n_lon).mean(axis=1)
         try:
-            modes = tridiag_solver(sub, np.tile(mean, n_lat + 1) + shift, sub)
+            modes = tridiag_solver(sub, np.tile(mean, n_lat + 1) + modal, sub)
         except np.linalg.LinAlgError:
             raise SolverError("the longitude-mean Jacobian is singular") \
                 from None
 
         def precond(B):
-            """P^-1 B for an N x c block B."""
+            """Q^-1 B for an N x c block B."""
             c = B.shape[1]
             F = np.fft.rfft(B.reshape(n_lat, n_lon, c), axis=1)
             F = F.transpose(1, 0, 2).reshape(-1, c)
@@ -522,7 +556,9 @@ def _lon_fft_solver(form):
                      M=LinearOperator(shape, preconditioned, dtype=float))
         return x
 
-    return solve
+    return _Stiffness(
+        A.__matmul__,
+        np.finfo(float).eps * np.asarray(abs(A).sum(axis=1)).ravel(), solve)
 
 
 def _interp_matrix(phi, theta, x):
@@ -575,9 +611,9 @@ def _solve_sphere2d(problem, n_lat):
                 f"of cell {tuple(map(int, cell))} of the n = {n_lat} grid, "
                 "where its density is infinite; move it or change the mesh")
     A, M = _assemble_laplacian(form)
-    w, rho, coeffs, resid = _solve_closed(problem, A, M, dists, pair_dists,
-                                          _interp_matrix(phi, theta, pts),
-                                          _lon_fft_solver(form))
+    w, rho, coeffs, resid = _solve_closed(
+        problem, _lon_fft_stiffness(form, A), M, dists, pair_dists,
+        _interp_matrix(phi, theta, pts))
     return DiscreteConicMetric(
         problem=problem, kind="sphere2d", n=n_lat, w=w, rho=rho,
         sing_coeffs=coeffs, residual=resid,
@@ -600,15 +636,15 @@ def _solve_disk(problem, n):
     # w = 0 at r = 1, the exact flat-cone data, by the ghost value -w_{n-1}
     diag[-1] -= hi[-1] / r[-1]
     sub, sup = lo[1:] / r[1:], hi[:-1] / r[:-1]
-    L = sparse.diags([sub, diag, sup], [-1, 0, 1], format="csc")
+    L = _band_stiffness((sub, diag, sup))
     E = r ** (2.0 * b - 2.0)
 
     # div grad u = -K e^{2u} on a flat background
     w, resid = damped_newton(
-        lambda w: L @ w + K * E * np.exp(2.0 * w),
+        lambda w: L.apply(w) + K * E * np.exp(2.0 * w),
         lambda w, F: tridiag_solver(
             sub, diag + 2.0 * K * E * np.exp(2.0 * w), sup)(-F),
-        np.zeros(n), NEWTON_TOL, _row_floor(L))
+        np.zeros(n), NEWTON_TOL, L.floor)
     return DiscreteConicMetric(problem=problem, kind="disk", n=n, w=w,
                                rho=None, sing_coeffs=(0.0,),
                                residual=float(resid), mesh={"r": r})
@@ -775,7 +811,7 @@ def projected_solve(metric, fiber, density_perturbation=None):
                                   "reduction only")
     n = metric.n
     form = FluxForm(n, 1)
-    h, K, W = form.h, form.matrix(), form.weight
+    h, K, W = form.h, _band_stiffness(form.bands()), form.weight
     # rho2 K_{g2} = 1 - div grad(log rho2)/2, with div grad u = -(K u) / W
     # as in _solve_closed.  For the base solution that equals rho2_0 by its
     # own discrete equation; a conformal perturbation delta adds
@@ -785,7 +821,7 @@ def projected_solve(metric, fiber, density_perturbation=None):
     if density_perturbation is not None:
         delta = np.asarray(density_perturbation, dtype=float)
         rho2 = rho0 * np.exp(2.0 * delta)
-        curv_term = rho0 + (K @ delta) / W
+        curv_term = rho0 + K.apply(delta) / W
 
     # axisymmetric fiber directions, normalized in L^2(g2)
     modes = []
@@ -803,19 +839,19 @@ def projected_solve(metric, fiber, density_perturbation=None):
     def residual(x):
         u, lam_c = x[:n], x[n:]
         # div grad u + rho2 e^{2u} - rho2 K_{g2} in the round frame
-        F = -(K @ u) / W + rho2 * np.exp(2.0 * u) - curv_term \
+        F = -K.apply(u) / W + rho2 * np.exp(2.0 * u) - curv_term \
             - rho2 * (lam_c @ V)
         return np.concatenate([F, V @ (u * B)])
 
     def step(x, F):
         # the cell rows times -W, as in _solve_closed
-        return _bordered_solve(
-            K - sparse.diags(2.0 * W * rho2 * np.exp(2.0 * x[:n])),
-            (V * rho2 * W).T, V * B, np.zeros((ell, ell)),
-            np.concatenate([W * F[:n], -F[n:]]))
+        return K.solve(2.0 * W * rho2 * np.exp(2.0 * x[:n]),
+                       (V * rho2 * W).T, np.ones(ell), V * B,
+                       np.zeros((ell, ell)),
+                       np.concatenate([W * F[:n], -F[n:]]))
 
     x, _ = damped_newton(residual, step, np.zeros(n + ell), 1e-11,
-                         np.append(_row_floor(K) / W, np.zeros(ell)))
+                         np.append(K.floor / W, np.zeros(ell)))
     return x[:n], x[n:]
 
 

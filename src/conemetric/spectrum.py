@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import eval_gegenbauer, gammaln
@@ -43,6 +42,7 @@ __all__ = [
     "FluxForm",
     "football_eigenvalues",
     "mode_multiplicity",
+    "tridiag_matvec",
     "tridiag_solver",
     "tridiag_pencil_eigs",
     "eigenvalue_count",
@@ -185,9 +185,16 @@ class FluxForm:
         f = self.face
         return -f[1:-1], f[:-1] + f[1:] + potential, -f[1:-1]
 
-    def matrix(self):
-        """The stiffness as a symmetric tridiagonal (csc) matrix."""
-        return sparse.diags(self.bands(), [-1, 0, 1], format="csc")
+
+def tridiag_matvec(bands, x):
+    """A x for the tridiagonal A with these (sub, diag, sup) bands and a
+    vector x; row i sums sub x_{i-1} + diag x_i, then sup x_{i+1}, the order
+    of a sparse product."""
+    sub, diag, sup = bands
+    y = diag * x
+    y[1:] += sub * x[:-1]
+    y[:-1] += sup * x[1:]
+    return y
 
 
 def tridiag_solver(sub, diag, sup):

@@ -10,9 +10,13 @@ solve with samples, and ``split`` on four fixed unequal-weight inputs.
 Every ``--output`` and ``--samples`` file lands in OUTDIR, with
 ``exit_codes.json``.  Two checkouts give byte-identical reports exactly
 when ``diff -r`` of their two OUTDIRs is empty.  ``--compare`` tells a
-round-off change from a real one: see ``compare``.  The package is imported
-from the ``src`` directory next to this file.  pytest does not collect this
-file.
+round-off change from a real one: see ``compare``.  ``reference_corpus``
+next to this file holds the output of the commit, with the numpy and scipy
+versions, that ``reference_corpus.json`` names; tier-1 compares a fresh run
+with it, and a change that moves a number beyond tolerance regenerates it
+with ``python tests/report_corpus.py tests/reference_corpus``.  The package
+is imported from the ``src`` directory next to this file.  pytest does not
+collect this file.
 """
 
 import json
@@ -25,7 +29,6 @@ os.environ["CONEMETRIC_THREADS"] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from conemetric.cli import main  # noqa: E402
-from conemetric.liouville import NEWTON_TOL  # noqa: E402
 
 ANTIPODAL = "0,0;3.141592653589793,0"
 EQUATOR3 = "1.5708,0;1.5708,2.0944;1.5708,4.1888"
@@ -34,6 +37,11 @@ EQUATOR3 = "1.5708,0;1.5708,2.0944;1.5708,4.1888"
 ATOL, RTOL = 1e-14, 1e-10
 #: a Lambda coefficient at most this large is a zero of the projected solve
 LAMBDA_ZERO = 1e-12
+#: a Newton residual at most this large is converged: damped_newton stops
+#: each row at max(NEWTON_TOL, its rounding floor), and the floor of a 2-D
+#: solve lifts sup|F| above NEWTON_TOL = 1e-9 (1.47e-9 for the (0.6, 0.6,
+#: 0.6) solve at n = 96).  Reports do not carry the per-row tolerance.
+RESIDUAL_ZERO = 1e-8
 
 #: the unequal-weight inputs the splitting benchmark runs at J = 4, 5, 6
 SPLIT_FIXED = (
@@ -150,15 +158,16 @@ def _within(path, a, b):
 
     Numbers of which either is a float compare within ATOL + RTOL |a|
     (``%.17g`` writes an integral float as an integer); Lambda coefficients
-    both at most LAMBDA_ZERO, and Newton residuals both at most NEWTON_TOL,
-    pass whatever their change.  Every other leaf must match exactly.
+    both at most LAMBDA_ZERO, and Newton residuals both at most
+    RESIDUAL_ZERO, pass whatever their change.  Every other leaf must match
+    exactly.
     """
     if not (_number(a) and _number(b)):
         return type(a) is type(b) and a == b
     if path.startswith("Lambda[") and max(abs(a), abs(b)) <= LAMBDA_ZERO:
         return True
     if path in ("residual", "meta.tolerance") \
-            and max(abs(a), abs(b)) <= NEWTON_TOL:
+            and max(abs(a), abs(b)) <= RESIDUAL_ZERO:
         return True
     if isinstance(a, int) and isinstance(b, int):
         return a == b

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh, gmres
+from scipy.sparse._base import _spbase
+from scipy.sparse.linalg import eigsh, gmres, spsolve
+from scipy.sparse.linalg._dsolve import _superlu
 
 from conemetric import liouville, spectrum
 from conemetric.liouville import (ConicProblem, SolverError,
                                   friedrichs_fit, projected_solve,
                                   solve_liouville, spectrum_near_two,
                                   sphere_point, _assemble_laplacian,
-                                  _background_density, _bordered_solve,
+                                  _background_density, _band_stiffness,
                                   _correction, _corrected, _distance,
-                                  _lon_fft_solver, _pencils, _shift_solver)
+                                  _lon_fft_stiffness, _pencils,
+                                  _shift_solver)
 from conemetric.spectrum import (FluxForm, football_eigenvalues,
-                                 tridiag_pencil_eigs)
+                                 tridiag_matvec, tridiag_pencil_eigs)
 
 ANTIPODAL = ((0.0, 0.0), (math.pi, 0.0))
 EQUATOR3 = ((math.pi / 2, 0.0), (math.pi / 2, 2 * math.pi / 3),
@@ -271,36 +274,99 @@ class TestDampedNewton:
                                     1e-9, 0.0)
 
 
+def forbid_superlu(monkeypatch):
+    """Make every SuperLU factorization fail: spsolve, splu and factorized
+    all end in its gssv or gstrf."""
+    def no_lu(*args, **kwargs):
+        raise AssertionError("a sparse LU was factored")
+    for name in ("gssv", "gstrf"):
+        monkeypatch.setattr(_superlu, name, no_lu)
+    with pytest.raises(AssertionError, match="sparse LU"):
+        spsolve(sparse.eye(2, format="csc"), np.ones(2))
+
+
 class TestBorderedSolve:
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_matches_dense_solve(self, k):
+        # the band solve of J = K - diag(shift) bordered by k unknowns; J
+        # has zeros on its diagonal, where no LU without row exchanges
+        # exists
         rng = np.random.default_rng(k)
         n = 40
-        J = sparse.random(n, n, density=0.1, random_state=k, format="csc") \
-            + sparse.diags(rng.uniform(2.0, 3.0, n), format="csc")
+        bands = (rng.uniform(-1.0, 1.0, n - 1), rng.uniform(3.0, 4.0, n),
+                 rng.uniform(-1.0, 1.0, n - 1))
+        shift = rng.uniform(-0.5, 0.5, n)
+        shift[[0, 17, n - 1]] = bands[1][[0, 17, n - 1]]
+        J = np.diag(bands[1] - shift) + np.diag(bands[0], -1) \
+            + np.diag(bands[2], 1)
+        assert np.count_nonzero(np.diag(J) == 0.0) == 3
         cols = rng.standard_normal((n, k))
-        rows = rng.standard_normal((k, n))
+        scale = rng.uniform(1.0, 2.0, k)
+        P = rng.standard_normal((k, n))
         corner = rng.standard_normal((k, k)) + 3.0 * np.eye(k)
         rhs = rng.standard_normal(n + k)
-        want = np.linalg.solve(np.block([[J.toarray(), cols],
-                                         [rows, corner]]), rhs)
-        got = _bordered_solve(J, cols, rows, corner, rhs)
+        want = np.linalg.solve(np.block([[J, cols], [scale[:, None] * P,
+                                                     corner]]), rhs)
+        got = _band_stiffness(bands).solve(shift, cols, scale, P, corner,
+                                           rhs)
         assert got.shape == (n + k,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_floor_is_eps_times_the_row_sums(self):
+        bands = tuple(np.random.default_rng(5).standard_normal(m)
+                      for m in (9, 10, 9))
+        K = np.diag(bands[1]) + np.diag(bands[0], -1) + np.diag(bands[2], 1)
+        assert np.allclose(_band_stiffness(bands).floor,
+                           np.finfo(float).eps * np.abs(K).sum(axis=1),
+                           rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("beta", [0.7, 2.0])
+    def test_football_path_builds_no_sparse_matrix(self, beta, monkeypatch):
+        # beta = 0.7 borders its Newton steps with the two cone
+        # coefficients; both border their projected solve with the j = 0
+        # eigenvector at 2
+        built = []
+        init = _spbase.__init__
+
+        def recorded(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        forbid_superlu(monkeypatch)
+        monkeypatch.setattr(_spbase, "__init__", recorded)
+        m = solve_liouville(football_problem(beta), 512)
+        u, lam = projected_solve(m, spectrum_near_two(m))
+        assert built == []
+        assert sum(a != 0.0 for a in m.sing_coeffs) == 2 * (beta < 1.0)
+        assert len(lam) == 1
+        assert np.max(np.abs(u)) < 1e-9
+        sparse.eye(2)
+        assert built
+
+
+def bordered_lu(A, shift, cols, scale, P, corner, rhs):
+    """The 2-D bordered Newton system [[A - diag(shift), cols], [diag(scale)
+    P, corner]] x = rhs solved by one sparse LU of the whole system."""
+    return spsolve(sparse.bmat([[A - sparse.diags(shift), cols],
+                                [sparse.diags(scale) @ P, corner]],
+                               format="csc"), rhs)
+
 
 def newton_systems(monkeypatch, points, beta, n):
-    """The bordered systems (J, cols, rows, corner, rhs) of every Newton
-    step of a 2-D solve, stepped by the direct solve."""
+    """The stiffness A and the bordered systems (shift, cols, scale, P,
+    corner, rhs) of every Newton step of a 2-D solve, stepped by
+    ``bordered_lu``."""
     systems = []
 
-    def direct(*system):
-        systems.append(system)
-        return _bordered_solve(*system)
+    def direct(form, A):
+        def solve(*system):
+            systems.append(system)
+            return bordered_lu(A, *system)
+        return _lon_fft_stiffness(form, A)._replace(solve=solve)
 
-    monkeypatch.setattr(liouville, "_lon_fft_solver", lambda form: direct)
+    monkeypatch.setattr(liouville, "_lon_fft_stiffness", direct)
     solve_liouville(ConicProblem("sphere", points=points, beta=beta), n)
-    return systems
+    return _assemble_laplacian(FluxForm(n, 1))[0], systems
 
 
 class TestKrylovStep:
@@ -308,19 +374,17 @@ class TestKrylovStep:
         (EQUATOR3, (0.6, 0.7, 0.8), 48), (TETRAHEDRON, (0.8,) * 4, 24)],
         ids=["k3", "k4"])
     def test_matches_direct_step(self, monkeypatch, points, beta, n):
-        systems = newton_systems(monkeypatch, points, beta, n)
+        A, systems = newton_systems(monkeypatch, points, beta, n)
         assert len(systems) >= 3
-        krylov = _lon_fft_solver(FluxForm(n, 1))
+        krylov = _lon_fft_stiffness(FluxForm(n, 1), A).solve
         for system in systems:
-            want = _bordered_solve(*system)
+            want = bordered_lu(A, *system)
             got = krylov(*system)
             assert np.max(np.abs(got - want)) \
                 <= 1e-10 * np.max(np.abs(want))
 
     def test_2d_solve_makes_no_sparse_lu(self, monkeypatch):
-        def no_lu(*args):
-            raise AssertionError("a 2-D Newton step called spsolve")
-        monkeypatch.setattr(liouville, "spsolve", no_lu)
+        forbid_superlu(monkeypatch)
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
         assert solve_liouville(prob, 24).residual < 1e-9
 
@@ -329,12 +393,12 @@ class TestKrylovStep:
         n, k = 24, 3
         A, M = _assemble_laplacian(FluxForm(n, 1))
         phi = (np.arange(n) + 0.5) * (math.pi / n)
-        J = A - sparse.diags(2.0 * M * np.repeat(0.3 + 0.2 * np.cos(phi) ** 2,
-                                                 2 * n))
+        shift = 2.0 * M * np.repeat(0.3 + 0.2 * np.cos(phi) ** 2, 2 * n)
         rng = np.random.default_rng(0)
-        N = J.shape[0]
+        N = A.shape[0]
         cols = rng.standard_normal((N, k))
-        rows = rng.standard_normal((k, N))
+        scale = rng.uniform(1.0, 2.0, k)
+        P = rng.standard_normal((k, N))
         corner = rng.standard_normal((k, k)) + 3.0 * np.eye(k)
         rhs = rng.standard_normal(N + k)
         residuals = []
@@ -344,8 +408,9 @@ class TestKrylovStep:
                          callback_type="pr_norm", **kwargs)
 
         monkeypatch.setattr(liouville, "gmres", counted)
-        got = _lon_fft_solver(FluxForm(n, 1))(J, cols, rows, corner, rhs)
-        want = _bordered_solve(J, cols, rows, corner, rhs)
+        system = (shift, cols, scale, P, corner, rhs)
+        got = _lon_fft_stiffness(FluxForm(n, 1), A).solve(*system)
+        want = bordered_lu(A, *system)
         assert 1 <= len(residuals) <= 2
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -421,7 +486,7 @@ class TestLinearizedOperator:
         t = np.tan(phi / 2.0)
         f = (1.0 - t ** (2 * beta)) / (1.0 + t ** (2 * beta))
         form = FluxForm(n, 1)
-        out = form.matrix() @ f / form.weight \
+        out = tridiag_matvec(form.bands(), f) / form.weight \
             / football17.density(full=True) - 2.0 * f
         # second-order pointwise accuracy degrades within O(h log h) of the
         # poles where the profile is only Hoelder; check away from them
@@ -437,7 +502,7 @@ class TestLinearizedOperator:
         form = FluxForm(n, 1)
         A, M = _assemble_laplacian(form)
         f = np.cos(form.centre) + form.centre ** 3
-        want = -(form.matrix() @ f) / form.weight
+        want = -tridiag_matvec(form.bands(), f) / form.weight
         got = (-(A @ np.repeat(f, 2 * n)) / M).reshape(n, 2 * n)
         assert np.max(np.abs(got - want[:, None])) \
             <= 1e-12 * np.max(np.abs(want))

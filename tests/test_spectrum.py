@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from conemetric import spectrum
 from conemetric.spectrum import (FluxForm, _sl_eigs, eigenvalue_count,
                                  eigenvalue_flow, football_eigenfunction,
                                  football_eigenvalues,
                                  radial_sturm_liouville,
-                                 strict_count_below_two, tridiag_solver)
+                                 strict_count_below_two, tridiag_matvec,
+                                 tridiag_solver)
 
 
 class TestClosedForm:
@@ -110,6 +112,16 @@ class TestTridiagSolver:
         with pytest.raises(np.linalg.LinAlgError):
             tridiag_solver(np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]),
                            np.zeros(3))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matvec_is_the_sparse_product(self, n):
+        # bit for bit, so the football residual sums as a csc product did
+        rng = np.random.default_rng(n)
+        bands = (rng.standard_normal(n - 1), rng.standard_normal(n),
+                 rng.standard_normal(n - 1))
+        x = rng.standard_normal(n)
+        want = sparse.diags(bands, [-1, 0, 1], format="csc") @ x
+        assert np.array_equal(tridiag_matvec(bands, x), want)
 
 
 class TestEigenfunctions:
