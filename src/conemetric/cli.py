@@ -238,8 +238,7 @@ def cmd_split(args):
         }
     if b.J == 2:
         chart = blowup_chart_J2(A, b, branches[args.branch or 0])
-        report["blowup"] = {k: v for k, v in vars(chart).items()
-                            if k != "branch"}
+        report["blowup"] = vars(chart)
     _emit(report, args.output)
     return EXIT_OK
 

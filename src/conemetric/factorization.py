@@ -165,7 +165,6 @@ class BlowupChart:
     phi_lead: float
     z0_2_lead: complex
     z0: complex
-    branch: tuple
 
 
 def _binom_series(exponent, zj, order):
@@ -463,4 +462,4 @@ def blowup_chart_J2(A: CoeffVector, b: WeightVector,
         R_lead=cprime * A.rho,
         phi_lead=math.atan2(s0.imag, s0.real),
         z0_2_lead=-A1 / abs(A2) / 2.0,
-        z0=z0, branch=(z1, z2))
+        z0=z0)

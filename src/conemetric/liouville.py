@@ -355,7 +355,7 @@ class DiscreteConicMetric:
 @dataclass
 class ObstructionBundleFiber:
     eigenvalues_near_2: list
-    eigenvectors: list          # {"j", "vector", "multiplicity"}
+    axisymmetric: list          # b-unit football j = 0 eigenvectors
     ell: int
     window: float
 
@@ -739,7 +739,8 @@ def _shift_solver(A, b):
 
 
 def spectrum_near_two(metric):
-    """Eigenpairs of Delta_g with |lambda - 2| < window.
+    """Eigenvalues of Delta_g with |lambda - 2| < window, and among them
+    the football j = 0 eigenvectors that ``projected_solve`` reads.
 
     Every pencil of ``_pencils`` yields at least the eigenvalues of the band
     |lambda - 2| < 1.1 * 1.5 WINDOW, the outer edge of the band the window
@@ -748,13 +749,14 @@ def spectrum_near_two(metric):
     by Sturm bisection and polishes each by one inverse-iteration step.  The
     2-D pencil is factored once by ``_shift_solver``, and ARPACK applies
     that factor as OPinv and B as a product with its diagonal: from a fixed
-    start vector it asks for k = 2 eigenpairs and doubles k (up to N - 2)
-    while every returned one lies in the band.  The reported window is the
-    first of WINDOW, 1.5 WINDOW and WINDOW / 1.5 whose edges every
-    eigenvalue clears by a tenth of that window; if none does, SolverError.
+    start vector it asks for k = 2 eigenvalues, no vectors, and doubles k
+    (up to N - 2) while every returned one lies in the band.  The reported
+    window is the first of WINDOW, 1.5 WINDOW and WINDOW / 1.5 whose edges
+    every eigenvalue clears by a tenth of that window; if none does,
+    SolverError.
     """
     wide = 1.5 * WINDOW
-    lams, reps = [], []
+    lams, mults, axisym = [], [], {}
     for j, mult, A, b in _pencils(metric):
         N = len(b)
         v0 = np.random.default_rng(0).standard_normal(N)
@@ -764,6 +766,8 @@ def spectrum_near_two(metric):
                                                  2.0 + 1.1 * wide, v0)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(str(exc)) from exc
+            if j == 0:
+                axisym = dict(enumerate(vecs.T, start=len(lams)))
         else:
             k = min(2, N - 2)
             sigma, solve = _shift_solver(A, b)
@@ -772,14 +776,13 @@ def spectrum_near_two(metric):
             while True:
                 # with OPinv given, shift-invert eigsh reads only the shape
                 # of A
-                vals, vecs = eigsh(OPinv, k=k, M=B, sigma=sigma, which="LM",
-                                   v0=v0, OPinv=OPinv)
+                vals = eigsh(OPinv, k=k, M=B, sigma=sigma, which="LM",
+                             v0=v0, OPinv=OPinv, return_eigenvectors=False)
                 if k == N - 2 or not np.all(np.abs(vals - 2.0) < 1.1 * wide):
                     break
                 k = min(2 * k, N - 2)
         lams.extend(vals)
-        reps.extend({"j": j, "vector": vec, "multiplicity": mult}
-                    for vec in vecs.T)
+        mults.extend([mult] * len(vals))
     dist = np.abs(np.array(lams) - 2.0)
     for window in (WINDOW, wide, WINDOW / 1.5):
         # a band with no eigenvalue at all clears every edge
@@ -791,8 +794,8 @@ def spectrum_near_two(metric):
     inside = [i for i in np.argsort(dist, kind="stable") if dist[i] < window]
     return ObstructionBundleFiber(
         eigenvalues_near_2=[float(lams[i]) for i in inside],
-        eigenvectors=[reps[i] for i in inside],
-        ell=sum(reps[i]["multiplicity"] for i in inside), window=window)
+        axisymmetric=[axisym[i] for i in inside if i in axisym],
+        ell=sum(mults[i] for i in inside), window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -823,18 +826,13 @@ def projected_solve(metric, fiber, density_perturbation=None):
         rho2 = rho0 * np.exp(2.0 * delta)
         curv_term = rho0 + K.apply(delta) / W
 
-    # axisymmetric fiber directions, normalized in L^2(g2)
-    modes = []
-    for lam, rep in zip(fiber.eigenvalues_near_2, fiber.eigenvectors):
-        if rep["j"] == 0:
-            v = rep["vector"]
-            nrm = math.sqrt(np.sum(v * v * rho2 * W) * h * 2 * math.pi)
-            modes.append(v / nrm)
-    ell = len(modes)
-
     # unknowns x = (u, Lambda); the last ell residuals are the constraints
+    # along the fiber's axisymmetric directions, normalized in L^2(g2)
+    modes = [v / math.sqrt(np.sum(v * v * rho2 * W) * h * 2 * math.pi)
+             for v in fiber.axisymmetric]
+    V = np.reshape(modes, (-1, n))
+    ell = len(V)
     B = rho2 * W * h * 2.0 * math.pi
-    V = np.reshape(modes, (ell, n))
 
     def residual(x):
         u, lam_c = x[:n], x[n:]

@@ -279,9 +279,9 @@ def solution_space(B_matrix, atol=0.0):
 
     Returns (V, report) where the columns of V span the kernel and report
     carries the rank (singular values below RANK_TOL * sigma_max, or below
-    the absolute floor ``atol``, count as zero), the kernel dimension and
-    the singular values.  Pass the coefficient-extraction accuracy as
-    ``atol`` when the matrix entries are only known to that level.
+    the absolute floor ``atol``, count as zero) and the kernel dimension.
+    Pass the coefficient-extraction accuracy as ``atol`` when the matrix
+    entries are only known to that level.
 
     V is canonical rather than the SVD's own kernel vectors, which may turn
     by any rotation within the kernel when the entries move by rounding: it
@@ -308,8 +308,7 @@ def solution_space(B_matrix, atol=0.0):
         pivot = int(np.argmax(norms >= (1.0 - _PIVOT_TIE) * norms.max()))
         kernel[:, k] = rest[:, pivot] / norms[pivot]
         rest -= np.outer(kernel[:, k], kernel[:, k])
-    report = {"rank": rank, "dim": dim, "singular_values": s}
-    return kernel, report
+    return kernel, {"rank": rank, "dim": dim}
 
 
 def direction_counts(betas):

@@ -130,6 +130,25 @@ class TestAngles:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"beta": [2.5, 0.7], "B": [1.75, 1.75, -0.7]},
+         "split angle parameters must be positive"),
+        ({"beta": [2.5, 0.7], "B": [1.75, 1.75, 0.8]},
+         "unsplit cluster 1 must keep its angle 0.7"),
+        ({"beta": [2.5, 0.7], "B": [1.0, 2.5, 0.7]},
+         "cluster 0: B_0 = 1 (angle 2*pi) is forbidden"),
+        ({"beta": [3.5], "B": [1.5, 0.5, 3.5]},
+         "cluster 0: subcluster (0, 1) merges to angle 2*pi")],
+        ids=["nonpositive", "unsplit-moved", "split-angle-one",
+             "subcluster-one"])
+    def test_inadmissible_splitting_rejected(self, tmp_path, capsys,
+                                             payload, message):
+        code, out, err = run(capsys, ["angles",
+                                      write_config(tmp_path, payload)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid input: ") and message in err
+        assert len(err.splitlines()) == 1
+
 
 class TestSplit:
     def test_branch_count(self, capsys):
@@ -316,6 +335,24 @@ class TestSolve:
         assert lines[1] == "colatitude,w,density"
         assert len(lines) == 2 + 64            # half-grid cell centres
 
+    def test_disk_samples_csv(self, tmp_path, capsys):
+        # one row per radial cell centre, the solve's w read back exactly
+        csv_path = tmp_path / "samples.csv"
+        code, out, _ = run(capsys, ["solve", "--background", "disk",
+                                    "--points", "0", "--beta", "0.5",
+                                    "--curvature", "-1", "--mesh", "32",
+                                    "--samples", str(csv_path)])
+        assert code == 0
+        assert json.loads(out)["kind"] == "disk"
+        lines = csv_path.read_text().splitlines()
+        assert lines[0].startswith("# disk solve, version ")
+        assert lines[1] == "r,w"
+        r, w = np.loadtxt(lines[2:], delimiter=",").T
+        metric = liouville.solve_liouville(liouville.ConicProblem(
+            "disk", points=(0.0,), beta=(0.5,), curvature=-1), 32)
+        assert np.array_equal(r, metric.mesh["r"])
+        assert np.array_equal(w, metric.w)
+
     @pytest.mark.parametrize("beta,same", [("1,1", "1,1"),
                                            ("1.7,1.7000000001", "1.7,1.7"),
                                            ("0.7,0.7000000001", "0.7,0.7")])
@@ -443,6 +480,18 @@ class TestSolve:
         assert err.startswith("error: solver failure: Sturm bisection failed")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_window_edges_too_close_is_solver_error(self, capsys,
+                                                    monkeypatch):
+        # an eigenvalue on an edge of each of the windows 0.5, 0.75 and 1/3
+        def on_every_edge(A, b, lo, hi, v0):
+            return np.array([2.5, 2.75, 2.0 + 1.0 / 3.0]), np.zeros((len(b),
+                                                                     3))
+        monkeypatch.setattr(liouville, "tridiag_pencil_eigs", on_every_edge)
+        code, out, err = run(capsys, self.FOOTBALL)
+        assert (code, out) == (3, "")
+        assert err == ("error: solver failure: spectral window boundary too "
+                       "close to an eigenvalue\n")
 
     def test_singular_system_is_solver_error(self, capsys, monkeypatch):
         # LinAlgError is a ValueError, yet a singular system is no input
@@ -696,6 +745,23 @@ class TestPairRoundtrip:
         assert '"eigen_coeffs": ' + canonical_json(rows, 2).lstrip() \
             + ",\n" in text
 
+    def test_report_without_eigen_rows_is_unobstructed(self, tmp_path,
+                                                       capsys):
+        # a 2-D solve writes no eigen rows, whatever its own ell; pair then
+        # reports ell 0, the unobstructed case and no pairing matrix
+        diag = str(tmp_path / "diag.json")
+        assert main(["solve", "--points", TestSolve.EQUATOR3, "--beta",
+                     "0.6,0.7,0.8", "--mesh", "24", "--output", diag]) == 0
+        code, out, _ = run(capsys, ["pair", "--diagnostics", diag,
+                                    "--direction", "0.1;0.1;0.1"])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["ell"], report["K"], report["K0"], report["k0"]) \
+            == (0, 3, 0, 0)
+        assert report["classification"] == {"case": "unobstructed", "dim": 6}
+        assert not {"B_values", "B_matrix", "kernel", "rank",
+                    "unreliable_rows"} & set(report)
+
     def test_direction_group_count_mismatch(self, diag_path, capsys):
         assert run(capsys, ["pair", "--diagnostics", diag_path,
                             "--direction", "0.1"])[0] == 2
@@ -940,6 +1006,16 @@ class TestVerify:
         assert [(r.index, r.name) for r in results] == [
             (2, "eigenvalue count formula"), (12, "spectral flow crossings")]
         assert all(r.passed and r.elapsed > 0.0 for r in results)
+
+    def test_failing_criterion_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(acceptance, "CRITERIA", tuple(
+            lambda seed, i=i: (f"recorded {i}", i != 2, "stand-in")
+            for i in range(1, 13)))
+        code, out, _ = run(capsys, ["verify", "--criteria", "1,2,3"])
+        assert code == 4
+        assert "[FAIL] criterion  2 (recorded 2): stand-in" in out
+        assert out.count("[PASS]") == 2
+        assert out.splitlines()[-1] == "1 criterion(s) failed: [2]"
 
     def test_bad_criteria_list(self, capsys):
         assert run(capsys, ["verify", "--criteria", "two"])[0] == 2

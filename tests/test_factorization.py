@@ -322,7 +322,9 @@ class TestBlowupChart:
     def test_branch_points_factor(self):
         b = WeightVector((0.7, 1.3))
         A = CoeffVector((0.1 + 0.2j, 0.05))
-        chart = blowup_chart_J2(A, b, inverse_map(A, b)[0])
-        out = forward_map(chart.branch, b)
+        branch = inverse_map(A, b)[0]
+        out = forward_map(branch.z, b)
         assert np.allclose(out.A, A.A, atol=1e-10)
+        z1, z2 = branch.z
+        assert blowup_chart_J2(A, b, branch).z0 == (z1 + z2) / 2.0
 

@@ -273,6 +273,21 @@ class TestDampedNewton:
                                     lambda x, F: np.ones(3), np.zeros(3),
                                     1e-9, 0.0)
 
+    def test_unconverged_after_max_newton_steps_is_an_error(self):
+        # every step halves the residual x: the merit falls at each of the
+        # MAX_NEWTON steps and still ends far above 1
+        steps = []
+
+        def step(x, F):
+            steps.append(x)
+            return -0.5 * F
+        with pytest.raises(SolverError, match="Newton did not converge") \
+                as exc:
+            liouville.damped_newton(lambda x: x, step, np.ones(3), 1e-300,
+                                    0.0)
+        assert len(steps) == liouville.MAX_NEWTON
+        assert exc.value.residual == 2.0 ** -liouville.MAX_NEWTON
+
 
 def forbid_superlu(monkeypatch):
     """Make every SuperLU factorization fail: spsolve, splu and factorized
@@ -608,25 +623,60 @@ class TestSpectrumNearTwo:
         # the first two windows need several k doublings; at the obstructed
         # footballs 2 is a triple eigenvalue, from j = 0 and j = beta.  The
         # values, not only the count, must be those of a dense solve of
-        # each pencil
+        # every pencil
         points = ANTIPODAL if len(beta) == 2 else EQUATOR3
         m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
                             n)
         monkeypatch.setattr(liouville, "WINDOW", window)
         fib = spectrum_near_two(m)
-        for j, _, A, b in _pencils(m):
+        want = []
+        for _, _, A, b in _pencils(m):
             A, B = pencil_matrices(A, b)
             # as the pencil (B, A + B), whose two sides share the grading
             # of the mode weight sin^{2j+1} at the poles
             vals = 1.0 / eigh(B.toarray(), (A + B).toarray(),
                               eigvals_only=True) - 1.0
-            want = np.sort(vals[np.abs(vals - 2.0) < fib.window])
-            got = np.sort([lam for lam, rep in zip(fib.eigenvalues_near_2,
-                                                   fib.eigenvectors)
-                           if rep["j"] == j])
-            assert len(got) == len(want)
-            assert np.all(np.abs(got - want)
-                          <= 1e-10 * np.maximum(1.0, np.abs(want)))
+            want.extend(vals[np.abs(vals - 2.0) < fib.window])
+        want, got = np.sort(want), np.sort(fib.eigenvalues_near_2)
+        assert len(got) == len(want)
+        assert np.all(np.abs(got - want)
+                      <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    def test_fiber_keeps_only_the_axisymmetric_vectors(self, monkeypatch):
+        # projected_solve reads the football's j = 0 directions alone, so a
+        # 2-D pencil is solved for its eigenvalues only and the fiber keeps
+        # no 2-D vector
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs.get("return_eigenvectors", True))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(liouville, "eigsh", recorded)
+        prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
+        fib = spectrum_near_two(solve_liouville(prob, 48))
+        assert calls == [False]
+        assert (fib.ell, len(fib.eigenvalues_near_2), fib.axisymmetric) \
+            == (1, 1, [])
+        # at beta = 2, 2 is a triple eigenvalue, from j = 0 and the pair
+        # j = 2; the fiber holds the j = 0 in-window vectors, b-unit and
+        # exactly as the j = 0 pencil gives them, and no j = 2 vector
+        m = solve_liouville(football_problem(2.0), 512)
+        fib = spectrum_near_two(m)
+        j, _, A, b = _pencils(m)[0]
+        band = 1.1 * 1.5 * liouville.WINDOW
+        vals, vecs = tridiag_pencil_eigs(
+            A, b, 2.0 - band, 2.0 + band,
+            np.random.default_rng(0).standard_normal(len(b)))
+        inside = np.abs(vals - 2.0) < fib.window
+        assert j == 0 and np.sum(inside) == 1
+        assert (fib.ell, len(fib.eigenvalues_near_2)) == (3, 2)
+        assert len(fib.axisymmetric) == 1
+        assert np.array_equal(fib.axisymmetric[0], vecs[:, inside][:, 0])
+        assert fib.axisymmetric[0] @ (b * fib.axisymmetric[0]) \
+            == pytest.approx(1.0, abs=1e-12)
+        assert set(vars(fib)) == {"eigenvalues_near_2", "axisymmetric",
+                                  "ell", "window"}
 
     @pytest.mark.parametrize("beta,n,window,pencils,want,ell", [
         ((3.45, 3.45), 512, (0.5, 0.75), 6,
