@@ -264,7 +264,10 @@ class ConicProblem:
             raise ValueError("cone point coordinates must be finite")
         if len(self.points) != len(beta.beta):
             raise ValueError("need one point per angle parameter")
-        if self.background == "sphere":
+        if self.background == "disk":
+            if any(len(p) != 1 for p in self.points):
+                raise ValueError("disk points are single radii")
+        else:
             if any(len(p) != 2 for p in self.points):
                 raise ValueError("sphere points are (colatitude, longitude) "
                                  "pairs")
@@ -511,7 +514,7 @@ def _lon_fft_stiffness(form, A):
     """
     n_lat = len(form.weight)
     n_lon = 2 * n_lat
-    off = -form.h ** 2 * form.face[1:-1]
+    off = form.h ** 2 * form.bands()[0]
     # the tridiagonals side by side, with no coupling between modes
     sub = np.tile(np.append(off, 0.0), n_lat + 1)[:-1]
     # C contributes 2 - 2 cos(pi m / n) on mode m; the row mean of J's
@@ -827,12 +830,11 @@ def projected_solve(metric, fiber, density_perturbation=None):
         curv_term = rho0 + K.apply(delta) / W
 
     # unknowns x = (u, Lambda); the last ell residuals are the constraints
-    # along the fiber's axisymmetric directions, normalized in L^2(g2)
-    modes = [v / math.sqrt(np.sum(v * v * rho2 * W) * h * 2 * math.pi)
-             for v in fiber.axisymmetric]
-    V = np.reshape(modes, (-1, n))
-    ell = len(V)
+    # along the fiber's axisymmetric directions, unit in L^2(g2)
     B = rho2 * W * h * 2.0 * math.pi
+    V = np.reshape([v / math.sqrt(v @ (v * B)) for v in fiber.axisymmetric],
+                   (-1, n))
+    ell = len(V)
 
     def residual(x):
         u, lam_c = x[:n], x[n:]
@@ -858,8 +860,6 @@ def projected_solve(metric, fiber, density_perturbation=None):
 
 @dataclass
 class FriedrichsFit:
-    point_index: int
-    radii: np.ndarray          # uniformized radii r = m^beta / beta
     a0: float
     indicial: list             # (exponent, a_cos, a_sin) per indicial term
     residuals: np.ndarray      # sup residual per radius after the fit
@@ -874,7 +874,7 @@ def friedrichs_fit(metric, point_index):
     r^2 in the uniformized radial variable.
     """
     b = metric.beta[point_index]
-    radii = np.geomspace(0.45, 1.0, 8)
+    radii = np.geomspace(0.45, 1.0, 8)     # uniformized r = m^beta / beta
     J = int_part(2.0 * b) - is_integer(2.0 * b)
     theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     # all 8 x 64 samples, radius by radius, in one bounded_part call
@@ -891,6 +891,5 @@ def friedrichs_fit(metric, point_index):
     resid = np.abs(y - model_wo_tail).reshape(len(radii), -1).max(axis=1)
     slope = np.polyfit(np.log(radii), np.log(resid), 1)[0]
     indicial = [(j / b, coef[2 * j - 1], coef[2 * j]) for j in range(1, J + 1)]
-    return FriedrichsFit(point_index=point_index, radii=radii,
-                         a0=float(coef[0]), indicial=indicial,
+    return FriedrichsFit(a0=float(coef[0]), indicial=indicial,
                          residuals=resid, slope=float(slope))

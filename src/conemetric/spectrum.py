@@ -18,8 +18,8 @@ tridiagonal LU that every football operator and solver shares, and the
 eigenpairs of a tridiagonal pencil in a band by Sturm bisection.
 
 Below 2 lie only (0, 0) and the doubled (j, 0) with 1 <= j < beta, so
-#{lambda < 2} = 1 + 2n with n = [beta] - 1 at an integer beta and [beta]
-otherwise, in the sense of ``angles.int_part`` and ``angles.is_integer``.
+#{lambda < 2} = 1 + 2n with n = max(0, [beta] - 1) at an integer beta and
+[beta] otherwise, in the sense of ``angles.int_part`` and ``is_integer``.
 Along a path, (j, 0) crosses 2 where beta passes the integer j, and the
 flow report names each j between n at consecutive samples.
 """
@@ -280,7 +280,7 @@ def radial_sturm_liouville(beta, j):
 
 def strict_count_below_two(beta):
     """#{lambda < 2} for the football, counting multiplicity."""
-    return 1 + 2 * (int_part(beta) - is_integer(beta))
+    return 1 + 2 * max(0, int_part(beta) - is_integer(beta))
 
 
 def eigenvalue_flow(beta_path):

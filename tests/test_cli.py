@@ -192,6 +192,13 @@ class TestSplit:
         assert run(capsys, ["split", "--weights", "1.0,1.0",
                             "--coeffs", "0.1"])[0] == 2
 
+    def test_zero_a2_outside_the_blowup_chart(self, capsys):
+        code, out, err = run(capsys, ["split", "--weights", "1,1",
+                                      "--coeffs", "0.1,0"])
+        assert (code, out) == (2, "")
+        assert err == ("error: invalid input: A_2 = 0 lies outside the chart "
+                       "domain\n")
+
     @pytest.mark.parametrize("weights,coeffs", [
         ("1.565694329437171,-0.1677033309422706,1.2148375889145602,"
          "1.3871714125905394",
@@ -296,6 +303,19 @@ class TestSpectrum:
 
     def test_nan_beta_rejected(self, capsys):
         assert run(capsys, ["spectrum", "--beta", "nan"])[0] == 2
+
+    def test_tiny_beta_counts_one_eigenvalue_below_two(self, capsys):
+        # a beta within INT_TOL of 0 is the integer 0: only (0, 0) lies
+        # below 2, and no mode crosses 2 on the way to 0.5
+        code, out, _ = run(capsys, ["spectrum", "--beta", "1e-10",
+                                    "--lambda-max", "0"])
+        assert code == 0
+        assert "# count_below_2_strict=1\n" in out
+        code, out, _ = run(capsys, ["spectrum", "--flow", "1e-10:0.5:3"])
+        assert code == 0
+        assert "crossing" not in out
+        rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert [row.split(",")[2] for row in rows[1:]] == ["1", "1", "1"]
 
     def test_beta_required_without_flow(self, capsys):
         assert run(capsys, ["spectrum"])[0] == 2
@@ -452,6 +472,26 @@ class TestSolve:
         assert code == 2
         assert message in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("points,code", [("0", 0), ("0,0", 2),
+                                             ("0,0,0", 2)])
+    def test_disk_point_is_one_radius(self, capsys, points, code):
+        got, out, err = run(capsys, ["solve", "--background", "disk",
+                                     "--points", points, "--beta", "0.7",
+                                     "--curvature", "0", "--mesh", "16"])
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == ("error: invalid input: disk points are single "
+                           "radii\n")
+        else:
+            assert json.loads(out)["kind"] == "disk"
+
+    def test_empty_point_list(self, capsys):
+        code, out, err = run(capsys, ["solve", "--points", ";",
+                                      "--beta", "0.7"])
+        assert (code, out) == (2, "")
+        assert err == "error: invalid input: empty point list\n"
 
     def test_eigensolver_failure_is_solver_error(self, capsys, monkeypatch):
         # ARPACK serves the 2-D pencil only

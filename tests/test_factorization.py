@@ -328,3 +328,9 @@ class TestBlowupChart:
         z1, z2 = branch.z
         assert blowup_chart_J2(A, b, branch).z0 == (z1 + z2) / 2.0
 
+    def test_two_points_only(self):
+        b = WeightVector((0.8, 1.2, 1.0))
+        A = CoeffVector((0.1, 0.04, 0.01))
+        with pytest.raises(ValueError, match="implemented for J = 2"):
+            blowup_chart_J2(A, b, inverse_map(A, b)[0])
+

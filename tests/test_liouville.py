@@ -128,6 +128,21 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             ConicProblem("sphere", points=ANTIPODAL, beta=(0.8,))
 
+    @pytest.mark.parametrize("point", [(0.0, 0.0), (0.0, 0.0, 0.0)])
+    def test_disk_points_are_radii(self, point):
+        with pytest.raises(ValueError, match="disk points are single radii"):
+            ConicProblem("disk", points=(point,), beta=(0.7,), curvature=0)
+
+    @pytest.mark.parametrize("background,curvature,message", [
+        ("plane", 1, "background must be 'sphere' or 'disk'"),
+        ("sphere", 2, "curvature must be -1, 0 or 1"),
+    ], ids=["background", "curvature"])
+    def test_unknown_background_or_curvature_rejected(self, background,
+                                                      curvature, message):
+        with pytest.raises(ValueError, match=message):
+            ConicProblem(background, points=ANTIPODAL, beta=(1.7, 1.7),
+                         curvature=curvature)
+
     def test_chi(self):
         assert football_problem(1.7).chi == pytest.approx(2 * 1.7)
 
@@ -397,6 +412,15 @@ class TestKrylovStep:
             got = krylov(*system)
             assert np.max(np.abs(got - want)) \
                 <= 1e-10 * np.max(np.abs(want))
+
+    def test_singular_mean_jacobian_is_solver_error(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular tridiagonal matrix")
+        monkeypatch.setattr(liouville, "tridiag_solver", singular)
+        prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.6, 0.6))
+        with pytest.raises(SolverError,
+                           match="the longitude-mean Jacobian is singular"):
+            solve_liouville(prob, 24)
 
     def test_2d_solve_makes_no_sparse_lu(self, monkeypatch):
         forbid_superlu(monkeypatch)
@@ -771,6 +795,12 @@ class TestSpectrumNearTwo:
         assert sigma == 2.0 + 1e-8
         assert np.allclose(solve(np.ones(n)), 1.0 / ((2.0 - sigma) * b))
 
+    def test_2d_shift_singular_at_both_shifts_raises(self):
+        # A - sigma B has a zero pivot at sigma = 2 and at 2 + 1e-8
+        sigmas = np.array([2.0, 2.0 + 1e-8, 3.0, 4.0])
+        with pytest.raises(RuntimeError, match="singular"):
+            _shift_solver(sparse.diags(sigmas, format="csc"), np.ones(4))
+
     def test_reproducible(self):
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
         m = solve_liouville(prob, 48)
@@ -844,6 +874,26 @@ class TestFriedrichsFit:
         # 2 beta = 1.2, so a single indicial pair with exponent 1/beta
         assert len(fit.indicial) == 1
         assert fit.indicial[0][0] == pytest.approx(1.0 / 0.6)
+
+    def test_point_near_a_grid_pole(self):
+        # EQUATOR3 turned about the y axis so that point 0 sits at
+        # colatitude 0.3, where the chart angle takes its bearing from the
+        # x axis, not from the z axis
+        tilt = math.pi / 2 - 0.3
+        points = [(math.acos(math.cos(lon) * math.sin(tilt)),
+                   math.atan2(math.sin(lon), math.cos(lon) * math.cos(tilt)))
+                  for lon in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+        assert abs(sphere_point(*points[0])[2]) > 0.9
+        m = solve_liouville(ConicProblem("sphere", points=points,
+                                         beta=(0.6, 0.6, 0.6)), 96)
+        fits = [friedrichs_fit(m, i) for i in range(3)]
+        assert all(fit.slope >= 1.9 for fit in fits)
+        a0 = [fit.a0 for fit in fits]
+        assert max(a0) - min(a0) < 1e-4
+
+    def test_requires_2d_solve(self, football17):
+        with pytest.raises(ValueError, match="for 2-D solves"):
+            friedrichs_fit(football17, 0)
 
     def test_integer_two_beta_counts_as_angles_does(self):
         # at 2 beta = 1 the r^{1/beta} = r^2 column would repeat the fit's

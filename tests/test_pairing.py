@@ -125,6 +125,13 @@ class TestPairing:
         with pytest.raises(ValueError):
             pairing_B([row], dirs)
 
+    def test_point_count_mismatch_rejected(self):
+        row = [eig_row(2.5, [(1, 1.0, 0.0)])]
+        dirs = [DirectionCoeffs(2.5, ((1, 1.0, 0.0),)),
+                DirectionCoeffs(0.7, ((1, 4.0, 0.0),))]
+        with pytest.raises(ValueError, match="cone-point counts differ"):
+            pairing_B([row], dirs)
+
 
 class TestBoundaryIntegral:
     EPS = (0.05, 0.1, 0.2)

@@ -196,6 +196,12 @@ class TestEigenfunctions:
         with pytest.raises(ValueError):
             R(np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("beta,j,ell", [(1.5, -1, 0), (1.5, 0, -1),
+                                            (0.0, 0, 0)])
+    def test_invalid_mode_rejected(self, beta, j, ell):
+        with pytest.raises(ValueError, match="invalid mode"):
+            football_eigenfunction(beta, j, ell)
+
 
 class TestFlow:
     def test_forward_path(self):
