@@ -258,6 +258,11 @@ class ConicProblem:
         beta = self.beta if isinstance(self.beta, AngleVector) else \
             AngleVector(genus=0, beta=tuple(self.beta))
         object.__setattr__(self, "beta", beta)
+        for b in beta.beta:
+            if is_integer(b) and int_part(b) == 0:
+                raise ValueError(f"angle parameter {b!r} counts as the "
+                                 "integer 0 (within INT_TOL): a cone of "
+                                 "angle 0 has no conic metric")
         object.__setattr__(self, "points", tuple(tuple(np.atleast_1d(p))
                                                  for p in self.points))
         if not all(np.all(np.isfinite(p)) for p in self.points):
@@ -431,9 +436,15 @@ def _solve_closed(problem, K, W, dists, pair_dists, P):
         residual, step, np.concatenate([np.full(N, w0),
                                         e_reg * math.exp(2.0 * w0)]),
         NEWTON_TOL, floor)
+    rho = fields(x)[0]
+    # the row tolerance grows with sup|w|, so a w falling without bound can
+    # pass it with e^{2u} underflowed to 0
+    if not np.all(rho > 0.0):
+        raise SolverError("Newton converged to a density that is not "
+                          "positive in every cell", residual=resid)
     A = np.zeros(len(betas))
     A[idx] = x[N:]
-    return (x[:N].reshape(shape), fields(x)[0].reshape(shape),
+    return (x[:N].reshape(shape), rho.reshape(shape),
             tuple(float(a) for a in A), float(resid))
 
 
@@ -455,10 +466,12 @@ def _solve_football(problem, n):
     w, rho, A, resid = _solve_closed(
         problem, _band_stiffness(form.bands()), form.weight, dists,
         ((0.0, math.pi), (math.pi, 0.0)), P)
+    # "form", the full grid's, serves the j = 0 pencil and projected_solve
     return DiscreteConicMetric(
         problem=problem, kind="football", n=n, w=w, rho=rho, sing_coeffs=A,
         residual=resid, mesh={"phi": phi, "dists": dists,
-                              "measure": 4.0 * math.pi * form.weight * form.h})
+                              "measure": 4.0 * math.pi * form.weight * form.h,
+                              "form": FluxForm(n, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -492,18 +505,19 @@ def _assemble_laplacian(form):
 def _lon_fft_stiffness(form, A):
     """The _Stiffness of the flux form A of the n x 2n grid whose latitude
     stiffness is ``form = FluxForm(n, 1)`` (``_assemble_laplacian``).  Its
-    ``solve`` builds J = A - diag(shift) and the rows diag(scale) P as
-    sparse matrices and runs GMRES on the whole (N + k) system: one cycle
-    of at most KRYLOV_RESTART iterations, with no restart, since later
-    cycles gain little once the step nears the rounding floor of the
+    ``solve`` runs GMRES on the whole (N + k) system, applying the Jacobian
+    J = A - diag(shift) as A x - shift x, with no N x N matrix built per
+    step, and the border rows diag(scale) P as a sparse k x N matrix: one
+    cycle of at most KRYLOV_RESTART iterations, with no restart, since
+    later cycles gain little once the step nears the rounding floor of the
     residual.
 
     The preconditioner is the same bordered system with J = A - 2 diag(M
     rho) replaced by Q = A - 2 diag(M rhobar), rhobar(phi) the longitude
     mean of the density; Q is J with its diagonal averaged over each
-    latitude row.  Q is circulant in longitude like A, so an rfft in
-    longitude splits it into n + 1 real symmetric latitude tridiagonals,
-    one per Fourier mode m,
+    latitude row, and the diagonal of A is read once per _Stiffness.  Q is
+    circulant in longitude like A, so an rfft in longitude splits it into
+    n + 1 real symmetric latitude tridiagonals, one per Fourier mode m,
 
         h^2 K + diag((2 - 2 cos(pi m / n)) / sin phi - 2 M rhobar),
 
@@ -521,12 +535,12 @@ def _lon_fft_stiffness(form, A):
     # diagonal already holds the 2
     modal = (-2.0 * np.cos(np.pi * np.arange(n_lat + 1) / n_lat)[:, None]
              / form.weight).ravel()
+    diag = A.diagonal()
 
     def solve(shift, cols, scale, P, corner, rhs):
         N, k = cols.shape
-        J = A - sparse.diags(shift)
         rows = sparse.diags(scale) @ P
-        mean = J.diagonal().reshape(n_lat, n_lon).mean(axis=1)
+        mean = (diag - shift).reshape(n_lat, n_lon).mean(axis=1)
         try:
             modes = tridiag_solver(sub, np.tile(mean, n_lat + 1) + modal, sub)
         except np.linalg.LinAlgError:
@@ -544,7 +558,7 @@ def _lon_fft_stiffness(form, A):
                                 axis=1).reshape(N, c)
 
         def bordered(x):
-            return np.concatenate([J @ x[:N] + cols @ x[N:],
+            return np.concatenate([A @ x[:N] - shift * x[:N] + cols @ x[N:],
                                    rows @ x[:N] + corner @ x[N:]])
 
         Z = precond(cols)
@@ -706,13 +720,14 @@ def _pencils(metric):
     (Rayleigh); only the modes with j(j+1) <= 1.1 (2 + 1.5 WINDOW) max(rho)
     can reach the band ``spectrum_near_two`` reads, and only those below
     2 ceil(beta) + 5 are kept (ceil in the sense of ``angles.int_part`` and
-    ``is_integer``).  A 2-D solve is one pencil (j = None): the sparse
-    stiffness and the mass M e^{2u}.
+    ``is_integer``); j = 0 reads the solve's own full-grid ``FluxForm(n,
+    1)``.  A 2-D solve is one pencil (j = None): the sparse stiffness and
+    the mass M e^{2u}.
     """
     if metric.kind == "football":
         rho, b = metric.density(full=True), metric.beta[0]
         reach = 1.1 * (2.0 + 1.5 * WINDOW) * np.max(rho)
-        forms = [FluxForm(metric.n, 2 * j + 1)
+        forms = [FluxForm(metric.n, 2 * j + 1) if j else metric.mesh["form"]
                  for j in range(2 * (int_part(b) - is_integer(b)) + 7)
                  if j * (j + 1) <= reach]
         return [(j, mode_multiplicity(j),
@@ -761,18 +776,18 @@ def spectrum_near_two(metric):
     wide = 1.5 * WINDOW
     lams, mults, axisym = [], [], {}
     for j, mult, A, b in _pencils(metric):
-        N = len(b)
-        v0 = np.random.default_rng(0).standard_normal(N)
         if j is not None:
             try:
                 vals, vecs = tridiag_pencil_eigs(A, b, 2.0 - 1.1 * wide,
-                                                 2.0 + 1.1 * wide, v0)
+                                                 2.0 + 1.1 * wide)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(str(exc)) from exc
             if j == 0:
                 axisym = dict(enumerate(vecs.T, start=len(lams)))
         else:
+            N = len(b)
             k = min(2, N - 2)
+            v0 = np.random.default_rng(0).standard_normal(N)
             sigma, solve = _shift_solver(A, b)
             OPinv = LinearOperator((N, N), solve, dtype=float)
             B = LinearOperator((N, N), b.__mul__, dtype=float)
@@ -815,8 +830,7 @@ def projected_solve(metric, fiber, density_perturbation=None):
     if metric.kind != "football":
         raise NotImplementedError("projected solve in the axisymmetric "
                                   "reduction only")
-    n = metric.n
-    form = FluxForm(n, 1)
+    n, form = metric.n, metric.mesh["form"]
     h, K, W = form.h, _band_stiffness(form.bands()), form.weight
     # rho2 K_{g2} = 1 - div grad(log rho2)/2, with div grad u = -(K u) / W
     # as in _solve_closed.  For the base solution that equals rho2_0 by its

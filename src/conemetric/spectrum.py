@@ -15,7 +15,8 @@ unit-norm radial eigenfunctions, an independent Sturm-Liouville
 finite-difference oracle, the spectral-flow crossing report at
 eigenvalue 2 along paths of footballs, the flux form with its LAPACK
 tridiagonal LU that every football operator and solver shares, and the
-eigenpairs of a tridiagonal pencil in a band by Sturm bisection.
+eigenpairs of a tridiagonal pencil, in a band or the lowest few, by Sturm
+bisection.
 
 Below 2 lie only (0, 0) and the doubled (j, 0) with 1 <= j < beta, so
 #{lambda < 2} = 1 + 2n with n = max(0, [beta] - 1) at an integer beta and
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
-from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import eval_gegenbauer, gammaln
 
 from .angles import int_part, is_integer
@@ -207,17 +207,19 @@ def tridiag_solver(sub, diag, sup):
     return lambda b: dgttrs(*lu, b)[0]
 
 
-def tridiag_pencil_eigs(bands, b, lo, hi, v0):
+def tridiag_pencil_eigs(bands, b, lo=None, hi=None, lowest=None):
     """Eigenpairs (values, b-unit vectors as columns) of the pencil
-    (A, diag(b)) with lo < lambda <= hi, in ascending order; A is symmetric
-    tridiagonal, given as its (sub, diag, sup) bands, and b > 0.
+    (A, diag(b)) with lo < lambda <= hi, or the ``lowest`` least of them,
+    in ascending order; A is symmetric tridiagonal, given as its
+    (sub, diag, sup) bands, and b > 0.
 
     LAPACK dstebz brackets each eigenvalue by Sturm bisection on the scaled
-    tridiagonal b^{-1/2} A b^{-1/2}.  Its tolerance 2 tiny asks for full
-    relative accuracy: 0 would stop at ulp |T|, about 1e48 where b falls to
-    1e-64 at the poles.  The scaled bisection still lands up to ~2e-11
-    relative off the pencil's eigenvalue, so one inverse-iteration step from
-    the fixed start v0 polishes each bracket mu: with S = A - mu diag(b)
+    tridiagonal b^{-1/2} A b^{-1/2}, over the value range (lo, hi] or the
+    index range 1..lowest.  Its tolerance 2 tiny asks for full relative
+    accuracy: 0 would stop at ulp |T|, about 1e48 where b falls to 1e-64 at
+    the poles.  The scaled bisection still lands up to ~2e-11 relative off
+    the pencil's eigenvalue, so one inverse-iteration step from a fixed
+    seeded start v0 polishes each bracket mu: with S = A - mu diag(b)
     (moved to mu (1 + 1e-13) where it is exactly singular),
     x = S^{-1}(b v0) normalized in the b-norm and y = S^{-1}(b x) give
     lambda = mu + 1 / (x^T b y) and the eigenvector y / |y|_b.  A failed
@@ -225,11 +227,13 @@ def tridiag_pencil_eigs(bands, b, lo, hi, v0):
     """
     sub, diag, sup = bands
     root = np.sqrt(b)
-    m, mus, *_, info = dstebz(diag / b, sub / (root[:-1] * root[1:]), 1,
-                              lo, hi, 0, 0, 2.0 * np.finfo(float).tiny, "E")
+    select = (1, lo, hi, 0, 0) if lowest is None else (2, 0.0, 0.0, 1, lowest)
+    m, mus, *_, info = dstebz(diag / b, sub / (root[:-1] * root[1:]), *select,
+                              2.0 * np.finfo(float).tiny, "E")
     if info:
         raise np.linalg.LinAlgError(f"Sturm bisection failed (dstebz info "
                                     f"{info})")
+    v0 = np.random.default_rng(0).standard_normal(len(b))
     vals, vecs = np.empty(m), np.empty((len(b), m))
     for i, mu in enumerate(mus[:m]):
         try:
@@ -251,21 +255,13 @@ def _sl_eigs(alpha, n):
     With R = (sin r)^alpha S the radial operator becomes the degenerate
     Sturm-Liouville problem -(w S')' = (lambda - alpha(alpha+1)) w S with
     weight w = (sin r)^{2 alpha + 1}; the zero-flux end faces of the flux
-    form implement the Friedrichs choice at both poles.
+    form implement the Friedrichs choice at both poles.  The pencil
+    (stiffness, diag(w)) goes to ``tridiag_pencil_eigs``, which asks
+    dstebz for its eigenvalues 1 to 5 by index.
     """
     form = FluxForm(n, 2 * alpha + 1)
-    # Generalized shift-invert at -1 (A + B is the stiffness plus the
-    # weight), from a fixed start: symmetrizing by B^{-1/2} instead loses
-    # ~eps * 2^{2 alpha + 1} / h^2 to roundoff near the poles, where the
-    # weight varies by orders of magnitude across a single cell.
-    OPinv = LinearOperator((n, n), tridiag_solver(*form.bands(form.weight)),
-                           dtype=float)
-    # with OPinv given, shift-invert eigsh reads only the shape of its A
-    vals = eigsh(OPinv, k=5, sigma=-1.0, which="LM", OPinv=OPinv,
-                 M=LinearOperator((n, n), form.weight.__mul__, dtype=float),
-                 v0=np.random.default_rng(0).standard_normal(n),
-                 return_eigenvectors=False)
-    return np.sort(vals) + alpha * (alpha + 1.0)
+    vals, _ = tridiag_pencil_eigs(form.bands(), form.weight, lowest=5)
+    return vals + alpha * (alpha + 1.0)
 
 
 def radial_sturm_liouville(beta, j):

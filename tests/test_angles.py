@@ -97,6 +97,13 @@ class TestMondelloPanov:
         assert mp_distance(av) >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("check", [mp_distance, coaxial_check])
+def test_genus_zero_only(check):
+    # troyanov_check and conic_euler_char take any genus; these do not
+    with pytest.raises(ValueError, match="defined for genus 0"):
+        check(AngleVector(1, (1.5, 0.5)))
+
+
 class TestSubcritical:
     def test_equilateral_small_angles(self):
         assert subcritical_check(AngleVector(0, (0.6, 0.6, 0.6)))

@@ -487,6 +487,55 @@ class TestSolve:
         else:
             assert json.loads(out)["kind"] == "disk"
 
+    @pytest.mark.parametrize("points,beta", [
+        ("0,0;3.141592653589793,0", "1e-10,1e-10"),
+        ("0,0;3.141592653589793,0", "1e-9,1e-9"),
+        (EQUATOR3, "0.6,0.6,1e-10")], ids=["football", "int-tol", "2d"])
+    def test_angle_counting_as_zero_is_config_error(self, capsys,
+                                                    monkeypatch, points,
+                                                    beta):
+        # spectrum reads a beta within INT_TOL of 0 as the integer 0; solve
+        # refuses it before any solve
+        def unreachable(*args):
+            raise AssertionError("the solver was reached")
+        monkeypatch.setattr(cli, "solve_liouville", unreachable)
+        code, out, err = run(capsys, ["solve", "--points", points, "--beta",
+                                      beta, "--mesh", "16"])
+        assert (code, out) == (2, "")
+        assert "counts as the integer 0" in err
+        assert len(err.splitlines()) == 1
+
+    def test_underflowed_density_is_solver_error(self, capsys):
+        # the beta = 1e-3 football converges to a density of 0 at n = 16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["solve", "--points",
+                                          "0,0;3.141592653589793,0",
+                                          "--beta", "1e-3,1e-3",
+                                          "--mesh", "16"])
+        assert (code, out) == (3, "")
+        assert err == ("error: solver failure: Newton converged to a "
+                       "density that is not positive in every cell\n")
+
+    def test_football_builds_each_flux_form_once(self, capsys, monkeypatch):
+        # the half grid of the Newton solve, the full grid that the j = 0
+        # pencil and the projected solve share, and the j = 1, 2 pencils
+        built = []
+        init = spectrum.FluxForm.__init__
+
+        def recorded(self, n, p, cells=None):
+            built.append((n, p, cells))
+            init(self, n, p, cells)
+
+        monkeypatch.setattr(spectrum.FluxForm, "__init__", recorded)
+        code, _, _ = run(capsys, ["solve", "--points",
+                                  "0,0;3.141592653589793,0", "--beta",
+                                  "1.7,1.7", "--mesh", "512"])
+        assert code == 0
+        assert built.count((512, 1, None)) == 1
+        assert sorted(built, key=str) == [(512, 1, 256), (512, 1, None),
+                                          (512, 3, None), (512, 5, None)]
+
     def test_empty_point_list(self, capsys):
         code, out, err = run(capsys, ["solve", "--points", ";",
                                       "--beta", "0.7"])
@@ -524,7 +573,7 @@ class TestSolve:
     def test_window_edges_too_close_is_solver_error(self, capsys,
                                                     monkeypatch):
         # an eigenvalue on an edge of each of the windows 0.5, 0.75 and 1/3
-        def on_every_edge(A, b, lo, hi, v0):
+        def on_every_edge(A, b, lo, hi):
             return np.array([2.5, 2.75, 2.0 + 1.0 / 3.0]), np.zeros((len(b),
                                                                      3))
         monkeypatch.setattr(liouville, "tridiag_pencil_eigs", on_every_edge)

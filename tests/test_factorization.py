@@ -44,6 +44,16 @@ class TestWeightVector:
         assert WeightVector((1.0, 1.0, 1.0)).is_equal
         assert not WeightVector((0.5, 1.5)).is_equal
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: WeightVector(()), "empty weight vector"),
+        (lambda: CoeffVector(()), "finite and nonempty"),
+        (lambda: forward_map((0.1, 0.2j), WeightVector((1.0, 1.0, 1.0))),
+         "number of points must match")],
+        ids=["no-weights", "no-coeffs", "point-count"])
+    def test_empty_or_mismatched_input_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestPowerSums:
     @given(st.integers(1, 5), st.data())

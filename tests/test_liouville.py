@@ -146,6 +146,17 @@ class TestProblemValidation:
     def test_chi(self):
         assert football_problem(1.7).chi == pytest.approx(2 * 1.7)
 
+    @pytest.mark.parametrize("beta", [1e-9, 1e-10, 1e-300])
+    def test_angle_counting_as_zero_rejected(self, beta):
+        # within INT_TOL of 0, as angles.is_integer and int_part read it
+        with pytest.raises(ValueError, match="counts as the integer 0"):
+            ConicProblem("sphere", points=ANTIPODAL, beta=(beta, beta))
+        with pytest.raises(ValueError, match="counts as the integer 0"):
+            ConicProblem("disk", points=((0.0,),), beta=(beta,),
+                         curvature=-1)
+        assert ConicProblem("sphere", points=ANTIPODAL,
+                            beta=(2e-9, 2e-9)).is_football
+
 
 class TestFootballSolve:
     def test_converged(self, football17):
@@ -225,6 +236,54 @@ class TestConvergedDensity:
                             16)
         with pytest.raises(ValueError, match="closed solves only"):
             m.density()
+
+
+class TestUnderflowedDensity:
+    def test_tiny_angle_football_is_solver_error(self):
+        # at beta = 1e-3, n = 16 Newton drives w to about -4e12; the row
+        # tolerance floor (1 + sup|w|) then passes the residual of a density
+        # that is 0 in every cell, with area 0 against 4 pi beta
+        with pytest.raises(SolverError, match="not positive in every cell"):
+            solve_liouville(football_problem(1e-3), 16)
+
+
+SYM_POINTS = ((1.0, 0.7), (2.0, 2.9), (1.4, 4.6))
+SYM_BETA = (0.6, 0.7, 0.8)
+
+
+def symmetry_report(order, image, n=48):
+    """(area, eigenvalues near 2, sing_coeffs) of the 2-D solve of the
+    points SYM_POINTS[order] mapped by image, with their angles."""
+    m = solve_liouville(ConicProblem(
+        "sphere", points=[image(*SYM_POINTS[k]) for k in order],
+        beta=[SYM_BETA[k] for k in order]), n)
+    return m.area(), spectrum_near_two(m).eigenvalues_near_2, m.sing_coeffs
+
+
+@pytest.fixture(scope="module")
+def symmetry_base():
+    return symmetry_report((0, 1, 2), lambda c, l: (c, l))
+
+
+class TestExactSymmetry:
+    """The n x 2n lat-lon grid maps onto itself under a relabelling of the
+    points, a longitude shift by whole cells and the two reflections, so
+    the 2-D solve must give the same answer up to rounding."""
+
+    @pytest.mark.parametrize("order,image", [
+        ((2, 0, 1), lambda c, l: (c, l)),
+        ((0, 1, 2), lambda c, l: (c, l + 3.0 * math.pi / 48)),
+        ((0, 1, 2), lambda c, l: (math.pi - c, l)),
+        ((0, 1, 2), lambda c, l: (c, 2.0 * math.pi - l)),
+    ], ids=["permute", "shift-3-cells", "reflect-colatitude",
+            "reflect-longitude"])
+    def test_grid_symmetry(self, symmetry_base, order, image):
+        area, eigs, coeffs = symmetry_report(order, image)
+        base_area, base_eigs, base_coeffs = symmetry_base
+        assert area == pytest.approx(base_area, rel=1e-10, abs=0.0)
+        np.testing.assert_allclose(eigs, base_eigs, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(coeffs, [base_coeffs[k] for k in order],
+                                   rtol=1e-10, atol=0.0)
 
 
 class TestSphere2dSolve:
@@ -421,6 +480,26 @@ class TestKrylovStep:
         with pytest.raises(SolverError,
                            match="the longitude-mean Jacobian is singular"):
             solve_liouville(prob, 24)
+
+    def test_newton_step_builds_no_square_sparse_matrix(self, monkeypatch):
+        # the step applies A x - shift x; only the k x N border rows are
+        # sparse
+        n = 24
+        A, systems = newton_systems(monkeypatch, EQUATOR3, (0.6, 0.7, 0.8),
+                                    n)
+        solve = _lon_fft_stiffness(FluxForm(n, 1), A).solve
+        built = []
+        init = _spbase.__init__
+
+        def recorded(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_spbase, "__init__", recorded)
+        solve(*systems[0])
+        shapes = {m.shape for m in built}
+        assert shapes and A.shape not in shapes
+        assert all(rows == 3 for rows, _ in shapes)
 
     def test_2d_solve_makes_no_sparse_lu(self, monkeypatch):
         forbid_superlu(monkeypatch)
@@ -689,9 +768,7 @@ class TestSpectrumNearTwo:
         fib = spectrum_near_two(m)
         j, _, A, b = _pencils(m)[0]
         band = 1.1 * 1.5 * liouville.WINDOW
-        vals, vecs = tridiag_pencil_eigs(
-            A, b, 2.0 - band, 2.0 + band,
-            np.random.default_rng(0).standard_normal(len(b)))
+        vals, vecs = tridiag_pencil_eigs(A, b, 2.0 - band, 2.0 + band)
         inside = np.abs(vals - 2.0) < fib.window
         assert j == 0 and np.sum(inside) == 1
         assert (fib.ell, len(fib.eigenvalues_near_2)) == (3, 2)
@@ -783,8 +860,7 @@ class TestSpectrumNearTwo:
         n = 6
         b = np.linspace(1.0, 2.0, n)
         vals, vecs = tridiag_pencil_eigs(
-            (np.zeros(n - 1), 2.0 * b, np.zeros(n - 1)), b, 1.0, 3.0,
-            np.ones(n))
+            (np.zeros(n - 1), 2.0 * b, np.zeros(n - 1)), b, 1.0, 3.0)
         assert np.all(np.abs(vals - 2.0) <= 4.0 * np.finfo(float).eps)
         assert np.allclose(np.sum(vecs * vecs * b[:, None], axis=0), 1.0)
 

@@ -125,6 +125,10 @@ class TestPairing:
         with pytest.raises(ValueError):
             pairing_B([row], dirs)
 
+    def test_no_rows_pair_to_nothing(self):
+        dirs = [DirectionCoeffs(2.5, ((1, 1.0, 0.0),))]
+        assert pairing_B([], dirs).shape == (0,)
+
     def test_point_count_mismatch_rejected(self):
         row = [eig_row(2.5, [(1, 1.0, 0.0)])]
         dirs = [DirectionCoeffs(2.5, ((1, 1.0, 0.0),)),
@@ -221,6 +225,11 @@ class TestSolutionSpace:
         expected[[3, 7], 5] = (math.sqrt(0.5), -math.sqrt(0.5))
         assert np.max(np.abs(V - expected)) < 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            solution_space([[1.0, bad]])
+
     def test_rank_plus_dim_is_column_count(self):
         rng = np.random.default_rng(2)
         for rows, cols in [(1, 4), (5, 4), (2, 2)]:
@@ -307,4 +316,6 @@ class TestVdotFlatness:
             vdot_vanishing_check(self.A3, 3, 0)      # order out of range
         with pytest.raises(ValueError):
             vdot_vanishing_check(self.A3, 3, 4)
+        with pytest.raises(ValueError, match="need J polynomial"):
+            vdot_limit_residual(self.A3, 2)     # wrong coefficient count
 
