@@ -53,6 +53,9 @@ __all__ = [
 
 #: tolerance for angle comparisons: integer angles and the splitting checks
 INT_TOL = 1e-9
+#: most angles coaxial_check and split angles splitting_spec take: their
+#: sign-vector and subcluster searches take time exponential in the count
+MAX_ANGLES = 16
 
 
 def finite_real(x, what):
@@ -259,10 +262,13 @@ def coaxial_check(av: AngleVector) -> CoaxialResult:
     (beta_1..beta_m, 1,...,1) = eta * b exist.
 
     Irrational inputs leave the last premise undecidable, in which case the
-    result is "indeterminate" rather than "true".
+    result is "indeterminate" rather than "true".  At most MAX_ANGLES angles.
     """
     if av.genus != 0:
         raise ValueError("coaxial_check is defined for genus 0")
+    if av.k > MAX_ANGLES:
+        raise ValueError(f"coaxial_check takes at most {MAX_ANGLES} angles, "
+                         f"got {av.k}")
     beta = av.beta
     n = len(beta)
     nonint = [b for b in beta if not is_integer(b)]
@@ -316,8 +322,12 @@ def splitting_spec(av: AngleVector, B) -> SplitSpec:
     in descending order of the original angles: the cluster of the j-th
     largest angle receives max([beta_j], 1) entries.  Each split cluster
     must preserve the Gauss-Bonnet sum, contain no angle exactly 2*pi, and
-    contain no nonempty subcluster whose angle excesses sum to zero.
+    contain no nonempty subcluster whose angle excesses sum to zero.  ``B``
+    is a list or tuple of at most MAX_ANGLES entries.
     """
+    if not isinstance(B, (list, tuple)) or len(B) > MAX_ANGLES:
+        raise ValueError(f"split angles B must be a list of at most "
+                         f"{MAX_ANGLES} numbers")
     order = sorted(range(av.k), key=lambda i: -av.beta[i])
     beta_sorted = [av.beta[i] for i in order]
     k0 = sum(1 for b in beta_sorted if is_weighted(b))

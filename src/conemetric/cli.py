@@ -54,8 +54,6 @@ EXIT_VERIFY = 4
 MAX_RAY_SAMPLES = 10_000
 #: most samples `spectrum --flow start:stop:count` may ask for
 MAX_FLOW_SAMPLES = 10_000
-#: most entries of an `angles` config's beta or B list
-MAX_ANGLES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +153,6 @@ def _parse_points(text):
 _ANGLES_KEYS = {"genus", "beta", "B"}
 
 
-def _angle_list(cfg, key):
-    """cfg[key], a list of at most MAX_ANGLES entries: the coaxial and
-    subcluster searches take time exponential in the count.  AngleVector
-    and splitting_spec check the entries."""
-    value = cfg[key]
-    if type(value) is list and len(value) <= MAX_ANGLES:
-        return value
-    raise ValueError(f"{key!r} must be a list of at most {MAX_ANGLES} "
-                     "numbers")
-
-
 def cmd_angles(args):
     try:
         with open(args.config) as fh:
@@ -179,8 +166,7 @@ def cmd_angles(args):
         raise ValueError(f"unknown config keys {sorted(unknown)}")
     if "beta" not in cfg:
         raise ValueError("config must provide 'beta'")
-    av = AngleVector(cfg.get("genus", 0), _angle_list(cfg, "beta"))
-    B = _angle_list(cfg, "B") if "B" in cfg else None
+    av = AngleVector(cfg.get("genus", 0), cfg["beta"])
     chi = conic_euler_char(av)
     # the lattice and coaxial tests are those of the sphere; the Troyanov
     # region needs chi > 0
@@ -201,8 +187,8 @@ def cmd_angles(args):
         eta = None if coax.eta is None else [coax.eta.numerator,
                                              coax.eta.denominator]
         report["coaxial"] = {**vars(coax), "eta": eta}
-    if B is not None:
-        report["splitting"] = vars(splitting_spec(av, B))
+    if "B" in cfg:
+        report["splitting"] = vars(splitting_spec(av, cfg["B"]))
     _emit(report, args.output)
     return EXIT_OK
 
@@ -307,8 +293,6 @@ def cmd_solve(args):
     points = _parse_points(args.points)
     av = AngleVector(0, _parse_list(args.beta, float))
     problem = ConicProblem(args.background, points, av, args.curvature)
-    if args.axisym and not problem.is_football:
-        raise ValueError("--axisym requires an antipodal equal-angle pair")
     metric = solve_liouville(problem, args.mesh)
 
     diagnostics = {
@@ -493,8 +477,6 @@ def build_parser():
                    help="grid resolution n")
     p.add_argument("--background", default="sphere",
                    choices=("sphere", "disk"))
-    p.add_argument("--axisym", action="store_true",
-                   help="require the axisymmetric (football) fast path")
     p.add_argument("--samples", help="write solution samples CSV here")
     p.add_argument("--output", help="write the diagnostics JSON here")
     p.set_defaults(func=cmd_solve)

@@ -93,7 +93,8 @@ def damped_newton(residual, step, x0, tol, floor):
     when the merit max_i |F_i| / tol_i falls below 1, which is the only
     way it converges.  Each correction is halved up to 40 times until the
     merit decreases; trials that overflow count as no decrease, and a
-    correction that no halving helps is a SolverError.
+    correction that no halving helps is a SolverError.  So is a step whose
+    linear solve raises numpy.linalg.LinAlgError: the Jacobian is singular.
     """
     def merit(x, F):
         return np.max(np.abs(F) / np.maximum(
@@ -104,7 +105,11 @@ def damped_newton(residual, step, x0, tol, floor):
         res = merit(x, F)
         if res < 1.0:
             return x, np.max(np.abs(F))
-        dx = step(x, F)
+        try:
+            dx = step(x, F)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"{exc} in a Newton step",
+                              residual=np.max(np.abs(F))) from exc
         t = 1.0
         for _ls in range(40):
             trial = x + t * dx
@@ -342,11 +347,19 @@ class DiscreteConicMetric:
             return np.concatenate([self.rho, self.rho[::-1]])
         return self.rho
 
+    def _cone_beta(self, point_index):
+        """beta_j for a point index j in 0..k-1, not counted from the end."""
+        if not 0 <= point_index < len(self.beta):
+            raise ValueError(f"point index {point_index!r} outside 0.."
+                             f"{len(self.beta) - 1}")
+        return self.beta[point_index]
+
     def bounded_part(self, point_index, d, theta):
         """u - (beta_j - 1) log m_j at distance d, chart angle theta, by
         interpolation."""
         if self.kind != "sphere2d":
             raise ValueError("bounded part extraction for 2-D solves")
+        self._cone_beta(point_index)
         g, pts = self.mesh, self.problem.unit_points()
         x = _exp_map(pts[point_index], np.asarray(d, dtype=float),
                      np.asarray(theta, dtype=float))
@@ -541,11 +554,7 @@ def _lon_fft_stiffness(form, A):
         N, k = cols.shape
         rows = sparse.diags(scale) @ P
         mean = (diag - shift).reshape(n_lat, n_lon).mean(axis=1)
-        try:
-            modes = tridiag_solver(sub, np.tile(mean, n_lat + 1) + modal, sub)
-        except np.linalg.LinAlgError:
-            raise SolverError("the longitude-mean Jacobian is singular") \
-                from None
+        modes = tridiag_solver(sub, np.tile(mean, n_lat + 1) + modal, sub)
 
         def precond(B):
             """Q^-1 B for an N x c block B."""
@@ -887,7 +896,7 @@ def friedrichs_fit(metric, point_index):
     ``angles.int_part`` and ``is_integer``; the remainder must decay like
     r^2 in the uniformized radial variable.
     """
-    b = metric.beta[point_index]
+    b = metric._cone_beta(point_index)
     radii = np.geomspace(0.45, 1.0, 8)     # uniformized r = m^beta / beta
     J = int_part(2.0 * b) - is_integer(2.0 * b)
     theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)

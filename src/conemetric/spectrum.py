@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
-from scipy.special import eval_gegenbauer, gammaln
 
 from .angles import int_part, is_integer
 
@@ -139,6 +138,8 @@ def football_eigenfunction(beta, j, ell):
     """
     if beta <= 0 or j < 0 or ell < 0:
         raise ValueError("invalid mode")
+    # loaded here, so that importing the package does not load scipy.special
+    from scipy.special import eval_gegenbauer, gammaln
     a = j / beta
     lam = a + 0.5
     log_norm = (math.log(math.pi) + (1.0 - 2.0 * lam) * math.log(2.0)

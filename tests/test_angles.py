@@ -1,11 +1,12 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conemetric.angles import (AdmissibilityError, AngleVector,
+from conemetric.angles import (MAX_ANGLES, AdmissibilityError, AngleVector,
                                coaxial_check, conic_euler_char, mp_distance,
                                mp_membership, splitting_spec,
                                subcritical_check, troyanov_check)
@@ -138,6 +139,14 @@ class TestCoaxial:
     def test_single_nonintegral_angle(self):
         assert coaxial_check(AngleVector(0, (1.5, 2.0))).status == "false"
 
+    def test_too_many_angles_refused_at_once(self):
+        # 2^30 sign vectors would take about half an hour
+        av = AngleVector(0, [0.5 + 0.01 * i for i in range(30)])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most 16 angles, got 30"):
+            coaxial_check(av)
+        assert time.perf_counter() - start < 0.1
+
 
 class TestSplitting:
     def test_valid_spec(self):
@@ -157,6 +166,23 @@ class TestSplitting:
         av = AngleVector(0, (3.0, 0.5))
         with pytest.raises(AdmissibilityError):
             splitting_spec(av, (1.0, 1.5, 1.5, 0.5))
+
+    @pytest.mark.parametrize("B", [3, "1.75,1.75,0.7", None,
+                                   {"1.75": 0.7}, [1 + 16.5 / 17] * 17],
+                             ids=["number", "str", "none", "dict", "17"])
+    def test_split_list_shape_rejected(self, B):
+        # 17 entries: an admissible equal split of beta = 17.5, whose
+        # subclusters would all be searched
+        av = AngleVector(0, (17.5,) if isinstance(B, list) else (2.5, 0.7))
+        with pytest.raises(ValueError, match="split angles B must be a "
+                           "list of at most 16 numbers"):
+            splitting_spec(av, B)
+
+    def test_largest_split_runs(self):
+        beta0 = MAX_ANGLES + 0.5
+        spec = splitting_spec(AngleVector(0, (beta0,)),
+                              [1 + (beta0 - 1) / MAX_ANGLES] * MAX_ANGLES)
+        assert spec.cluster_sizes == (MAX_ANGLES,)
 
     def test_unbalanced_cluster_rejected(self):
         av = AngleVector(0, (2.5, 0.7))

@@ -91,7 +91,9 @@ class TestAngles:
         ({"genus": 1, "beta": [1.5, 0.7]}, True),
         ({"genus": 2, "beta": [3.5]}, True),
         ({"beta": [0.5, 0.5, 0.5, 0.5]}, False),
-    ], ids=["genus-1", "genus-2", "chi-0"])
+        # genus > 0 runs no coaxial search, so any number of angles reports
+        ({"genus": 1, "beta": [1.5] * 17}, True),
+    ], ids=["genus-1", "genus-2", "chi-0", "genus-1-17-angles"])
     def test_any_genus_and_chi(self, tmp_path, capsys, payload, troyanov):
         code, out, _ = run(capsys, ["angles",
                                     write_config(tmp_path, payload)])
@@ -138,9 +140,13 @@ class TestAngles:
         ({"beta": [2.5, 0.7], "B": [1.0, 2.5, 0.7]},
          "cluster 0: B_0 = 1 (angle 2*pi) is forbidden"),
         ({"beta": [3.5], "B": [1.5, 0.5, 3.5]},
-         "cluster 0: subcluster (0, 1) merges to angle 2*pi")],
+         "cluster 0: subcluster (0, 1) merges to angle 2*pi"),
+        ({"beta": [2.5, 0.7], "B": None},
+         "split angles B must be a list of at most 16 numbers"),
+        ({"genus": 1, "beta": [1.5] * 17, "B": [1.5] * 17},
+         "split angles B must be a list of at most 16 numbers")],
         ids=["nonpositive", "unsplit-moved", "split-angle-one",
-             "subcluster-one"])
+             "subcluster-one", "B-null", "17-split-angles"])
     def test_inadmissible_splitting_rejected(self, tmp_path, capsys,
                                              payload, message):
         code, out, err = run(capsys, ["angles",
@@ -517,6 +523,17 @@ class TestSolve:
         assert err == ("error: solver failure: Newton converged to a "
                        "density that is not positive in every cell\n")
 
+    def test_singular_newton_step_is_solver_error(self, capsys):
+        # the beta = 0.005 football at n = 16 meets an exactly singular
+        # tridiagonal Jacobian in a Newton step
+        code, out, err = run(capsys, ["solve", "--points",
+                                      "0,0;3.141592653589793,0",
+                                      "--beta", "0.005,0.005",
+                                      "--mesh", "16"])
+        assert (code, out) == (3, "")
+        assert err == ("error: solver failure: singular tridiagonal matrix "
+                       "in a Newton step\n")
+
     def test_football_builds_each_flux_form_once(self, capsys, monkeypatch):
         # the half grid of the Newton solve, the full grid that the j = 0
         # pencil and the projected solve share, and the j = 1, 2 pencils
@@ -592,18 +609,6 @@ class TestSolve:
         assert (code, out) == (3, "")
         assert err.startswith("error: solver failure: Singular matrix")
         assert len(err.splitlines()) == 1
-
-    def test_axisym_flag_requires_football(self, capsys, monkeypatch):
-        def no_solve(*args):
-            raise AssertionError("--axisym was checked after the solve")
-        monkeypatch.setattr(liouville, "_solve_sphere2d", no_solve)
-        code, _, _ = run(capsys, ["solve", "--points",
-                                  "1.5707963267948966,0;"
-                                  "1.5707963267948966,2.0943951023931953;"
-                                  "1.5707963267948966,4.1887902047863905",
-                                  "--beta", "0.6,0.6,0.6", "--mesh", "24",
-                                  "--axisym"])
-        assert code == 2
 
 
 FUZZ_POINTS = [(0.0, 0.0), (math.pi, 0.0), (1.5708, 0.0), (1.5708, 2.0944),
@@ -1050,6 +1055,16 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_scipy_special_loads_with_the_first_eigenfunction(self):
+        code = ("import sys, conemetric.cli\n"
+                "print('scipy.special' in sys.modules)\n"
+                "conemetric.cli.football_eigenfunction(2.0, 2, 0)(1.0)\n"
+                "print('scipy.special' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "True"]
 
 
 class TestEntryPoint:

@@ -132,6 +132,32 @@ class TestForwardInverse:
             assert cond == jacobian(br.z, b)[1] == br.condition
 
 
+class TestRelabelling:
+    """sum_j b_j z_j^l = R_l is symmetric under relabelling j, so permuted
+    weights b o pi must give back the branch set {z o pi}, one to one; a
+    repeated branch fails the match."""
+
+    @pytest.mark.parametrize("J", [3, 4])
+    def test_permuted_weights_permute_branches(self, J):
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            w = rng.uniform(0.5, 1.5, size=J)
+            w *= J / w.sum()
+            A = CoeffVector(tuple(
+                complex(*rng.standard_normal(2)) * 0.3 ** ell
+                for ell in range(1, J + 1)))
+            pi = rng.permutation(J)
+            base = np.array([br.z for br in inverse_map(A, WeightVector(
+                tuple(w)))])[:, pi]
+            perm = np.array([br.z for br in inverse_map(A, WeightVector(
+                tuple(w[pi])))])
+            dist = np.max(np.abs(perm[:, None, :] - base[None, :, :]),
+                          axis=2)
+            match = dist <= 1e-12
+            assert np.all(match.sum(axis=0) == 1)
+            assert np.all(match.sum(axis=1) == 1)
+
+
 class TestTwoPointRadicals:
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60)

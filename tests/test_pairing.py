@@ -129,6 +129,13 @@ class TestPairing:
         dirs = [DirectionCoeffs(2.5, ((1, 1.0, 0.0),))]
         assert pairing_B([], dirs).shape == (0,)
 
+    def test_overflowing_values_rejected(self):
+        # each term is about 1e600
+        row = [eig_row(2.0, [(1, 1e300, 1e300), (2, 1e300, 1e300)])]
+        dirs = [direction_coeffs((1e300, 1e300), 2.0)]
+        with pytest.raises(ValueError, match="leave the float range"):
+            pairing_B([row], dirs)
+
     def test_point_count_mismatch_rejected(self):
         row = [eig_row(2.5, [(1, 1.0, 0.0)])]
         dirs = [DirectionCoeffs(2.5, ((1, 1.0, 0.0),)),
@@ -204,6 +211,11 @@ class TestSolutionSpace:
         B = np.full((1, 4), 1e-16)
         V, rep = solution_space(B, atol=1e-8)
         assert rep["rank"] == 0
+        assert np.array_equal(V, np.eye(4))
+
+    def test_zero_matrix_kernel_is_identity(self):
+        V, rep = solution_space(np.zeros((1, 4)))
+        assert (rep["rank"], rep["dim"]) == (0, 4)
         assert np.array_equal(V, np.eye(4))
 
     def test_kernel_basis_ignores_rounding(self):
