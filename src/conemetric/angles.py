@@ -128,9 +128,6 @@ class CoaxialResult:
     b: tuple = ()
     eta: Fraction | None = None
 
-    def __bool__(self):
-        return self.status == "true"
-
 
 class AdmissibilityError(ValueError):
     """Raised when splitting data violates an admissibility constraint."""

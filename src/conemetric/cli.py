@@ -230,7 +230,9 @@ def cmd_split(args):
 
 
 def cmd_spectrum(args):
-    if args.flow:
+    if (args.beta is None) == (args.flow is None):
+        raise ValueError("provide exactly one of --beta and --flow")
+    if args.flow is not None:
         try:
             a, bnd, n = args.flow.split(":")
             a, bnd, n = float(a), float(bnd), int(n)
@@ -253,8 +255,6 @@ def cmd_spectrum(args):
         _emit_csv(("sample", "beta", "count_below_2"), rows, args.output,
                   comments)
         return EXIT_OK
-    if args.beta is None:
-        raise ValueError("provide --beta or --flow")
     modes = football_eigenvalues(args.beta, args.lambda_max)
     # one row per eigenvalue: doubled angular modes contribute two rows
     rows = [(m.j, m.ell, float(m.lam), m.multiplicity)

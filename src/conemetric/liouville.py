@@ -173,20 +173,14 @@ def _band_stiffness(bands):
 # geometry helpers (unit sphere; points as colatitude/longitude pairs)
 
 def sphere_point(colat, lon):
-    return np.array([math.sin(colat) * math.cos(lon),
-                     math.sin(colat) * math.sin(lon),
-                     math.cos(colat)])
+    """Unit vectors, shape (..., 3), at colatitudes colat, longitudes lon."""
+    return np.stack([np.sin(colat) * np.cos(lon),
+                     np.sin(colat) * np.sin(lon), np.cos(colat)], axis=-1)
 
 
-def _distance(x, p):
-    """Great-circle distance; x may be an array of shape (..., 3)."""
-    dots = np.clip(np.asarray(x) @ p, -1.0, 1.0)
-    return np.arccos(dots)
-
-
-def _chord(d):
-    """m = 2 sin(d/2), the chordal distance."""
-    return 2.0 * np.sin(np.asarray(d) / 2.0)
+def _chord(x, p):
+    """m = |x - p|, the chordal distance; x may have shape (..., 3)."""
+    return np.linalg.norm(x - p, axis=-1)
 
 
 def _bearing_frame(p):
@@ -200,23 +194,25 @@ def _bearing_frame(p):
     return e1, e2
 
 
-def _exp_map(p, d, theta):
-    """Point at geodesic distance d from p in direction theta."""
+def _exp_map(p, m, theta):
+    """Point at chordal distance m <= 2 from p in direction theta: the
+    geodesic distance d has cos d = 1 - m^2/2, sin d = m sqrt(1 - m^2/4)."""
     e1, e2 = _bearing_frame(p)
     v = np.cos(theta)[..., None] * e1 + np.sin(theta)[..., None] * e2
-    return np.cos(d)[..., None] * p + np.sin(d)[..., None] * v
+    return (1.0 - m * m / 2.0)[..., None] * p \
+        + (m * np.sqrt(1.0 - m * m / 4.0))[..., None] * v
 
 
 # ---------------------------------------------------------------------------
 # the cone-point rules shared by the football and the 2-D solver; each takes
-# the distances d_j to the cone points, so the football can pass its exact
-# phi and pi - phi
+# the chords m_j to the cone points, as arrays, so the football can pass its
+# exact 2 sin(phi/2) and 2 sin((pi - phi)/2)
 
-def _background_density(dists, betas):
+def _background_density(chords, betas):
     """e^{2v} = prod_j m_j^{2(beta_j - 1)} for the log terms v."""
     out = 1.0
-    for d, b in zip(dists, betas):
-        out = out * _chord(d) ** (2.0 * (b - 1.0))
+    for m, b in zip(chords, betas):
+        out = out * m ** (2.0 * (b - 1.0))
     return out
 
 
@@ -225,18 +221,18 @@ def _corrected(betas):
     return [j for j, b in enumerate(betas) if b < 1.0]
 
 
-def _correction(dists, betas):
+def _correction(chords, betas):
     """(sigma_j, div grad sigma_j) for each point of ``_corrected``.
 
     The local correction is s = sum_j A_j sigma_j, sigma_j = -m_j^{2 beta_j}
     / (4 beta_j^2); its div grad cancels the leading A_j m_j^{2 beta_j - 2}
-    part of the density source.  m^2 = 2 - 2 cos d is smooth on the whole
+    part of the density source.  m^2 = 2 - 2 x.p is smooth on the whole
     sphere, so no cutoff is needed: div grad m^{2 beta} = 4 beta^2
     m^{2 beta - 2} - beta(beta+1) m^{2 beta} holds globally.
     """
     out = []
     for j in _corrected(betas):
-        b, m = betas[j], _chord(dists[j])
+        b, m = betas[j], chords[j]
         f = m ** (2.0 * b)
         with np.errstate(divide="ignore"):
             lap = 4.0 * b * b * m ** (2.0 * b - 2.0) - b * (b + 1.0) * f
@@ -281,10 +277,10 @@ class ConicProblem:
             if any(len(p) != 2 for p in self.points):
                 raise ValueError("sphere points are (colatitude, longitude) "
                                  "pairs")
-            xs = [sphere_point(*p) for p in self.points]
+            xs = self.unit_points()
             for i in range(len(xs)):
                 for k in range(i + 1, len(xs)):
-                    if _distance(xs[i], xs[k]) < 1e-12:
+                    if _chord(xs[i], xs[k]) < 1e-12:
                         raise ValueError("cone points must be distinct")
 
     @property
@@ -298,8 +294,7 @@ class ConicProblem:
         if self.background != "sphere" or len(self.points) != 2:
             return False
         x, y = self.unit_points()
-        return same_angle(*self.beta.beta) \
-            and abs(_distance(x, y) - math.pi) < 1e-12
+        return same_angle(*self.beta.beta) and _chord(x, -y) < 1e-12
 
     def unit_points(self):
         return [sphere_point(*p) for p in self.points]
@@ -332,7 +327,7 @@ class DiscreteConicMetric:
         rho, extra = self.density(), 0.0
         for j in _corrected(self.beta):
             b, A = self.beta[j], self.sing_coeffs[j]
-            rho = rho - A * _chord(self.mesh["dists"][j]) ** (2.0 * b - 2.0)
+            rho = rho - A * self.mesh["chords"][j] ** (2.0 * b - 2.0)
             extra += A * 2.0 * math.pi * 4.0 ** b / (2.0 * b)
         return float(np.sum(rho * self.mesh["measure"]) + extra)
 
@@ -354,21 +349,21 @@ class DiscreteConicMetric:
                              f"{len(self.beta) - 1}")
         return self.beta[point_index]
 
-    def bounded_part(self, point_index, d, theta):
-        """u - (beta_j - 1) log m_j at distance d, chart angle theta, by
-        interpolation."""
+    def bounded_part(self, point_index, m, theta):
+        """u - (beta_j - 1) log m_j at chordal distance m, chart angle
+        theta, by interpolation."""
         if self.kind != "sphere2d":
             raise ValueError("bounded part extraction for 2-D solves")
         self._cone_beta(point_index)
         g, pts = self.mesh, self.problem.unit_points()
-        x = _exp_map(pts[point_index], np.asarray(d, dtype=float),
+        x = _exp_map(pts[point_index], np.asarray(m, dtype=float),
                      np.asarray(theta, dtype=float))
-        dists = [_distance(x, q) for q in pts]
-        logs = sum((b - 1.0) * np.log(_chord(d))
-                   for i, (d, b) in enumerate(zip(dists, self.beta))
+        chords = [_chord(x, q) for q in pts]
+        logs = sum((b - 1.0) * np.log(c)
+                   for i, (c, b) in enumerate(zip(chords, self.beta))
                    if i != point_index)
         s = sum(self.sing_coeffs[j] * sig for j, (sig, _) in
-                zip(_corrected(self.beta), _correction(dists, self.beta)))
+                zip(_corrected(self.beta), _correction(chords, self.beta)))
         w_interp = _interp_matrix(g["phi"], g["theta"], x) @ self.w.ravel()
         return logs + s + w_interp.reshape(x.shape[:-1])
 
@@ -384,9 +379,9 @@ class ObstructionBundleFiber:
 # ---------------------------------------------------------------------------
 # closed-sphere solve: one Newton on w and the cone coefficients
 
-def _solve_closed(problem, K, W, dists, pair_dists, P):
+def _solve_closed(problem, K, W, chords, pair_chords, P):
     """One damped Newton for x = (w, A_j of ``_corrected``); returns (w and
-    the density rho it converged, shaped like the distance fields, all A_j
+    the density rho it converged, shaped like the chord fields, all A_j
     with 0 for the other points, sup|F|).
 
     div grad w = -K w / W for the stiffness K and cell measure W; the rows
@@ -405,20 +400,20 @@ def _solve_closed(problem, K, W, dists, pair_dists, P):
     """
     betas = problem.beta.beta
     idx = _corrected(betas)
-    shape, N, k = np.shape(dists[0]), len(W), len(idx)
+    shape, N, k = np.shape(chords[0]), len(W), len(idx)
     with np.errstate(over="ignore", invalid="ignore"):
-        E = _background_density(dists, betas).ravel()
+        E = _background_density(chords, betas).ravel()
     if not np.all(np.isfinite(E)):
         raise ValueError(f"beta = {list(betas)}: the background density "
                          "e^(2v) is not finite on the grid")
-    corr = _correction(dists, betas)
+    corr = _correction(chords, betas)
     sig = np.reshape([f.ravel() for f, _ in corr], (k, N))
     lap = np.reshape([f.ravel() for _, f in corr], (k, N))
     # div grad v = c_v away from the points, for the log terms v
     c_v = -0.5 * sum(b - 1.0 for b in betas)
-    e_reg = np.array([_background_density(np.delete(pair_dists[j], j),
+    e_reg = np.array([_background_density(np.delete(pair_chords[j], j),
                                           np.delete(betas, j)) for j in idx])
-    at_pts = np.array([[f for f, _ in _correction(pair_dists[j], betas)]
+    at_pts = np.array([[f for f, _ in _correction(pair_chords[j], betas)]
                        for j in idx]).reshape(k, k)
     P = P[idx]
     # rounding floor of each cell row: the stiffness amplifies eps |w| by
@@ -471,18 +466,18 @@ def _solve_football(problem, n):
         raise ValueError(f"football meshes need an even n >= 4, got {n}")
     form = FluxForm(n, 1, cells=n // 2)
     phi = form.centre
-    dists = (phi, math.pi - phi)
+    chords = (2.0 * np.sin(phi / 2.0), 2.0 * np.sin((math.pi - phi) / 2.0))
     # both poles see the even quadratic extrapolation (9 w_0 - w_1) / 8 of
     # the half grid, by the equatorial symmetry
     P = np.zeros((2, n // 2))
     P[:, :2] = (9.0 / 8.0, -1.0 / 8.0)
     w, rho, A, resid = _solve_closed(
-        problem, _band_stiffness(form.bands()), form.weight, dists,
-        ((0.0, math.pi), (math.pi, 0.0)), P)
+        problem, _band_stiffness(form.bands()), form.weight, chords,
+        np.array([[0.0, 2.0], [2.0, 0.0]]), P)
     # "form", the full grid's, serves the j = 0 pencil and projected_solve
     return DiscreteConicMetric(
         problem=problem, kind="football", n=n, w=w, rho=rho, sing_coeffs=A,
-        residual=resid, mesh={"phi": phi, "dists": dists,
+        residual=resid, mesh={"phi": phi, "chords": chords,
                               "measure": 4.0 * math.pi * form.weight * form.h,
                               "form": FluxForm(n, 1)})
 
@@ -592,7 +587,7 @@ def _interp_matrix(phi, theta, x):
     (shape (..., 3)), as a sparse matrix acting on the flattened grid."""
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     h, n_lat, n_lon = math.pi / len(phi), len(phi), len(theta)
-    fi = np.arccos(np.clip(x[:, 2], -1.0, 1.0)) / h - 0.5
+    fi = np.arctan2(np.hypot(x[:, 0], x[:, 1]), x[:, 2]) / h - 0.5
     fk = np.arctan2(x[:, 1], x[:, 0]) % (2.0 * math.pi) / h - 0.5
     i0 = np.clip(np.floor(fi), 0, n_lat - 2).astype(int)
     ti, tk = fi - i0, fk - np.floor(fk)
@@ -608,29 +603,27 @@ def _interp_matrix(phi, theta, x):
 
 
 def _solve_sphere2d(problem, n_lat):
-    pts = problem.unit_points()
-    pair_dists = np.array([[_distance(p, q) for q in pts] for p in pts])
-    # the arccos of a rounded p . p reads 1.5e-8, not 0, on the diagonal
-    np.fill_diagonal(pair_dists, 0.0)
-    # the correction and the bilinear A_j rows need cells between the points
-    close = np.argwhere(np.triu(pair_dists < 2.0 * math.pi / n_lat, 1))
+    pts = np.array(problem.unit_points())
+    pair_chords = _chord(pts[:, None], pts)
+    # the correction and the bilinear A_j rows need cells between the
+    # points: no chord below 2 sin(pi / n), the chord of 2h
+    bound = 2.0 * math.sin(math.pi / n_lat)
+    close = np.argwhere(np.triu(pair_chords < bound, 1))
     if len(close):
         i, k = close[0]
         raise ValueError(
-            f"cone points {i} and {k} lie {pair_dists[i, k]:.3g} apart, "
-            f"closer than 2h = 2 pi / n = {2.0 * math.pi / n_lat:.3g}; "
+            f"cone points {i} and {k} lie a chord {pair_chords[i, k]:.3g} "
+            f"apart, closer than 2h = 2 pi / n, whose chord is {bound:.3g}; "
             "refine the mesh")
     # the cell centres and their unit vectors; the longitude centres
     # continue the colatitude ones of the latitude stiffness at spacing h
     form = FluxForm(n_lat, 1)
     phi, theta = form.centre, np.arange(0.5, 2 * n_lat) * form.h
-    P, T = np.meshgrid(phi, theta, indexing="ij")
-    xyz = np.stack([np.sin(P) * np.cos(T), np.sin(P) * np.sin(T), np.cos(P)],
-                   axis=-1)
-    dists = [_distance(xyz, p) for p in pts]
-    for j, d in enumerate(dists):
-        cell = np.unravel_index(np.argmin(d), d.shape)
-        if d[cell] == 0.0:
+    xyz = sphere_point(*np.meshgrid(phi, theta, indexing="ij"))
+    chords = [_chord(xyz, p) for p in pts]
+    for j, m in enumerate(chords):
+        cell = np.unravel_index(np.argmin(m), m.shape)
+        if m[cell] == 0.0:
             colat, lon = map(float, problem.points[j])
             raise ValueError(
                 f"cone point {j} at ({colat!r}, {lon!r}) lies on the centre "
@@ -638,12 +631,12 @@ def _solve_sphere2d(problem, n_lat):
                 "where its density is infinite; move it or change the mesh")
     A, M = _assemble_laplacian(form)
     w, rho, coeffs, resid = _solve_closed(
-        problem, _lon_fft_stiffness(form, A), M, dists, pair_dists,
+        problem, _lon_fft_stiffness(form, A), M, chords, pair_chords,
         _interp_matrix(phi, theta, pts))
     return DiscreteConicMetric(
         problem=problem, kind="sphere2d", n=n_lat, w=w, rho=rho,
         sing_coeffs=coeffs, residual=resid,
-        mesh={"phi": phi, "theta": theta, "A": A, "dists": dists,
+        mesh={"phi": phi, "theta": theta, "A": A, "chords": chords,
               "measure": M.reshape(w.shape)})
 
 
@@ -902,8 +895,8 @@ def friedrichs_fit(metric, point_index):
     theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     # all 8 x 64 samples, radius by radius, in one bounded_part call
     r, t = np.repeat(radii, len(theta)), np.tile(theta, len(radii))
-    d = 2.0 * np.arcsin(np.minimum((b * r) ** (1.0 / b) / 2.0, 1.0))
-    y = metric.bounded_part(point_index, d, t)
+    y = metric.bounded_part(point_index,
+                            np.minimum((b * r) ** (1.0 / b), 2.0), t)
     # nuisance r^2 column last: decorrelates a0 from the quadratic tail so
     # the remainder below isolates the claimed O(r^2) decay
     X = np.column_stack([np.ones_like(r)]

@@ -11,12 +11,13 @@ simple for j = 0 (the log branch is excluded) and doubled for j > 0,
 and radial eigenfunctions sin^{j/beta}(r) C_l^{(j/beta + 1/2)}(cos r)
 (Gegenbauer), which carry the Friedrichs behaviour r^{j/beta} at both
 poles.  This module provides the closed-form enumeration, the closed-form
-unit-norm radial eigenfunctions, an independent Sturm-Liouville
-finite-difference oracle, the spectral-flow crossing report at
-eigenvalue 2 along paths of footballs, the flux form with its LAPACK
-tridiagonal LU that every football operator and solver shares, and the
-eigenpairs of a tridiagonal pencil, in a band or the lowest few, by Sturm
-bisection.
+unit-norm radial eigenfunctions, a Sturm-Liouville finite-difference
+oracle (independent of the closed form, though it shares ``FluxForm`` and
+``tridiag_pencil_eigs`` with the football modes of ``liouville``), the
+spectral-flow crossing report at eigenvalue 2 along paths of footballs,
+the flux form with its LAPACK tridiagonal LU that every football operator
+and solver shares, and the eigenpairs of a tridiagonal pencil, in a band
+or the lowest few, by Sturm bisection.
 
 Below 2 lie only (0, 0) and the doubled (j, 0) with 1 <= j < beta, so
 #{lambda < 2} = 1 + 2n with n = max(0, [beta] - 1) at an integer beta and

@@ -120,12 +120,10 @@ class TestCoaxial:
     def test_rational_football(self):
         res = coaxial_check(AngleVector(0, (1.5, 1.5)))
         assert res.status == "true"
-        assert bool(res)
 
     def test_irrational_football_indeterminate(self):
         res = coaxial_check(AngleVector(0, (math.sqrt(2), math.sqrt(2))))
         assert res.status == "indeterminate"
-        assert not bool(res)
 
     def test_integer_case_true(self):
         res = coaxial_check(AngleVector(0, (3.0, 2.0, 2.0)))

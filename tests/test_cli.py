@@ -326,6 +326,13 @@ class TestSpectrum:
     def test_beta_required_without_flow(self, capsys):
         assert run(capsys, ["spectrum"])[0] == 2
 
+    def test_beta_and_flow_exclusive(self, capsys):
+        code, out, err = run(capsys, ["spectrum", "--beta", "2",
+                                      "--flow", "1:2:3"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: invalid input: provide exactly one of --beta and --flow"]
+
 
 class TestSolve:
     FOOTBALL = ["solve", "--points", "0,0;3.141592653589793,0",

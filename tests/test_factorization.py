@@ -122,6 +122,11 @@ class TestForwardInverse:
         _, cond = jacobian((0.3 + 0.1j, 0.3 + 0.1j), b)
         assert cond > 1e12
 
+    def test_jacobian_condition_infinite_where_svd_fails(self):
+        # the SVD behind numpy's cond does not converge on a NaN entry
+        _, cond = jacobian((math.nan, 0.0), WeightVector((1.0, 1.0)))
+        assert cond == math.inf
+
     def test_stacked_jacobian_matches_single(self):
         b = WeightVector((0.8, 1.2, 1.0))
         branches = inverse_map(random_coeffs(np.random.default_rng(5), 3), b)

@@ -14,7 +14,7 @@ from conemetric.liouville import (ConicProblem, SolverError,
                                   solve_liouville, spectrum_near_two,
                                   sphere_point, _assemble_laplacian,
                                   _background_density, _band_stiffness,
-                                  _correction, _corrected, _distance,
+                                  _chord, _correction, _corrected,
                                   _lon_fft_stiffness, _pencils,
                                   _shift_solver)
 from conemetric.spectrum import (FluxForm, football_eigenvalues,
@@ -60,7 +60,7 @@ def pencil_matrices(A, b):
 
 def background_density(points, beta, x):
     """e^{2v} at x for the log terms v of cone points (colat, lon)."""
-    return _background_density([_distance(x, sphere_point(*p))
+    return _background_density([_chord(x, sphere_point(*p))
                                 for p in points], beta)
 
 
@@ -206,11 +206,11 @@ class TestConvergedDensity:
         # A_j, with s = sum_j A_j sigma_j summed as the Newton residual sums
         points = ANTIPODAL if len(beta) == 2 else EQUATOR3
         m = solve_liouville(ConicProblem("sphere", points, beta), n)
-        dists = m.mesh["dists"]
-        sig = np.reshape([f.ravel() for f, _ in _correction(dists, beta)],
+        chords = m.mesh["chords"]
+        sig = np.reshape([f.ravel() for f, _ in _correction(chords, beta)],
                          (-1, m.w.size))
         s = np.take(m.sing_coeffs, _corrected(beta)) @ sig
-        want = _background_density(dists, beta) \
+        want = _background_density(chords, beta) \
             * np.exp(2.0 * (s.reshape(m.w.shape) + m.w))
         assert np.all(np.abs(m.density() - want) <= 4 * np.spacing(want))
 
@@ -348,6 +348,22 @@ class TestRotation:
                 for p in (points, rotated(points)))
             diff.append(abs(turned - area) / area)
         assert diff[0] >= 3.0 * diff[1]
+
+    @pytest.mark.parametrize("beta", [0.7, 1.7])
+    @pytest.mark.parametrize("colat,lon", [(1.2, 0.3), (0.3, 1.0)])
+    def test_antipodal_pair_is_a_football_in_any_frame(self, colat, lon,
+                                                       beta):
+        # the rounded x.y of these pairs sits one ulp above -1, where
+        # arccos(x.y) reads pi - 1.5e-8
+        def report(points):
+            m = solve_liouville(ConicProblem("sphere", points, (beta, beta)),
+                                512)
+            return m.kind, m.area(), spectrum_near_two(m).eigenvalues_near_2
+
+        kind, area, eigs = report(((colat, lon),
+                                   (math.pi - colat, lon + math.pi)))
+        assert kind == "football"
+        assert (area, eigs) == report(ANTIPODAL)[1:]
 
 
 class TestSphere2dSolve:
