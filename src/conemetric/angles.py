@@ -56,6 +56,9 @@ INT_TOL = 1e-9
 #: most angles coaxial_check and split angles splitting_spec take: their
 #: sign-vector and subcluster searches take time exponential in the count
 MAX_ANGLES = 16
+#: most unit entries k1 + k2 a coaxial_check witness may carry: it lists
+#: them one by one, so a large integer angle would ask for that many
+MAX_UNIT_ENTRIES = 10_000
 
 
 def finite_real(x, what):
@@ -259,7 +262,8 @@ def coaxial_check(av: AngleVector) -> CoaxialResult:
     (beta_1..beta_m, 1,...,1) = eta * b exist.
 
     Irrational inputs leave the last premise undecidable, in which case the
-    result is "indeterminate" rather than "true".  At most MAX_ANGLES angles.
+    result is "indeterminate" rather than "true".  At most MAX_ANGLES angles,
+    and a witness of at most MAX_UNIT_ENTRIES unit entries.
     """
     if av.genus != 0:
         raise ValueError("coaxial_check is defined for genus 0")
@@ -293,6 +297,10 @@ def coaxial_check(av: AngleVector) -> CoaxialResult:
         k2 = sum_int - n - k1 + 2
         if k2 < 0 or k2 % 2 != 0:
             continue
+        if k1 + k2 > MAX_UNIT_ENTRIES:
+            raise ValueError(f"the coaxial witness needs k1 + k2 = {k1 + k2} "
+                             "unit entries; coaxial_check takes at most "
+                             f"MAX_UNIT_ENTRIES = {MAX_UNIT_ENTRIES}")
         values = list(nonint) + [1.0] * (k1 + k2)
         scaled = _coprime_rescaling(values)
         if scaled is None:

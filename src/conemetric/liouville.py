@@ -19,9 +19,9 @@ the eigenvalue-2 directions with a bordered system.
 
 A closed solve keeps its stiffness K in a ``_Stiffness``, which applies
 K, knows its rounding floor and solves the bordered Newton step; a step
-hands it the shift 2 W rho of the Jacobian K - diag(2 W rho) and the scale
-of the border rows as vectors.  Football, projected and disk steps factor
-their tridiagonal Jacobians once by LAPACK (dgttrf) and solve every
+hands it the shift 2 W rho of the Jacobian K - diag(2 W rho) as a vector
+and the border rows as it built them.  Football, projected and disk steps
+factor their tridiagonal Jacobians once by LAPACK (dgttrf) and solve every
 right-hand side of the step on that factor (dgttrs), with no sparse matrix
 built.  A 2-D step runs GMRES on the bordered system, preconditioned by
 the Jacobian with the density averaged in longitude: an FFT in longitude
@@ -131,12 +131,12 @@ class _Stiffness(NamedTuple):
 
     ``apply(w)`` is K w.  ``floor`` is eps times the row sums of |K|, the
     rounding floor of K w per unit of sup|w|, for the ``floor`` of
-    damped_newton.  ``solve(shift, cols, scale, P, corner, rhs)`` solves
-    the bordered Newton system
+    damped_newton.  ``solve(shift, cols, rows, corner, rhs)`` solves the
+    bordered Newton system
 
-        [[K - diag(shift), cols], [diag(scale) P, corner]] x = rhs
+        [[K - diag(shift), cols], [rows, corner]] x = rhs
 
-    for k border unknowns, so a step hands over vectors, not matrices.
+    for k border unknowns, so a step hands over its shift as a vector.
     """
     apply: Callable
     floor: np.ndarray
@@ -154,13 +154,13 @@ def _border(x0, Z, rows, corner, rhs):
 def _band_stiffness(bands):
     """The _Stiffness of the tridiagonal K with these (sub, diag, sup)
     bands.  Its solve factors K - diag(shift) once by ``tridiag_solver``
-    for all k + 1 right-hand sides and takes the border rows P dense."""
+    for all k + 1 right-hand sides."""
     sub, diag, sup = bands
 
-    def solve(shift, cols, scale, P, corner, rhs):
+    def solve(shift, cols, rows, corner, rhs):
         X = tridiag_solver(sub, diag - shift, sup)(
             np.column_stack([rhs[:len(diag)], cols]))
-        return _border(X[:, 0], X[:, 1:], scale[:, None] * P, corner, rhs)
+        return _border(X[:, 0], X[:, 1:], rows, corner, rhs)
 
     return _Stiffness(
         lambda w: tridiag_matvec(bands, w),
@@ -395,8 +395,8 @@ def _solve_closed(problem, K, W, chords, pair_chords, P):
     A, so the Jacobian is J = K - diag(2 W rho) bordered by the A_j, with
     the rows diag(-2 g) P for g the A_j rule.  K is a ``_Stiffness``, which
     owns its matrix, and a step hands its ``solve`` the shift 2 W rho and
-    the row scale -2 g: ``_band_stiffness`` for footballs, whose step is a
-    LAPACK tridiagonal LU, and ``_lon_fft_stiffness`` for 2-D solves.
+    those rows: ``_band_stiffness`` for footballs, whose step is a LAPACK
+    tridiagonal LU, and ``_lon_fft_stiffness`` for 2-D solves.
     """
     betas = problem.beta.beta
     idx = _corrected(betas)
@@ -434,8 +434,11 @@ def _solve_closed(problem, K, W, chords, pair_chords, P):
 
     def step(x, F):
         rho, g = fields(x)
-        return K.solve(2.0 * W * rho, -(W * (lap + 2.0 * rho * sig)).T,
-                       -2.0 * g, P, np.eye(k) - 2.0 * g[:, None] * at_pts,
+        # the football's P is dense, and its path builds no sparse matrix
+        rows = (sparse.diags(-2.0 * g) @ P if sparse.issparse(P)
+                else -2.0 * g[:, None] * P)
+        return K.solve(2.0 * W * rho, -(W * (lap + 2.0 * rho * sig)).T, rows,
+                       np.eye(k) - 2.0 * g[:, None] * at_pts,
                        np.concatenate([W * F[:N], -F[N:]]))
 
     # constant w balancing the mean of the equation, and the A_j rule at it
@@ -515,7 +518,7 @@ def _lon_fft_stiffness(form, A):
     stiffness is ``form = FluxForm(n, 1)`` (``_assemble_laplacian``).  Its
     ``solve`` runs GMRES on the whole (N + k) system, applying the Jacobian
     J = A - diag(shift) as A x - shift x, with no N x N matrix built per
-    step, and the border rows diag(scale) P as a sparse k x N matrix: one
+    step, and the border rows as the k x N matrix the step built: one
     cycle of at most KRYLOV_RESTART iterations, with no restart, since
     later cycles gain little once the step nears the rounding floor of the
     residual.
@@ -545,9 +548,8 @@ def _lon_fft_stiffness(form, A):
              / form.weight).ravel()
     diag = A.diagonal()
 
-    def solve(shift, cols, scale, P, corner, rhs):
+    def solve(shift, cols, rows, corner, rhs):
         N, k = cols.shape
-        rows = sparse.diags(scale) @ P
         mean = (diag - shift).reshape(n_lat, n_lon).mean(axis=1)
         modes = tridiag_solver(sub, np.tile(mean, n_lat + 1) + modal, sub)
 
@@ -606,8 +608,9 @@ def _solve_sphere2d(problem, n_lat):
     pts = np.array(problem.unit_points())
     pair_chords = _chord(pts[:, None], pts)
     # the correction and the bilinear A_j rows need cells between the
-    # points: no chord below 2 sin(pi / n), the chord of 2h
-    bound = 2.0 * math.sin(math.pi / n_lat)
+    # points: no chord below 2 sin(pi / n), the chord of 2h, capped at the
+    # diameter 2 for n <= 2, where 2h >= pi and sin(pi / n) falls back to 0
+    bound = 2.0 * math.sin(min(math.pi / n_lat, math.pi / 2.0))
     close = np.argwhere(np.triu(pair_chords < bound, 1))
     if len(close):
         i, k = close[0]
@@ -710,8 +713,8 @@ def solve_liouville(problem, n):
 # ---------------------------------------------------------------------------
 # the spectrum of the Friedrichs Delta_g near 2, one pencil at a time
 
-def _pencils(metric):
-    """(j, multiplicity, A, b) with Delta_g = pencil(A, diag(b)) per block.
+def _football_modes(metric):
+    """(j, bands, b) with Delta_g = pencil(A, diag(b)) per angular mode j.
 
     A football splits into the angular modes j: the radial factor
     R = (sin phi)^j S gives A = -(p S')' + j(j+1) p S, as its
@@ -723,23 +726,16 @@ def _pencils(metric):
     can reach the band ``spectrum_near_two`` reads, and only those below
     2 ceil(beta) + 5 are kept (ceil in the sense of ``angles.int_part`` and
     ``is_integer``); j = 0 reads the solve's own full-grid ``FluxForm(n,
-    1)``.  A 2-D solve is one pencil (j = None): the sparse stiffness and
-    the mass M e^{2u}.
+    1)``.
     """
-    if metric.kind == "football":
-        rho, b = metric.density(full=True), metric.beta[0]
-        reach = 1.1 * (2.0 + 1.5 * WINDOW) * np.max(rho)
-        forms = [FluxForm(metric.n, 2 * j + 1) if j else metric.mesh["form"]
-                 for j in range(2 * (int_part(b) - is_integer(b)) + 7)
-                 if j * (j + 1) <= reach]
-        return [(j, mode_multiplicity(j),
-                 form.bands(potential=j * (j + 1.0) * form.weight),
-                 form.weight * rho)
-                for j, form in enumerate(forms)]
-    if metric.kind == "sphere2d":
-        return [(None, 1, metric.mesh["A"],
-                 (metric.mesh["measure"] * metric.density()).ravel())]
-    raise ValueError("the spectrum near 2 is defined for closed solves only")
+    rho, b = metric.density(full=True), metric.beta[0]
+    reach = 1.1 * (2.0 + 1.5 * WINDOW) * np.max(rho)
+    forms = [FluxForm(metric.n, 2 * j + 1) if j else metric.mesh["form"]
+             for j in range(2 * (int_part(b) - is_integer(b)) + 7)
+             if j * (j + 1) <= reach]
+    return [(j, form.bands(potential=j * (j + 1.0) * form.weight),
+             form.weight * rho)
+            for j, form in enumerate(forms)]
 
 
 def _shift_solver(A, b):
@@ -762,47 +758,52 @@ def spectrum_near_two(metric):
     """Eigenvalues of Delta_g with |lambda - 2| < window, and among them
     the football j = 0 eigenvectors that ``projected_solve`` reads.
 
-    Every pencil of ``_pencils`` yields at least the eigenvalues of the band
-    |lambda - 2| < 1.1 * 1.5 WINDOW, the outer edge of the band the window
-    checks read, so those checks see every eigenvalue in their band.  A
-    football mode's are exactly those: ``tridiag_pencil_eigs`` brackets them
-    by Sturm bisection and polishes each by one inverse-iteration step.  The
-    2-D pencil is factored once by ``_shift_solver``, and ARPACK applies
-    that factor as OPinv and B as a product with its diagonal: from a fixed
-    start vector it asks for k = 2 eigenvalues, no vectors, and doubles k
-    (up to N - 2) while every returned one lies in the band.  The reported
-    window is the first of WINDOW, 1.5 WINDOW and WINDOW / 1.5 whose edges
-    every eigenvalue clears by a tenth of that window; if none does,
-    SolverError.
+    Each pencil yields at least the eigenvalues of the band |lambda - 2| <
+    1.1 * 1.5 WINDOW, the outer edge of the band the window checks read, so
+    they see every eigenvalue in their band.  A mode of ``_football_modes``
+    yields exactly those: ``tridiag_pencil_eigs`` brackets them by Sturm
+    bisection and polishes each by one inverse-iteration step.  The 2-D
+    pencil, the stiffness and the mass M e^{2u}, is factored once by
+    ``_shift_solver``; ARPACK applies that factor as OPinv and the mass as a
+    product with its diagonal: from a fixed start vector it asks for k = 2
+    eigenvalues, no vectors, and doubles k (up to N - 2) while every
+    returned one lies in the band.  The reported window is the first of
+    WINDOW, 1.5 WINDOW and WINDOW / 1.5 whose edges every eigenvalue clears
+    by a tenth of that window; if none does, SolverError.
     """
     wide = 1.5 * WINDOW
-    lams, mults, axisym = [], [], {}
-    for j, mult, A, b in _pencils(metric):
-        if j is not None:
+    if metric.kind == "football":
+        lams, mults, axisym = [], [], []
+        for j, bands, b in _football_modes(metric):
             try:
-                vals, vecs = tridiag_pencil_eigs(A, b, 2.0 - 1.1 * wide,
+                vals, vecs = tridiag_pencil_eigs(bands, b, 2.0 - 1.1 * wide,
                                                  2.0 + 1.1 * wide)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(str(exc)) from exc
             if j == 0:
-                axisym = dict(enumerate(vecs.T, start=len(lams)))
-        else:
-            N = len(b)
-            k = min(2, N - 2)
-            v0 = np.random.default_rng(0).standard_normal(N)
-            sigma, solve = _shift_solver(A, b)
-            OPinv = LinearOperator((N, N), solve, dtype=float)
-            B = LinearOperator((N, N), b.__mul__, dtype=float)
-            while True:
-                # with OPinv given, shift-invert eigsh reads only the shape
-                # of A
-                vals = eigsh(OPinv, k=k, M=B, sigma=sigma, which="LM",
-                             v0=v0, OPinv=OPinv, return_eigenvectors=False)
-                if k == N - 2 or not np.all(np.abs(vals - 2.0) < 1.1 * wide):
-                    break
-                k = min(2 * k, N - 2)
-        lams.extend(vals)
-        mults.extend([mult] * len(vals))
+                # mode 0 comes first: these are lams[:len(axisym)]
+                axisym = list(vecs.T)
+            lams.extend(vals)
+            mults.extend([mode_multiplicity(j)] * len(vals))
+    elif metric.kind == "sphere2d":
+        b = (metric.mesh["measure"] * metric.density()).ravel()
+        N = len(b)
+        k = min(2, N - 2)
+        v0 = np.random.default_rng(0).standard_normal(N)
+        sigma, solve = _shift_solver(metric.mesh["A"], b)
+        OPinv = LinearOperator((N, N), solve, dtype=float)
+        B = LinearOperator((N, N), b.__mul__, dtype=float)
+        while True:
+            # with OPinv given, shift-invert eigsh reads only the shape of A
+            lams = eigsh(OPinv, k=k, M=B, sigma=sigma, which="LM", v0=v0,
+                         OPinv=OPinv, return_eigenvectors=False)
+            if k == N - 2 or not np.all(np.abs(lams - 2.0) < 1.1 * wide):
+                break
+            k = min(2 * k, N - 2)
+        mults, axisym = [1] * len(lams), []
+    else:
+        raise ValueError("the spectrum near 2 is defined for closed solves "
+                         "only")
     dist = np.abs(np.array(lams) - 2.0)
     for window in (WINDOW, wide, WINDOW / 1.5):
         # a band with no eigenvalue at all clears every edge
@@ -814,7 +815,7 @@ def spectrum_near_two(metric):
     inside = [i for i in np.argsort(dist, kind="stable") if dist[i] < window]
     return ObstructionBundleFiber(
         eigenvalues_near_2=[float(lams[i]) for i in inside],
-        axisymmetric=[axisym[i] for i in inside if i in axisym],
+        axisymmetric=[axisym[i] for i in inside if i < len(axisym)],
         ell=sum(mults[i] for i in inside), window=window)
 
 
@@ -862,8 +863,7 @@ def projected_solve(metric, fiber, density_perturbation=None):
     def step(x, F):
         # the cell rows times -W, as in _solve_closed
         return K.solve(2.0 * W * rho2 * np.exp(2.0 * x[:n]),
-                       (V * rho2 * W).T, np.ones(ell), V * B,
-                       np.zeros((ell, ell)),
+                       (V * rho2 * W).T, V * B, np.zeros((ell, ell)),
                        np.concatenate([W * F[:n], -F[n:]]))
 
     x, _ = damped_newton(residual, step, np.zeros(n + ell), 1e-11,

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conemetric.angles import (MAX_ANGLES, AdmissibilityError, AngleVector,
+from conemetric.angles import (MAX_ANGLES, MAX_UNIT_ENTRIES,
+                               AdmissibilityError, AngleVector,
                                coaxial_check, conic_euler_char, mp_distance,
                                mp_membership, splitting_spec,
                                subcritical_check, troyanov_check)
@@ -144,6 +145,21 @@ class TestCoaxial:
         with pytest.raises(ValueError, match="at most 16 angles, got 30"):
             coaxial_check(av)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("big", [1e12, MAX_UNIT_ENTRIES + 2.0])
+    def test_huge_witness_refused_at_once(self, big):
+        # every witness of (0.5, 0.5, big) has k1 + k2 = big - 1 unit
+        # entries, one more than allowed at MAX_UNIT_ENTRIES + 2; at 1e12
+        # building them runs out of memory
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"k1 \\+ k2 = {int(big) - 1} "):
+            coaxial_check(AngleVector(0, (0.5, 0.5, big)))
+        assert time.perf_counter() - start < 1.0
+
+    def test_largest_witness_accepted(self):
+        res = coaxial_check(AngleVector(0, (0.5, 0.5, MAX_UNIT_ENTRIES + 1.0)))
+        assert res.status == "true"
+        assert res.k1 + res.k2 == MAX_UNIT_ENTRIES
 
 
 class TestSplitting:

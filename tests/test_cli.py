@@ -122,9 +122,11 @@ class TestAngles:
         {"beta": [0.5, True]}, {"beta": [10 ** 400]}, {"beta": [math.nan]},
         {"beta": [0.5 + 0.01 * i for i in range(17)]},
         {"beta": [0.5], "genus": 1.5}, {"beta": [0.5], "genus": [0]},
+        # a coaxial witness of 1e12 - 1 unit entries
+        {"beta": [0.5, 0.5, 1e12]},
     ], ids=["number", "beta-number", "beta-null", "B-number", "beta-bool",
             "beta-huge-int", "beta-nan", "17-angles", "genus-fraction",
-            "genus-list"])
+            "genus-list", "huge-coaxial-witness"])
     def test_malformed_config_rejected(self, tmp_path, capsys, payload):
         code, out, err = run(capsys, ["angles",
                                       write_config(tmp_path, payload)])
@@ -443,6 +445,9 @@ class TestSolve:
         # 0.016 apart at n = 48, where 2h = 0.131
         (["--points", "1.5707963267948966,0;1.5837963267948966,0.01;1.0,3.5",
           "--beta", "0.6,0.6,0.6", "--mesh", "48"], "closer than 2h"),
+        # at n = 1, 2h = 2 pi: every pair of points is too close
+        (["--points", "0,0;1,1;2,2", "--beta", "0.6,0.6,0.6", "--mesh", "1"],
+         "closer than 2h"),
         # chi = -0.015: a K = 1 metric would have negative area
         (["--points", "1.5896384486863002,3.352453193757162;"
           "1.872657565830276,4.786305656401352;"
@@ -474,7 +479,8 @@ class TestSolve:
          "beta = [600.0, 600.0]: the background density"),
     ], ids=["point-count", "point-one-coordinate",
             "point-three-coordinates", "odd-mesh", "tiny-mesh", "nan-beta",
-            "nan-point", "near-coincident", "nonpositive-chi",
+            "nan-point", "near-coincident", "one-cell-mesh",
+            "nonpositive-chi",
             "disk-off-centre", "disk-two-points", "mesh-cap-2d",
             "mesh-cap-football", "mesh-cap-disk", "point-on-cell-centre",
             "huge-beta", "overflowing-beta"])

@@ -15,7 +15,7 @@ from conemetric.liouville import (ConicProblem, SolverError,
                                   sphere_point, _assemble_laplacian,
                                   _background_density, _band_stiffness,
                                   _chord, _correction, _corrected,
-                                  _lon_fft_stiffness, _pencils,
+                                  _football_modes, _lon_fft_stiffness,
                                   _shift_solver)
 from conemetric.spectrum import (FluxForm, football_eigenvalues,
                                  tridiag_matvec, tridiag_pencil_eigs)
@@ -50,12 +50,25 @@ def sphere2d():
     return solve_liouville(prob, 72)
 
 
-def pencil_matrices(A, b):
-    """A pencil of ``_pencils`` as the sparse matrices (A, diag(b)); a
-    football mode keeps A as its (sub, diag, sup) bands."""
-    if isinstance(A, tuple):
-        A = sparse.diags(A, [-1, 0, 1])
-    return A, sparse.diags(b)
+def pencil_matrices(bands, b):
+    """A football mode of ``_football_modes``, given by its (sub, diag,
+    sup) bands and b, as the sparse matrices (A, diag(b))."""
+    return sparse.diags(bands, [-1, 0, 1]), sparse.diags(b)
+
+
+def pencil_2d(metric):
+    """The one pencil of a 2-D solve as the sparse matrices (A, diag(b)):
+    the stiffness and the mass M e^{2u} that ``spectrum_near_two`` reads."""
+    return metric.mesh["A"], sparse.diags(
+        (metric.mesh["measure"] * metric.density()).ravel())
+
+
+def all_pencils(metric):
+    """Every pencil ``spectrum_near_two`` solves, as sparse (A, diag(b))."""
+    if metric.kind == "football":
+        return [pencil_matrices(bands, b)
+                for _, bands, b in _football_modes(metric)]
+    return [pencil_2d(metric)]
 
 
 def background_density(points, beta, x):
@@ -486,8 +499,8 @@ class TestBorderedSolve:
         rhs = rng.standard_normal(n + k)
         want = np.linalg.solve(np.block([[J, cols], [scale[:, None] * P,
                                                      corner]]), rhs)
-        got = _band_stiffness(bands).solve(shift, cols, scale, P, corner,
-                                           rhs)
+        got = _band_stiffness(bands).solve(shift, cols, scale[:, None] * P,
+                                           corner, rhs)
         assert got.shape == (n + k,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -523,17 +536,16 @@ class TestBorderedSolve:
         assert built
 
 
-def bordered_lu(A, shift, cols, scale, P, corner, rhs):
-    """The 2-D bordered Newton system [[A - diag(shift), cols], [diag(scale)
-    P, corner]] x = rhs solved by one sparse LU of the whole system."""
+def bordered_lu(A, shift, cols, rows, corner, rhs):
+    """The 2-D bordered Newton system [[A - diag(shift), cols], [rows,
+    corner]] x = rhs solved by one sparse LU of the whole system."""
     return spsolve(sparse.bmat([[A - sparse.diags(shift), cols],
-                                [sparse.diags(scale) @ P, corner]],
-                               format="csc"), rhs)
+                                [rows, corner]], format="csc"), rhs)
 
 
 def newton_systems(monkeypatch, points, beta, n):
-    """The stiffness A and the bordered systems (shift, cols, scale, P,
-    corner, rhs) of every Newton step of a 2-D solve, stepped by
+    """The stiffness A and the bordered systems (shift, cols, rows, corner,
+    rhs) of every Newton step of a 2-D solve, stepped by
     ``bordered_lu``."""
     systems = []
 
@@ -574,20 +586,31 @@ class TestKrylovStep:
 
     def test_newton_step_builds_no_square_sparse_matrix(self, monkeypatch):
         # the step applies A x - shift x; only the k x N border rows are
-        # sparse
+        # sparse.  Matrices are recorded while a Newton step runs: it builds
+        # its border rows and runs GMRES
         n = 24
-        A, systems = newton_systems(monkeypatch, EQUATOR3, (0.6, 0.7, 0.8),
-                                    n)
-        solve = _lon_fft_stiffness(FluxForm(n, 1), A).solve
-        built = []
-        init = _spbase.__init__
+        A = _assemble_laplacian(FluxForm(n, 1))[0]
+        built, stepping = [], []
+        init, newton = _spbase.__init__, liouville.damped_newton
 
         def recorded(self, *args, **kwargs):
-            built.append(self)
+            if stepping:
+                built.append(self)
             init(self, *args, **kwargs)
 
+        def recording_newton(residual, step, *args):
+            def recorded_step(x, F):
+                stepping.append(True)
+                try:
+                    return step(x, F)
+                finally:
+                    stepping.clear()
+            return newton(residual, recorded_step, *args)
+
         monkeypatch.setattr(_spbase, "__init__", recorded)
-        solve(*systems[0])
+        monkeypatch.setattr(liouville, "damped_newton", recording_newton)
+        solve_liouville(ConicProblem("sphere", points=EQUATOR3,
+                                     beta=(0.6, 0.7, 0.8)), n)
         shapes = {m.shape for m in built}
         assert shapes and A.shape not in shapes
         assert all(rows == 3 for rows, _ in shapes)
@@ -617,7 +640,7 @@ class TestKrylovStep:
                          callback_type="pr_norm", **kwargs)
 
         monkeypatch.setattr(liouville, "gmres", counted)
-        system = (shift, cols, scale, P, corner, rhs)
+        system = (shift, cols, sparse.diags(scale) @ P, corner, rhs)
         got = _lon_fft_stiffness(FluxForm(n, 1), A).solve(*system)
         want = bordered_lu(A, *system)
         assert 1 <= len(residuals) <= 2
@@ -677,10 +700,10 @@ class TestSolveDispatch:
 
 class TestLinearizedOperator:
     def test_football_mode_spectra_match_closed_form(self, football17):
-        pencils = _pencils(football17)
+        pencils = _football_modes(football17)
         beta = 1.7
         for j in (0, 1, 2):
-            A, B = pencil_matrices(*pencils[j][2:])
+            A, B = pencil_matrices(*pencils[j][1:])
             vals = sorted(eigsh(A, k=4, M=B, sigma=-0.1, which="LM")[0])
             exact = [(j / beta + ell) * (j / beta + ell + 1.0)
                      for ell in range(4)]
@@ -703,7 +726,7 @@ class TestLinearizedOperator:
         assert np.max(np.abs(out[interior])) < 1e-3
 
     def test_2d_stiffness_symmetric(self, sphere2d):
-        _, _, A, _ = _pencils(sphere2d)[0]
+        A, _ = pencil_2d(sphere2d)
         assert abs(A - A.T).max() < 1e-12
 
     def test_2d_laplacian_matches_football_on_axisymmetric_samples(self):
@@ -745,7 +768,7 @@ class TestLinearizedOperator:
         prob = ConicProblem("disk", points=((0.0,),), beta=(0.7,),
                             curvature=0)
         with pytest.raises(ValueError):
-            _pencils(solve_liouville(prob, 16))
+            spectrum_near_two(solve_liouville(prob, 16))
 
 
 class TestSpectrumNearTwo:
@@ -775,7 +798,7 @@ class TestSpectrumNearTwo:
         m = solve_liouville(prob, 24)
         monkeypatch.setattr(liouville, "WINDOW", 36.0)
         fib = spectrum_near_two(m)
-        A, B = pencil_matrices(*_pencils(m)[0][2:])
+        A, B = pencil_2d(m)
         vals = eigh(A.toarray(), B.toarray(), eigvals_only=True)
         assert fib.ell == np.sum(np.abs(vals - 2.0) < fib.window) > 12
 
@@ -824,8 +847,7 @@ class TestSpectrumNearTwo:
         monkeypatch.setattr(liouville, "WINDOW", window)
         fib = spectrum_near_two(m)
         want = []
-        for _, _, A, b in _pencils(m):
-            A, B = pencil_matrices(A, b)
+        for A, B in all_pencils(m):
             # as the pencil (B, A + B), whose two sides share the grading
             # of the mode weight sin^{2j+1} at the poles
             vals = 1.0 / eigh(B.toarray(), (A + B).toarray(),
@@ -857,7 +879,7 @@ class TestSpectrumNearTwo:
         # exactly as the j = 0 pencil gives them, and no j = 2 vector
         m = solve_liouville(football_problem(2.0), 512)
         fib = spectrum_near_two(m)
-        j, _, A, b = _pencils(m)[0]
+        j, A, b = _football_modes(m)[0]
         band = 1.1 * 1.5 * liouville.WINDOW
         vals, vecs = tridiag_pencil_eigs(A, b, 2.0 - band, 2.0 + band)
         inside = np.abs(vals - 2.0) < fib.window
@@ -907,18 +929,18 @@ class TestSpectrumNearTwo:
             monkeypatch.setattr(module, name, counted(module, name))
         monkeypatch.setattr(liouville, "WINDOW", window[0])
         fib = spectrum_near_two(m)
-        assert len(_pencils(m)) == pencils
+        assert len(all_pencils(m)) == pencils
         assert calls == want
         assert (fib.window, fib.ell) == (window[1], ell)
 
     @pytest.mark.parametrize("beta", [1.3, 2.0, 2.4, 3.0, 3.45])
     def test_dropped_modes_clear_the_band(self, beta):
-        # every mode below 2 ceil(beta) + 5 that _pencils leaves out has its
-        # least eigenvalue, in a dense solve, above the Rayleigh bound
-        # j(j+1) / max rho and outside the band the window checks read
+        # every mode below 2 ceil(beta) + 5 that _football_modes leaves out
+        # has its least eigenvalue, in a dense solve, above the Rayleigh
+        # bound j(j+1) / max rho and outside the band the window checks read
         m = solve_liouville(football_problem(beta), 256)
         rho = m.density(full=True)
-        kept = [j for j, _, _, _ in _pencils(m)]
+        kept = [j for j, _, _ in _football_modes(m)]
         limit = 2 * math.ceil(beta) + 5
         assert kept == list(range(len(kept))) and 0 < len(kept) < limit
         for j in range(len(kept), limit):
@@ -935,7 +957,7 @@ class TestSpectrumNearTwo:
         # max rho = 24 lets j <= 8 pass the Rayleigh bound here; the limit
         # 2 ceil(beta) + 5 keeps the count at 7
         m = solve_liouville(football_problem(0.7), 512)
-        assert [j for j, _, _, _ in _pencils(m)] == list(range(7))
+        assert [j for j, _, _ in _football_modes(m)] == list(range(7))
 
     def test_narrower_window_when_both_wider_fail(self):
         # j = 2 sits 0.028 inside |lambda - 2| < 0.5 and j = 3 (2.8125) 0.0625
@@ -980,7 +1002,7 @@ class TestSpectrumNearTwo:
         assert fib.eigenvalues_near_2 == []
 
     def test_subcritical_first_eigenvalue_above_two(self, sphere2d):
-        A, B = pencil_matrices(*_pencils(sphere2d)[0][2:])
+        A, B = pencil_2d(sphere2d)
         vals = sorted(eigsh(A, k=3, M=B, sigma=-0.1, which="LM")[0])
         assert vals[0] == pytest.approx(0.0, abs=1e-8)   # constants
         assert vals[1] > 2.0
