@@ -29,9 +29,11 @@ splits that operator into one latitude tridiagonal per Fourier mode (the
 separable structure of FISHPACK-style sphere solvers), all factored by one
 LAPACK ``tridiag_solver``.  An iteration costs O(N log n) on the N = 2 n^2
 cells, where sparse LU grows like n^3.  The spectrum near 2 bisects each
-football mode pencil by its Sturm count and polishes every eigenvalue on
-the same tridiagonal LU; the 2-D pencil is shift-inverted on one sparse
-LU.
+football mode pencil by its Sturm count, polishes every eigenvalue on the
+same tridiagonal LU and checks the count against the closed form.  The 2-D
+pencil is shift-inverted on one sparse LU: a short ARPACK pass to a loose
+tolerance settles a window that no eigenvalue comes near, and only
+otherwise does a full-precision pass find the eigenvalues to report.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from .angles import (AngleVector, conic_euler_char, int_part, is_integer,
                      same_angle, subcritical_check)
-from .spectrum import (FluxForm, mode_multiplicity, tridiag_matvec,
-                       tridiag_pencil_eigs, tridiag_solver)
+from .spectrum import (FluxForm, football_eigenvalues, mode_multiplicity,
+                       tridiag_matvec, tridiag_pencil_eigs, tridiag_solver)
 
 __all__ = [
     "ConicProblem",
@@ -75,6 +77,9 @@ KRYLOV_RTOL = 1e-12
 KRYLOV_RESTART = 40
 #: the first spectral window |lambda - 2| < WINDOW spectrum_near_two tries
 WINDOW = 0.5
+#: relative tolerance of the short ARPACK pass that settles an empty 2-D
+#: window before any exact eigensolve
+PROBE_TOL = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -765,11 +770,21 @@ def spectrum_near_two(metric):
     bisection and polishes each by one inverse-iteration step.  The 2-D
     pencil, the stiffness and the mass M e^{2u}, is factored once by
     ``_shift_solver``; ARPACK applies that factor as OPinv and the mass as a
-    product with its diagonal: from a fixed start vector it asks for k = 2
-    eigenvalues, no vectors, and doubles k (up to N - 2) while every
-    returned one lies in the band.  The reported window is the first of
-    WINDOW, 1.5 WINDOW and WINDOW / 1.5 whose edges every eigenvalue clears
-    by a tenth of that window; if none does, SolverError.
+    product with its diagonal, in two passes from one fixed start vector,
+    each asking for eigenvalues only.  The first asks for the k = 2 nearest
+    2 with a Krylov space of 8 vectors and the relative tolerance
+    PROBE_TOL; if both lie at least 1.1 WINDOW (1 + 100 PROBE_TOL) from 2,
+    every eigenvalue clears the edge margin of WINDOW, and the fiber is
+    empty with window WINDOW, as the second pass would report it.  (The
+    constant, lambda = 0, keeps this from holding once WINDOW >= 2 / 1.1.)
+    Otherwise the second pass asks for k = 2 eigenvalues to full precision
+    and doubles k (up to N - 2) while every returned one lies in the band.
+    The reported window is the first of WINDOW, 1.5 WINDOW and WINDOW / 1.5
+    whose edges every eigenvalue clears by a tenth of that window; if none
+    does, SolverError.  So is a football count that differs from the count,
+    with multiplicity, of ``spectrum.football_eigenvalues`` in that window:
+    lambda = 2 is a football eigenvalue at every beta, and a mesh too coarse
+    for small beta moves it out of the window.
     """
     wide = 1.5 * WINDOW
     if metric.kind == "football":
@@ -793,6 +808,16 @@ def spectrum_near_two(metric):
         sigma, solve = _shift_solver(metric.mesh["A"], b)
         OPinv = LinearOperator((N, N), solve, dtype=float)
         B = LinearOperator((N, N), b.__mul__, dtype=float)
+        # the loose pass: 100 PROBE_TOL covers the relative error of its
+        # lambda - sigma
+        near = eigsh(OPinv, k=k, M=B, sigma=sigma, which="LM", v0=v0,
+                     ncv=min(8, N - 1), tol=PROBE_TOL, OPinv=OPinv,
+                     return_eigenvectors=False)
+        if np.all(np.abs(near - 2.0)
+                  >= 1.1 * WINDOW * (1.0 + 100.0 * PROBE_TOL)):
+            return ObstructionBundleFiber(eigenvalues_near_2=[],
+                                          axisymmetric=[], ell=0,
+                                          window=WINDOW)
         while True:
             # with OPinv given, shift-invert eigsh reads only the shape of A
             lams = eigsh(OPinv, k=k, M=B, sigma=sigma, which="LM", v0=v0,
@@ -813,10 +838,20 @@ def spectrum_near_two(metric):
         raise SolverError("spectral window boundary too close to an "
                           "eigenvalue")
     inside = [i for i in np.argsort(dist, kind="stable") if dist[i] < window]
+    ell = sum(mults[i] for i in inside)
+    if metric.kind == "football":
+        want = sum(mode.multiplicity for mode in
+                   football_eigenvalues(metric.beta[0], 2.0 + window)
+                   if abs(mode.lam - 2.0) < window)
+        if ell != want:
+            raise SolverError(
+                f"the football spectrum at n = {metric.n} has {ell} "
+                f"eigenvalues within {window:.6g} of 2, where the closed "
+                f"form has {want}; refine the mesh")
     return ObstructionBundleFiber(
         eigenvalues_near_2=[float(lams[i]) for i in inside],
         axisymmetric=[axisym[i] for i in inside if i < len(axisym)],
-        ell=sum(mults[i] for i in inside), window=window)
+        ell=ell, window=window)
 
 
 # ---------------------------------------------------------------------------

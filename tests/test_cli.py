@@ -415,6 +415,17 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["ell"] == 1
 
+    def test_football_missing_the_closed_form_count_exits_3(self, capsys):
+        # at beta = 0.1 the mode that should be lambda = 2 reads 5.9 at
+        # n = 512, so the window holds none of the closed form's one
+        code, out, err = run(capsys, ["solve", "--points",
+                                      "0,0;3.141592653589793,0", "--beta",
+                                      "0.1,0.1", "--mesh", "512"])
+        assert (code, out) == (3, "")
+        assert err == ("error: solver failure: the football spectrum at "
+                       "n = 512 has 0 eigenvalues within 0.5 of 2, where the "
+                       "closed form has 1; refine the mesh\n")
+
     def test_help_example_solves_as_football(self, capsys):
         # the --points example of `solve --help` must be antipodal within
         # is_football's 1e-12, or it solves as a 2-D problem

@@ -824,11 +824,18 @@ class TestSpectrumNearTwo:
             for mode in football_eigenvalues(beta, 2.0 + fib.window)
             if abs(mode.lam - 2.0) < fib.window)
 
-    def test_empty_band(self, monkeypatch):
-        # no eigenvalue within 1.65e-9 of 2: the window checks see none
-        m = solve_liouville(football_problem(1.7), 128)
+    def test_empty_band_only_in_2d(self, monkeypatch):
+        # no eigenvalue within 1.65e-9 of 2: the window checks see none.
+        # lambda = 2 is a closed-form football eigenvalue at every beta, so
+        # an empty football window is a mesh too coarse for it
+        football = solve_liouville(football_problem(1.7), 128)
+        prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
+        sphere = solve_liouville(prob, 48)
         monkeypatch.setattr(liouville, "WINDOW", 1e-9)
-        fib = spectrum_near_two(m)
+        with pytest.raises(SolverError, match="n = 128 has 0 eigenvalues "
+                           "within 1e-09 of 2, where the closed form has 1"):
+            spectrum_near_two(football)
+        fib = spectrum_near_two(sphere)
         assert (fib.ell, fib.eigenvalues_near_2, fib.window) == (0, [], 1e-9)
 
     @pytest.mark.parametrize("beta,n,window", [
@@ -871,7 +878,8 @@ class TestSpectrumNearTwo:
         monkeypatch.setattr(liouville, "eigsh", recorded)
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
         fib = spectrum_near_two(solve_liouville(prob, 48))
-        assert calls == [False]
+        # the loose pass and the exact one
+        assert calls == [False, False]
         assert (fib.ell, len(fib.eigenvalues_near_2), fib.axisymmetric) \
             == (1, 1, [])
         # at beta = 2, 2 is a triple eigenvalue, from j = 0 and the pair
@@ -896,16 +904,20 @@ class TestSpectrumNearTwo:
         ((3.45, 3.45), 512, (0.5, 0.75), 6,
          {"eigsh": 0, "splu": 0, "dstebz": 6, "dgttrf": 3}, 5),
         ((0.6, 0.7, 0.8), 48, (0.5, 0.75), 1,
-         {"eigsh": 1, "splu": 1, "dstebz": 0, "dgttrf": 0}, 1),
+         {"eigsh": 2, "splu": 1, "dstebz": 0, "dgttrf": 0}, 1),
         ((0.6, 0.6, 0.6), 24, (36.0, 36.0), 1,
-         {"eigsh": 5, "splu": 1, "dstebz": 0, "dgttrf": 0}, 16)],
-        ids=["football", "sphere2d", "doubling"])
+         {"eigsh": 6, "splu": 1, "dstebz": 0, "dgttrf": 0}, 16),
+        ((0.6, 0.6, 0.6), 48, (0.5, 0.5), 1,
+         {"eigsh": 1, "splu": 1, "dstebz": 0, "dgttrf": 0}, 0)],
+        ids=["football", "sphere2d", "doubling", "empty2d"])
     def test_each_pencil_solved_once(self, beta, n, window, pencils, want,
                                      ell, monkeypatch):
         # an eigenvalue sits within 0.05 of the edge of |lambda - 2| < 0.5
         # (2.5036 for the football's j = 4), so the window widens to 0.75
         # using the eigenvalues already computed; the doubling case asks
         # eigsh for k = 2, 4, 8, 16 and 32 eigenpairs of one factorization.
+        # Each 2-D pencil first takes the loose pass, which alone settles
+        # the empty window of the last case.
         # Each football mode is bisected by one dstebz, and each of its
         # eigenvalues in |lambda - 2| < 1.1 * 0.75 -- (j, l) = (0, 1),
         # (3, 0) and (4, 0) -- polished on one dgttrf; the 2-D pencil is
@@ -932,6 +944,36 @@ class TestSpectrumNearTwo:
         assert len(all_pencils(m)) == pencils
         assert calls == want
         assert (fib.window, fib.ell) == (window[1], ell)
+
+    @pytest.mark.parametrize("points,beta,solves", [
+        (EQUATOR3, (0.6, 0.7, 0.8), 2), (TETRAHEDRON, (0.88,) * 4, 1),
+        (EQUATOR3, (0.6, 0.6, 0.6), 1)], ids=["inside", "margin", "beyond"])
+    def test_loose_pass_leaves_the_fiber_unchanged(self, points, beta,
+                                                   solves, monkeypatch):
+        # the eigenvalue nearest 2 lies inside the window (2.48), between
+        # 1.1 * 0.5 and 1.1 * 0.75 from 2 (2.62), where the exact loop also
+        # reports the window 0.5, and beyond 1.1 * 0.75 (4.14).  A loose
+        # pass that reads 2 forces the exact loop, which must report the
+        # same fiber
+        m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
+                            48)
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs.get("tol", 0.0))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(liouville, "eigsh", recorded)
+        on = spectrum_near_two(m)
+        assert calls[0] == liouville.PROBE_TOL and len(calls) == solves
+
+        def forced_off(*args, **kwargs):
+            if kwargs.get("tol", 0.0):
+                return np.full(kwargs["k"], 2.0)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(liouville, "eigsh", forced_off)
+        assert vars(spectrum_near_two(m)) == vars(on)
 
     @pytest.mark.parametrize("beta", [1.3, 2.0, 2.4, 3.0, 3.45])
     def test_dropped_modes_clear_the_band(self, beta):

@@ -188,6 +188,13 @@ class TestBoundaryIntegral:
             boundary_pairing_integral([(1, 1, 0)], [(1, 1, 0)], (0.1, -0.2),
                                       1.5)
 
+    def test_mismatched_exponents_do_not_converge(self):
+        # r^{1/beta} against r^{-1.5/beta}: the integrand grows like
+        # eps^{-0.5/beta}, so no limit exists as eps -> 0
+        with pytest.raises(ValueError, match="did not converge"):
+            boundary_pairing_integral([(1, 1.0, 0.0)], [(1.5, 1.0, 0.0)],
+                                      self.EPS, beta=1.5)
+
 
 class TestSolutionSpace:
     def test_zero_matrix_with_certified_atol(self):
