@@ -31,9 +31,9 @@ LAPACK ``tridiag_solver``.  An iteration costs O(N log n) on the N = 2 n^2
 cells, where sparse LU grows like n^3.  The spectrum near 2 bisects each
 football mode pencil by its Sturm count, polishes every eigenvalue on the
 same tridiagonal LU and checks the count against the closed form.  The 2-D
-pencil is shift-inverted on one sparse LU: a short ARPACK pass to a loose
-tolerance settles a window that no eigenvalue comes near, and only
-otherwise does a full-precision pass find the eigenvalues to report.
+pencil is shift-inverted on one sparse LU, and one ARPACK pass, its k
+doubled until the returned eigenvalues settle the window, finds the
+eigenvalues to report.
 """
 
 from __future__ import annotations
@@ -77,9 +77,11 @@ KRYLOV_RTOL = 1e-12
 KRYLOV_RESTART = 40
 #: the first spectral window |lambda - 2| < WINDOW spectrum_near_two tries
 WINDOW = 0.5
-#: relative tolerance of the short ARPACK pass that settles an empty 2-D
-#: window before any exact eigensolve
-PROBE_TOL = 1e-6
+#: relative residual at which ARPACK accepts a 2-D eigenvalue.  A Ritz value
+#: of a symmetric pencil errs by about the square of its residual, so 1e-6
+#: gives eigenvalues near 2 to round-off, far inside the tenth of a window
+#: by which every eigenvalue must clear the window's edges.
+ARPACK_TOL = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -763,22 +765,19 @@ def spectrum_near_two(metric):
     """Eigenvalues of Delta_g with |lambda - 2| < window, and among them
     the football j = 0 eigenvectors that ``projected_solve`` reads.
 
-    Each pencil yields at least the eigenvalues of the band |lambda - 2| <
-    1.1 * 1.5 WINDOW, the outer edge of the band the window checks read, so
-    they see every eigenvalue in their band.  A mode of ``_football_modes``
-    yields exactly those: ``tridiag_pencil_eigs`` brackets them by Sturm
-    bisection and polishes each by one inverse-iteration step.  The 2-D
-    pencil, the stiffness and the mass M e^{2u}, is factored once by
-    ``_shift_solver``; ARPACK applies that factor as OPinv and the mass as a
-    product with its diagonal, in two passes from one fixed start vector,
-    each asking for eigenvalues only.  The first asks for the k = 2 nearest
-    2 with a Krylov space of 8 vectors and the relative tolerance
-    PROBE_TOL; if both lie at least 1.1 WINDOW (1 + 100 PROBE_TOL) from 2,
-    every eigenvalue clears the edge margin of WINDOW, and the fiber is
-    empty with window WINDOW, as the second pass would report it.  (The
-    constant, lambda = 0, keeps this from holding once WINDOW >= 2 / 1.1.)
-    Otherwise the second pass asks for k = 2 eigenvalues to full precision
-    and doubles k (up to N - 2) while every returned one lies in the band.
+    The window checks read the band |lambda - 2| < 1.1 * 1.5 WINDOW, the
+    outer edge of the widest window's margin.  A mode of ``_football_modes``
+    yields exactly the eigenvalues of that band: ``tridiag_pencil_eigs``
+    brackets them by Sturm bisection and polishes each by one
+    inverse-iteration step.  The 2-D pencil, the stiffness and the mass
+    M e^{2u}, is factored once by ``_shift_solver``; ARPACK applies that
+    factor as OPinv and the mass as a product with its diagonal, from one
+    fixed start vector, and asks for the k eigenvalues nearest 2, without
+    vectors, to the relative tolerance ARPACK_TOL with a Krylov space of
+    max(2k + 1, 8) vectors.  From k = 2 it doubles k (up to N - 2) until
+    every returned eigenvalue lies at least 1.1 WINDOW from 2, so that
+    every eigenvalue clears the first window's edge margin, or one lies
+    outside the band, so that the returned ones hold the whole band.
     The reported window is the first of WINDOW, 1.5 WINDOW and WINDOW / 1.5
     whose edges every eigenvalue clears by a tenth of that window; if none
     does, SolverError.  So is a football count that differs from the count,
@@ -808,21 +807,14 @@ def spectrum_near_two(metric):
         sigma, solve = _shift_solver(metric.mesh["A"], b)
         OPinv = LinearOperator((N, N), solve, dtype=float)
         B = LinearOperator((N, N), b.__mul__, dtype=float)
-        # the loose pass: 100 PROBE_TOL covers the relative error of its
-        # lambda - sigma
-        near = eigsh(OPinv, k=k, M=B, sigma=sigma, which="LM", v0=v0,
-                     ncv=min(8, N - 1), tol=PROBE_TOL, OPinv=OPinv,
-                     return_eigenvectors=False)
-        if np.all(np.abs(near - 2.0)
-                  >= 1.1 * WINDOW * (1.0 + 100.0 * PROBE_TOL)):
-            return ObstructionBundleFiber(eigenvalues_near_2=[],
-                                          axisymmetric=[], ell=0,
-                                          window=WINDOW)
         while True:
             # with OPinv given, shift-invert eigsh reads only the shape of A
             lams = eigsh(OPinv, k=k, M=B, sigma=sigma, which="LM", v0=v0,
+                         ncv=min(max(2 * k + 1, 8), N - 1), tol=ARPACK_TOL,
                          OPinv=OPinv, return_eigenvectors=False)
-            if k == N - 2 or not np.all(np.abs(lams - 2.0) < 1.1 * wide):
+            dist = np.abs(lams - 2.0)
+            if (k == N - 2 or np.all(dist >= 1.1 * WINDOW)
+                    or np.any(dist >= 1.1 * wide)):
                 break
             k = min(2 * k, N - 2)
         mults, axisym = [1] * len(lams), []

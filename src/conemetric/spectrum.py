@@ -202,7 +202,11 @@ def tridiag_matvec(bands, x):
 def tridiag_solver(sub, diag, sup):
     """Factor a tridiagonal matrix once by LAPACK dgttrf (partial pivoting);
     ``solve(b)`` applies its inverse to a vector or a block by dgttrs.  An
-    exactly singular matrix raises numpy.linalg.LinAlgError."""
+    exactly singular matrix raises numpy.linalg.LinAlgError.  Below size 3,
+    which scipy's dgttrf wrapper rejects, the dense inverse is applied."""
+    if len(diag) < 3:
+        return np.linalg.inv(np.diag(diag) + np.diag(sub, -1)
+                             + np.diag(sup, 1)).__matmul__
     *lu, info = dgttrf(sub, diag, sup)
     if info:
         raise np.linalg.LinAlgError("singular tridiagonal matrix")

@@ -138,6 +138,12 @@ class TestCoaxial:
     def test_single_nonintegral_angle(self):
         assert coaxial_check(AngleVector(0, (1.5, 2.0))).status == "false"
 
+    def test_integer_angle_too_large_for_every_witness(self):
+        # the sign vectors pass the parity tests, but twice the integer
+        # angle 3 exceeds the sum of every rescaled witness
+        assert coaxial_check(AngleVector(0, (0.5, 0.5, 0.5, 0.5, 3.0))) \
+            .status == "false"
+
     def test_too_many_angles_refused_at_once(self):
         # 2^30 sign vectors would take about half an hour
         av = AngleVector(0, [0.5 + 0.01 * i for i in range(30)])

@@ -415,6 +415,28 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["ell"] == 1
 
+    @pytest.mark.parametrize("argv,code", [
+        (["--beta", "0.6,0.6", "--mesh", "4"], 0),
+        (["--beta", "1.7,1.7", "--mesh", "4"], 3),
+        (["--beta", "2,2", "--mesh", "4"], 3),
+        (["--beta", "3,3", "--mesh", "4"], 3),
+        (["--background", "disk", "--points", "0", "--beta", "0.5",
+          "--curvature", "-1", "--mesh", "1"], 0),
+        (["--background", "disk", "--points", "0", "--beta", "0.5",
+          "--curvature", "-1", "--mesh", "2"], 0)],
+        ids=["football-0.6", "football-1.7", "football-2", "football-3",
+             "disk-1", "disk-2"])
+    def test_smallest_meshes_solve_or_ask_for_refinement(self, capsys, argv,
+                                                         code):
+        # their Newton steps factor tridiagonals of size 1 and 2; a coarse
+        # football spectrum misses the closed-form count and exits 3
+        got, out, err = run(capsys, self.FOOTBALL + argv)
+        assert got == code
+        if code:
+            assert out == "" and err.endswith("; refine the mesh\n")
+        else:
+            assert err == "" and json.loads(out)["residual"] < 1e-9
+
     def test_football_missing_the_closed_form_count_exits_3(self, capsys):
         # at beta = 0.1 the mode that should be lambda = 2 reads 5.9 at
         # n = 512, so the window holds none of the closed form's one

@@ -110,6 +110,27 @@ class TestForwardInverse:
             assert sorted(br.z, key=lambda z: (z.real, z.imag)) \
                 == pytest.approx(base)
 
+    def test_singular_correction_halves_the_step(self, monkeypatch):
+        # a Newton correction that meets a singular Jacobian fails its
+        # homotopy step, which is retried at half the length and lands on
+        # the same branches
+        b = WeightVector((0.8, 1.2, 1.0))
+        A = random_coeffs(np.random.default_rng(5), 3)
+        want = inverse_map(A, b)
+        newton, failed = factorization._newton_correct, []
+
+        def singular_once(*args, **kwargs):
+            if not failed:
+                failed.append(True)
+                raise np.linalg.LinAlgError("singular matrix")
+            return newton(*args, **kwargs)
+        monkeypatch.setattr(factorization, "_newton_correct", singular_once)
+        got = inverse_map(A, b)
+        assert failed
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(np.array(g.z) - np.array(w.z))) <= 1e-12
+
     def test_near_discriminant_flagged(self):
         # A_1^2 = 4 A_2 makes the two roots collide
         b = WeightVector((1.0, 1.0))

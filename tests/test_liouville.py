@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse._base import _spbase
-from scipy.sparse.linalg import eigsh, gmres, spsolve
+from scipy.sparse.linalg import LinearOperator, eigsh, gmres, spsolve
 from scipy.sparse.linalg._dsolve import _superlu
 
 from conemetric import liouville, spectrum
@@ -878,8 +878,7 @@ class TestSpectrumNearTwo:
         monkeypatch.setattr(liouville, "eigsh", recorded)
         prob = ConicProblem("sphere", points=EQUATOR3, beta=(0.6, 0.7, 0.8))
         fib = spectrum_near_two(solve_liouville(prob, 48))
-        # the loose pass and the exact one
-        assert calls == [False, False]
+        assert calls == [False]
         assert (fib.ell, len(fib.eigenvalues_near_2), fib.axisymmetric) \
             == (1, 1, [])
         # at beta = 2, 2 is a triple eigenvalue, from j = 0 and the pair
@@ -904,9 +903,9 @@ class TestSpectrumNearTwo:
         ((3.45, 3.45), 512, (0.5, 0.75), 6,
          {"eigsh": 0, "splu": 0, "dstebz": 6, "dgttrf": 3}, 5),
         ((0.6, 0.7, 0.8), 48, (0.5, 0.75), 1,
-         {"eigsh": 2, "splu": 1, "dstebz": 0, "dgttrf": 0}, 1),
+         {"eigsh": 1, "splu": 1, "dstebz": 0, "dgttrf": 0}, 1),
         ((0.6, 0.6, 0.6), 24, (36.0, 36.0), 1,
-         {"eigsh": 6, "splu": 1, "dstebz": 0, "dgttrf": 0}, 16),
+         {"eigsh": 5, "splu": 1, "dstebz": 0, "dgttrf": 0}, 16),
         ((0.6, 0.6, 0.6), 48, (0.5, 0.5), 1,
          {"eigsh": 1, "splu": 1, "dstebz": 0, "dgttrf": 0}, 0)],
         ids=["football", "sphere2d", "doubling", "empty2d"])
@@ -915,9 +914,8 @@ class TestSpectrumNearTwo:
         # an eigenvalue sits within 0.05 of the edge of |lambda - 2| < 0.5
         # (2.5036 for the football's j = 4), so the window widens to 0.75
         # using the eigenvalues already computed; the doubling case asks
-        # eigsh for k = 2, 4, 8, 16 and 32 eigenpairs of one factorization.
-        # Each 2-D pencil first takes the loose pass, which alone settles
-        # the empty window of the last case.
+        # eigsh for k = 2, 4, 8, 16 and 32 eigenvalues of one factorization,
+        # and k = 2 settles the empty window of the last case.
         # Each football mode is bisected by one dstebz, and each of its
         # eigenvalues in |lambda - 2| < 1.1 * 0.75 -- (j, l) = (0, 1),
         # (3, 0) and (4, 0) -- polished on one dgttrf; the 2-D pencil is
@@ -945,35 +943,45 @@ class TestSpectrumNearTwo:
         assert calls == want
         assert (fib.window, fib.ell) == (window[1], ell)
 
-    @pytest.mark.parametrize("points,beta,solves", [
-        (EQUATOR3, (0.6, 0.7, 0.8), 2), (TETRAHEDRON, (0.88,) * 4, 1),
-        (EQUATOR3, (0.6, 0.6, 0.6), 1)], ids=["inside", "margin", "beyond"])
-    def test_loose_pass_leaves_the_fiber_unchanged(self, points, beta,
-                                                   solves, monkeypatch):
+    @pytest.mark.parametrize("points,beta", [
+        (EQUATOR3, (0.6, 0.7, 0.8)), (TETRAHEDRON, (0.88,) * 4),
+        (EQUATOR3, (0.6, 0.6, 0.6))], ids=["inside", "margin", "beyond"])
+    def test_one_loose_call_gives_the_full_precision_fiber(
+            self, points, beta, monkeypatch):
         # the eigenvalue nearest 2 lies inside the window (2.48), between
-        # 1.1 * 0.5 and 1.1 * 0.75 from 2 (2.62), where the exact loop also
-        # reports the window 0.5, and beyond 1.1 * 0.75 (4.14).  A loose
-        # pass that reads 2 forces the exact loop, which must report the
-        # same fiber
+        # 1.1 * 0.5 and 1.1 * 0.75 from 2 (2.62), and beyond 1.1 * 0.75
+        # (4.14).  One eigsh call at ARPACK_TOL settles each, with the
+        # window and ell that full-precision eigenvalues of the same factor
+        # give, and eigenvalues equal to them but for round-off
         m = solve_liouville(ConicProblem("sphere", points=points, beta=beta),
                             48)
         calls = []
 
         def recorded(*args, **kwargs):
-            calls.append(kwargs.get("tol", 0.0))
+            calls.append(kwargs["tol"])
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(liouville, "eigsh", recorded)
-        on = spectrum_near_two(m)
-        assert calls[0] == liouville.PROBE_TOL and len(calls) == solves
-
-        def forced_off(*args, **kwargs):
-            if kwargs.get("tol", 0.0):
-                return np.full(kwargs["k"], 2.0)
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(liouville, "eigsh", forced_off)
-        assert vars(spectrum_near_two(m)) == vars(on)
+        fib = spectrum_near_two(m)
+        assert calls == [liouville.ARPACK_TOL]
+        b = (m.mesh["measure"] * m.density()).ravel()
+        N = len(b)
+        sigma, solve = _shift_solver(m.mesh["A"], b)
+        OPinv = LinearOperator((N, N), solve, dtype=float)
+        exact = eigsh(OPinv, k=6, M=LinearOperator((N, N), b.__mul__,
+                                                   dtype=float),
+                      sigma=sigma, which="LM", tol=0, OPinv=OPinv,
+                      v0=np.random.default_rng(0).standard_normal(N),
+                      return_eigenvectors=False)
+        dist = np.abs(exact - 2.0)
+        # the six hold every eigenvalue the window checks read
+        assert np.max(dist) >= 1.1 * 0.75
+        window = next(w for w in (0.5, 0.75, 0.5 / 1.5)
+                      if np.all(np.abs(dist - w) >= 0.1 * w))
+        want = np.sort(exact[dist < window])
+        assert (fib.window, fib.ell) == (window, len(want))
+        assert np.all(np.abs(np.sort(fib.eigenvalues_near_2) - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("beta", [1.3, 2.0, 2.4, 3.0, 3.45])
     def test_dropped_modes_clear_the_band(self, beta):

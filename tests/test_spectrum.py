@@ -113,6 +113,25 @@ class TestTridiagSolver:
             tridiag_solver(np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]),
                            np.zeros(3))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_smallest_sizes_match_dense_solve(self, n):
+        # scipy's dgttrf wrapper takes no matrix below size 3
+        rng = np.random.default_rng(n)
+        sub, sup = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+        diag = 4.0 + rng.standard_normal(n)
+        dense = np.diag(sub, -1) + np.diag(diag) + np.diag(sup, 1)
+        rhs = rng.standard_normal((n, 2))
+        solve = tridiag_solver(sub, diag, sup)
+        for b in (rhs[:, 0], rhs):
+            want = np.linalg.solve(dense, b)
+            assert np.max(np.abs(solve(b) - want)) \
+                <= 1e-14 * np.max(np.abs(want))
+
+    def test_singular_two_by_two_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            tridiag_solver(np.array([1.0]), np.array([1.0, 1.0]),
+                           np.array([1.0]))
+
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_matvec_is_the_sparse_product(self, n):
         # bit for bit, so the football residual sums as a csc product did
